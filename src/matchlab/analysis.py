@@ -19,6 +19,7 @@ from matchlab.model import (
     Problem,
     Violation,
     check_feasible,
+    envied,
     is_nonwasteful,
     priority_rank_of,
     rank_of,
@@ -28,6 +29,7 @@ from matchlab.envy import (
     LabelledEnvyDigraph,
     build_envy,
     decompose_as_packing,
+    envy_edges,
     packing_label,
     strongly_connected_components,
 )
@@ -137,19 +139,9 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     """
     if not is_nonwasteful(problem, matching):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
-    n = problem.n_students
-    own = [rank_of(problem, i, matching.assignment[i]) for i in range(n)]
-    edges = {
-        i: tuple(
-            j
-            for j in range(n)
-            if j != i
-            and matching.assignment[j] != NULL_SCHOOL
-            and rank_of(problem, i, matching.assignment[j]) < own[i]
-        )
-        for i in range(n)
-    }
-    return all(len(scc) == 1 for scc in strongly_connected_components(range(n), edges))
+    edges = envy_edges(problem, matching, envied(problem, matching.assignment))
+    sccs = strongly_connected_components(range(problem.n_students), edges)
+    return all(len(scc) == 1 for scc in sccs)
 
 
 def reassignment_chain(

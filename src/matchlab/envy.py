@@ -7,9 +7,11 @@ to take that seat.  Students lying on directed cycles (equivalently, in
 strongly connected components of size >= 2) are exactly the ones that some
 Pareto improvement over the input matching can help.
 
-With quotas above one an edge targets a specific student (a seat), not a
-school; labels depend only on the target's school, so they are well-defined
-regardless of which occupant a trade displaces.
+Edges come from ``model.envied``, which walks each student's preference
+prefix above her own seat, so the graph costs O(sum of ranks + edges), not
+O(n^2).  With quotas above one an edge targets a specific student (a seat);
+labels depend only on the target's school, so they are computed once per
+school and do not depend on which occupant a trade displaces.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from matchlab.model import (
     Matching,
     Problem,
     check_feasible,
-    priority_rank_of,
+    envied,
     rank_of,
 )
 
@@ -110,44 +112,44 @@ def strongly_connected_components(nodes, edges) -> list[list[int]]:
     return sccs
 
 
+def envy_edges(problem: Problem, matching: Matching, envious) -> dict[int, tuple[int, ...]]:
+    """Edges i -> j for each i in ``envious[s]`` (see ``envied``) and each occupant j
+    of s; every target tuple ascends."""
+    edges: list[list[int]] = [[] for _ in range(problem.n_students)]
+    for school, roster in enumerate(matching.rosters(problem)):
+        for i in envious[school]:
+            edges[i].extend(roster)
+    return {i: tuple(sorted(targets)) for i, targets in enumerate(edges)}
+
+
 def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
     """Build the labelled envy digraph of a (deferred-acceptance) matching."""
     check_feasible(problem, da_matching)
-    n = problem.n_students
-    assigned = da_matching.assignment
-    own_rank = [rank_of(problem, i, assigned[i]) for i in range(n)]
-
-    edges: dict[int, list[int]] = {i: [] for i in range(n)}
-    in_neighbors: dict[int, list[int]] = {j: [] for j in range(n)}
-    for i in range(n):
-        for j in range(n):
-            if i == j or assigned[j] == NULL_SCHOOL:
-                continue
-            if rank_of(problem, i, assigned[j]) < own_rank[i]:
-                edges[i].append(j)
-                in_neighbors[j].append(i)
-
-    sccs = strongly_connected_components(range(n), edges)
+    envious = envied(problem, da_matching.assignment)
+    edges = envy_edges(problem, da_matching, envious)
+    sccs = strongly_connected_components(range(problem.n_students), edges)
     # A student never envies herself, so nontrivial means size >= 2.
     improvable = frozenset(i for scc in sccs for i in scc if len(scc) >= 2)
 
-    labels: dict[tuple[int, int], frozenset[int]] = {}
-    for j in range(n):
-        if not in_neighbors[j]:
-            continue
-        school = assigned[j]
-        ordered = sorted(in_neighbors[j], key=lambda h: priority_rank_of(problem, school, h))
-        better: list[int] = []  # improvable in-neighbors seen so far, by priority
-        prefix: dict[int, int] = {}
-        for h in ordered:
-            prefix[h] = len(better)
+    # Per school, each envious student's label: the improvable students who
+    # also envy the school and outrank her there.
+    per_school: list[dict[int, frozenset[int]]] = []
+    for school, students in enumerate(envious):
+        label: dict[int, frozenset[int]] = {}
+        above: frozenset[int] = frozenset()  # improvable envious students seen so far
+        for h in sorted(students, key=problem._prio_rank[school].__getitem__):
+            label[h] = above
             if h in improvable:
-                better.append(h)
-        for i in in_neighbors[j]:
-            labels[(i, j)] = frozenset(better[: prefix[i]])
-
+                above = above | {h}
+        per_school.append(label)
+    labels = {
+        (i, j): per_school[school][i]
+        for j, school in enumerate(da_matching.assignment)
+        if school != NULL_SCHOOL
+        for i in envious[school]
+    }
     return LabelledEnvyDigraph(
-        edges={i: tuple(v) for i, v in edges.items()},
+        edges=edges,
         labels=labels,
         sccs=tuple(tuple(c) for c in sccs),
         improvable=improvable,

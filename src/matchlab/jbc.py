@@ -19,8 +19,8 @@ from matchlab.model import (
     InputError,
     Matching,
     Problem,
+    envied,
     priority_rank_of,
-    rank_of,
 )
 
 
@@ -49,13 +49,15 @@ def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school
     the DA run; an empty result therefore signals a school outside that set
     and raises ``InputError``.
     """
+    envious = envied(problem, da_matching.assignment)[school]
+    return _below_cutoff(problem, da_matching, frozenset(improvable), school, envious)
+
+
+def _below_cutoff(problem, da_matching, improvable, school, envious) -> set[int]:
+    """``below_cutoff_set`` given the students who envy ``school`` at DA."""
     cutoff_rank = priority_rank_of(problem, school, cutoff_student(problem, da_matching, school))
-    out = set()
-    for i in improvable:
-        if priority_rank_of(problem, school, i) <= cutoff_rank:
-            continue
-        if rank_of(problem, i, school) < rank_of(problem, i, da_matching.assignment[i]):
-            out.add(i)
+    prio = problem._prio_rank[school]
+    out = {i for i in envious if i in improvable and prio[i] > cutoff_rank}
     if not out:
         raise InputError(
             f"school {problem.schools[school]} rejected no improvable student"
@@ -65,12 +67,12 @@ def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school
 
 def _school_graph(problem, da_matching, trace, improvable) -> SchoolGraph:
     rejecting = sorted(da_mod.rejecting_schools(problem, trace, improvable))
+    envious = envied(problem, da_matching.assignment)
     succ = {}
     entrant = {}
     for s in rejecting:
-        candidates = below_cutoff_set(problem, da_matching, improvable, s)
-        best = min(candidates, key=lambda i: priority_rank_of(problem, s, i))
-        entrant[s] = best
+        candidates = _below_cutoff(problem, da_matching, improvable, s, envious[s])
+        entrant[s] = best = min(candidates, key=problem._prio_rank[s].__getitem__)
         succ[s] = da_matching.assignment[best]
 
     cycles = []

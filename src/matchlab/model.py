@@ -94,16 +94,24 @@ class Problem:
             tables.append(table)
         return tables
 
+    @cached_property
+    def _student_ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.students)}
+
+    @cached_property
+    def _school_ids(self) -> dict[str, int]:
+        return {name: s for s, name in enumerate(self.schools)}
+
     def student_id(self, name: str) -> int:
         try:
-            return self.students.index(name)
-        except ValueError:
+            return self._student_ids[name]
+        except (KeyError, TypeError):
             raise InputError(f"unknown student {name!r}") from None
 
     def school_id(self, name: str) -> int:
         try:
-            return self.schools.index(name)
-        except ValueError:
+            return self._school_ids[name]
+        except (KeyError, TypeError):
             raise InputError(f"unknown school {name!r}") from None
 
 
@@ -112,9 +120,6 @@ class Matching:
     """Per-student assignment; ``NULL_SCHOOL`` means unassigned."""
 
     assignment: tuple[int, ...]
-
-    def school_of(self, student: int) -> int:
-        return self.assignment[student]
 
     def rosters(self, problem: Problem) -> list[list[int]]:
         """Per school, the list of assigned students in ascending id order."""
@@ -176,6 +181,20 @@ def check_feasible(problem: Problem, matching: Matching) -> None:
             raise InputError(f"school {problem.schools[s]} over quota ({c} > {problem.quotas[s]})")
 
 
+def envied(problem: Problem, assignment) -> list[list[int]]:
+    """Per school, the students who strictly prefer it to their own seat, in id order.
+
+    Walks each student's preference prefix above her seat, so it costs
+    O(sum of ranks), not O(n^2).  The assignment must pass ``check_feasible``.
+    """
+    out: list[list[int]] = [[] for _ in range(problem.n_schools)]
+    for i, (plist, ranks) in enumerate(zip(problem.prefs, problem._pref_rank)):
+        # A null or unlisted seat ranks below every listed school.
+        for school in plist[: ranks.get(assignment[i], len(plist) + 1) - 1]:
+            out[school].append(i)
+    return out
+
+
 def violations(problem: Problem, matching: Matching) -> list[Violation]:
     """All blocking triples of the matching, duplicate-free.
 
@@ -185,14 +204,11 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
     check_feasible(problem, matching)
     rosters = matching.rosters(problem)
     found = []
-    for victim in range(problem.n_students):
-        own = rank_of(problem, victim, matching.assignment[victim])
-        for school in problem.prefs[victim]:
-            if rank_of(problem, victim, school) >= own:
-                continue
-            vprio = priority_rank_of(problem, school, victim)
+    for school, envious in enumerate(envied(problem, matching.assignment)):
+        prio = problem._prio_rank[school]
+        for victim in envious:
             for occupant in rosters[school]:
-                if vprio < priority_rank_of(problem, school, occupant):
+                if prio[victim] < prio[occupant]:
                     found.append(Violation(victim, occupant, school))
     found.sort(key=lambda v: (v.victim, v.school, v.occupant))
     return found
@@ -207,16 +223,11 @@ def respects_priorities_of(problem: Problem, matching: Matching, protected) -> b
 def is_nonwasteful(problem: Problem, matching: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
     check_feasible(problem, matching)
-    free = list(problem.quotas)
-    for s in matching.assignment:
-        if s != NULL_SCHOOL:
-            free[s] -= 1
-    for i in range(problem.n_students):
-        own = rank_of(problem, i, matching.assignment[i])
-        for school in problem.prefs[i]:
-            if free[school] > 0 and rank_of(problem, i, school) < own:
-                return False
-    return True
+    rosters = matching.rosters(problem)
+    return not any(
+        envious and len(rosters[s]) < problem.quotas[s]
+        for s, envious in enumerate(envied(problem, matching.assignment))
+    )
 
 
 def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
@@ -245,46 +256,48 @@ def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
     return EQUAL
 
 
-def weakly_dominates(problem: Problem, a: Matching, b: Matching) -> bool:
-    """True iff every student weakly prefers ``a`` to ``b``."""
-    return pareto_compare(problem, a, b) in (A_DOMINATES, EQUAL)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 
 
+def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> list[int]:
+    """Ids of the names listed under ``name`` in the ``field`` mapping ``raw``."""
+    row = raw.get(name, [])
+    if not isinstance(row, list):
+        raise InputError(f"malformed instance file: {field} of {name} must be a list")
+    try:
+        return [ids[entry] for entry in row]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"unknown {kind} {exc} in {field} of {name}") from None
+
+
 def problem_from_dict(data: dict) -> Problem:
     try:
-        student_names = list(data["students"])
-        school_entries = list(data["schools"])
+        student_names = data["students"]
+        school_entries = data["schools"]
         prefs_raw = data["prefs"]
         prio_raw = data["priorities"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance file: missing {exc}") from None
+    if not isinstance(student_names, list) or not all(isinstance(v, str) for v in student_names):
+        raise InputError("malformed instance file: students must be a list of names")
+    if not isinstance(prefs_raw, dict) or not isinstance(prio_raw, dict):
+        raise InputError("malformed instance file: prefs and priorities must be keyed by name")
+    if not isinstance(school_entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("name"), str) and type(e.get("quota")) is int
+        for e in school_entries
+    ):
+        raise InputError("malformed instance file: each school needs a name and an integer quota")
     school_names = [e["name"] for e in school_entries]
-    quotas = [int(e["quota"]) for e in school_entries]
+    quotas = [e["quota"] for e in school_entries]
     sid = {name: i for i, name in enumerate(student_names)}
     cid = {name: s for s, name in enumerate(school_names)}
-    if len(sid) != len(student_names) or len(cid) != len(school_names):
-        raise InputError("duplicate student or school names")
 
-    prefs = []
-    for name in student_names:
-        row = prefs_raw.get(name, [])
-        try:
-            prefs.append(tuple(cid[s] for s in row))
-        except KeyError as exc:
-            raise InputError(f"unknown school {exc} in preferences of {name}") from None
-
+    prefs = [_row_ids(prefs_raw, name, cid, "school", "preferences") for name in student_names]
     priorities = []
     completed = set()
     for s, name in enumerate(school_names):
-        row = prio_raw.get(name, [])
-        try:
-            listed = [sid[i] for i in row]
-        except KeyError as exc:
-            raise InputError(f"unknown student {exc} in priorities of {name}") from None
+        listed = _row_ids(prio_raw, name, sid, "student", "priorities")
         if len(set(listed)) != len(listed):
             raise InputError(f"duplicate student in priorities of {name}")
         if len(listed) < len(student_names):
@@ -299,7 +312,7 @@ def problem_from_dict(data: dict) -> Problem:
         students=tuple(student_names),
         schools=tuple(school_names),
         quotas=tuple(quotas),
-        prefs=tuple(prefs),
+        prefs=tuple(map(tuple, prefs)),
         priorities=tuple(priorities),
         completed_priorities=frozenset(completed),
     )
@@ -337,6 +350,8 @@ def matching_from_dict(problem: Problem, data: dict) -> Matching:
         raw = data["assignment"]
     except (KeyError, TypeError):
         raise InputError("malformed matching file: missing 'assignment'") from None
+    if not isinstance(raw, dict):
+        raise InputError("malformed matching file: 'assignment' must be keyed by student name")
     assignment = [NULL_SCHOOL] * problem.n_students
     for sname, cname in raw.items():
         assignment[problem.student_id(sname)] = problem.school_id(cname)

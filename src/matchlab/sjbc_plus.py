@@ -35,10 +35,10 @@ from matchlab import da as da_mod
 from matchlab.envy import LabelledEnvyDigraph, build_envy, decompose_as_packing
 from matchlab.jbc import run_jbc
 from matchlab.model import (
+    NULL_SCHOOL,
     Matching,
     Problem,
-    priority_rank_of,
-    rank_of,
+    envied,
 )
 
 
@@ -154,30 +154,12 @@ def _expansion_line(problem, state) -> str:
     return f"expansion t={state.t}: beneficiaries = {{{names}}}"
 
 
-def _school_thresholds(problem, da_matching, improvable, b_star):
-    """Per school, the best priority rank held by an improvable
-    non-beneficiary who prefers the school to her DA assignment."""
-    inf = problem.n_students + 1
-    thresholds = [inf] * problem.n_schools
-    for h in improvable:
-        if h in b_star:
-            continue
-        own = rank_of(problem, h, da_matching.assignment[h])
-        for s in problem.prefs[h]:
-            if rank_of(problem, h, s) < own:
-                r = priority_rank_of(problem, s, h)
-                if r < thresholds[s]:
-                    thresholds[s] = r
-    return thresholds
-
-
 def _find_cycle(nodes, adj):
     """Admissible cycle whose minimum member is smallest, or None.
 
     For each candidate start (ascending), depth-first search restricted to
     ids at least the start, with neighbours visited in ascending order.
     """
-    node_set = set(nodes)
     for start in nodes:
         parent = {start: None}
         stack = [start]
@@ -190,7 +172,7 @@ def _find_cycle(nodes, adj):
                         path.append(parent[path[-1]])
                     return list(reversed(path))
             for w in reversed(adj.get(u, ())):  # pop order: ascending ids
-                if w > start and w in node_set and w not in parent:
+                if w > start and w not in parent:
                     parent[w] = u
                     stack.append(w)
     return None
@@ -211,24 +193,26 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None
     members = sorted(b_star)
     if not members:
         return mu_star
-    thresholds = _school_thresholds(problem, da_matching, digraph.improvable, b_star)
+    # Per school, the best priority rank held by an improvable non-beneficiary
+    # who prefers the school to her DA assignment.
+    prio, waiting = problem._prio_rank, digraph.improvable - b_star
+    thresholds = [
+        min((prio[s][h] for h in envious if h in waiting), default=problem.n_students + 1)
+        for s, envious in enumerate(envied(problem, da_matching.assignment))
+    ]
 
     current = list(mu_star.assignment)
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
-        adj = {}
-        for i in members:
-            own = rank_of(problem, i, current[i])
-            targets = []
-            for j in members:
-                if j == i:
-                    continue
-                s = current[j]
-                if rank_of(problem, i, s) >= own:
-                    continue
-                if priority_rank_of(problem, s, i) <= thresholds[s]:
-                    targets.append(j)
-            adj[i] = tuple(targets)
+        envious = envied(problem, current)
+        adj = {i: [] for i in members}
+        for j in members:  # ascending, so every target list ascends too
+            s = current[j]
+            if s == NULL_SCHOOL:
+                continue
+            for i in envious[s]:
+                if i in b_star and prio[s][i] <= thresholds[s]:
+                    adj[i].append(j)
         cycle = _find_cycle(members, adj)
         if cycle is None:
             return Matching(tuple(current))

@@ -32,6 +32,20 @@ def test_solve_missing_file_is_exit_2(capsys):
     assert "error:" in err
 
 
+def test_solve_malformed_instance_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    instance = {
+        "students": ["a"],
+        "schools": [{"name": "x", "quota": "z"}],
+        "prefs": {"a": ["x"]},
+        "priorities": {"x": ["a"]},
+    }
+    bad.write_text(json.dumps(instance))
+    code, _, err = run_cli(capsys, "solve", "--mechanism", "da", str(bad))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_solve_round_trips_through_analyze(tmp_path, capsys):
     out_path = tmp_path / "m.json"
     code, _, _ = run_cli(capsys, "solve", "--mechanism", "jbc", EX1, "--out", str(out_path))

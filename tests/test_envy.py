@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from matchlab import oracle
+from matchlab.analysis import is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.envy import (
     CyclePacking,
@@ -12,7 +14,7 @@ from matchlab.envy import (
     packing_label,
     strongly_connected_components,
 )
-from matchlab.model import InputError, Matching, Problem, violations
+from matchlab.model import InputError, Matching, Problem, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, gen_instance
 
 from conftest import matching_by_name, names_of
@@ -265,3 +267,115 @@ def test_quota_two_edges_target_students():
     c = 2
     assert set(g.edges[c]) == {0, 1}  # c envies each occupant of x separately
     assert g.improvable == frozenset()
+
+
+def random_market(rng):
+    """Quotas 1-3, truncated preference lists, unequal side sizes."""
+    n, m = rng.randint(3, 9), rng.randint(2, 5)
+    priorities = []
+    for _ in range(m):
+        order = list(range(n))
+        rng.shuffle(order)
+        priorities.append(tuple(order))
+    return Problem(
+        students=tuple(f"i{k}" for k in range(n)),
+        schools=tuple(f"s{k}" for k in range(m)),
+        quotas=tuple(rng.randint(1, 3) for _ in range(m)),
+        prefs=tuple(tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)),
+        priorities=tuple(priorities),
+    )
+
+
+def random_feasible(rng, problem):
+    free = list(problem.quotas)
+    assignment = []
+    for _ in range(problem.n_students):
+        school = rng.choice([s for s in range(problem.n_schools) if free[s]] + [-1])
+        if school != -1:
+            free[school] -= 1
+        assignment.append(school)
+    return Matching(tuple(assignment))
+
+
+def serial_dictatorship(rng, problem):
+    """A random non-wasteful matching: students pick in a shuffled order."""
+    order = list(range(problem.n_students))
+    rng.shuffle(order)
+    free = list(problem.quotas)
+    assignment = [-1] * problem.n_students
+    for i in order:
+        for school in problem.prefs[i]:
+            if free[school]:
+                free[school] -= 1
+                assignment[i] = school
+                break
+    return Matching(tuple(assignment))
+
+
+def test_envy_scans_match_pairwise_definitions_many_to_one():
+    def envies(problem, matching, i, school):
+        return school != -1 and oracle.prefers(problem, i, school, matching.assignment[i])
+
+    def pairwise_edges(problem, matching):
+        return {
+            i: tuple(
+                j
+                for j in range(problem.n_students)
+                if j != i and envies(problem, matching, i, matching.assignment[j])
+            )
+            for i in range(problem.n_students)
+        }
+
+    def on_cycle(edges):
+        # i lies on a cycle iff i reaches itself; plain search from each node
+        out = set()
+        for start in edges:
+            seen, stack = set(), list(edges[start])
+            while stack:
+                v = stack.pop()
+                if v == start:
+                    out.add(start)
+                    break
+                if v not in seen:
+                    seen.add(v)
+                    stack.extend(edges[v])
+        return out
+
+    rng = random.Random(2008)
+    quotas_seen = set()
+    for _ in range(1500):
+        problem = random_market(rng)
+        quotas_seen.update(problem.quotas)
+        da, _ = run_da(problem)
+        g = build_envy(problem, da)
+        edges = pairwise_edges(problem, da)
+        improvable = on_cycle(edges)
+        assert g.edges == edges
+        assert g.improvable == improvable
+        labels = {}
+        for i, targets in edges.items():
+            for j in targets:
+                school = da.assignment[j]
+                labels[(i, j)] = frozenset(
+                    h
+                    for h in improvable
+                    if envies(problem, da, h, school)
+                    and oracle.priority_scan(problem, school, h)
+                    < oracle.priority_scan(problem, school, i)
+                )
+        assert g.labels == labels
+
+        for matching in (random_feasible(rng, problem), serial_dictatorship(rng, problem)):
+            found = [(v.victim, v.occupant, v.school) for v in violations(problem, matching)]
+            assert sorted(found) == sorted(oracle.violations_scan(problem, matching))
+            taken = [matching.assignment.count(s) for s in range(problem.n_schools)]
+            wasteful = any(
+                taken[s] < problem.quotas[s] and envies(problem, matching, i, s)
+                for i in range(problem.n_students)
+                for s in range(problem.n_schools)
+            )
+            assert is_nonwasteful(problem, matching) == (not wasteful)
+            if not wasteful:
+                efficient = not on_cycle(pairwise_edges(problem, matching))
+                assert is_pareto_efficient(problem, matching) == efficient
+    assert quotas_seen == {1, 2, 3}

@@ -212,26 +212,52 @@ def test_matching_file_round_trip_and_stability(ex1):
     assert partial.assignment[ex1.student_id("i2")] == NULL_SCHOOL
 
 
-def test_malformed_inputs_raise():
+def instance_dict(**fields):
+    data = {
+        "students": ["a", "b"],
+        "schools": [{"name": "x", "quota": 1}, {"name": "y", "quota": 1}],
+        "prefs": {"a": ["x"], "b": ["x", "y"]},
+        "priorities": {"x": ["a", "b"], "y": []},
+    }
+    data.update(fields)
+    return data
+
+
+MALFORMED = {
+    "missing-fields": {"students": ["a"]},
+    "zero-quota": {
+        "students": ["a"],
+        "schools": [{"name": "x", "quota": 0}],
+        "prefs": {"a": ["x"]},
+        "priorities": {"x": ["a"]},
+    },
+    "quota-not-a-number": instance_dict(
+        schools=[{"name": "x", "quota": "z"}, {"name": "y", "quota": 1}]
+    ),
+    "fractional-quota": instance_dict(
+        schools=[{"name": "x", "quota": 1.7}, {"name": "y", "quota": 1}]
+    ),
+    "school-without-name": instance_dict(schools=[{"quota": 1}, {"name": "y", "quota": 1}]),
+    "prefs-as-list": instance_dict(prefs=[["x"], ["x", "y"]]),
+    "pref-row-as-string": instance_dict(prefs={"a": "xy"}),
+    "list-valued-student-name": instance_dict(students=[["a"], "b"]),
+}
+
+
+@pytest.mark.parametrize("data", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_inputs_raise(data):
     with pytest.raises(InputError):
-        problem_from_dict({"students": ["a"]})
-    with pytest.raises(InputError):
-        problem_from_dict(
-            {
-                "students": ["a"],
-                "schools": [{"name": "x", "quota": 0}],
-                "prefs": {"a": ["x"]},
-                "priorities": {"x": ["a"]},
-            }
-        )
-    good = problem_from_dict(
-        {
-            "students": ["a", "b"],
-            "schools": [{"name": "x", "quota": 1}, {"name": "y", "quota": 1}],
-            "prefs": {"a": ["x"], "b": ["x", "y"]},
-            "priorities": {"x": ["a", "b"], "y": []},
-        }
-    )
+        problem_from_dict(data)
+
+
+def test_name_lookup_and_unknown_names():
+    good = problem_from_dict(instance_dict())
     assert good.completed_priorities == {good.school_id("y")}
+    assert [good.student_id(name) for name in good.students] == [0, 1]
+    assert [good.school_id(name) for name in good.schools] == [0, 1]
     with pytest.raises(InputError):
         matching_from_dict(good, {"assignment": {"zz": "x"}})
+    with pytest.raises(InputError):
+        matching_from_dict(good, {"assignment": {"a": ["x"]}})
+    with pytest.raises(InputError):
+        matching_from_dict(good, {"assignment": [["a", "x"]]})
