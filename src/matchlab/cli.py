@@ -12,7 +12,7 @@ import csv
 import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
-from matchlab.da import held_by_round, run_da
+from matchlab.da import run_da
 from matchlab.envy import build_envy
 from matchlab.model import (
     InputError,
@@ -152,14 +152,15 @@ def _cmd_analyze(args) -> int:
 def _cmd_trace(args) -> int:
     problem = load_problem(args.instance)
     _, trace = run_da(problem)
-    rosters = held_by_round(trace, problem.n_schools)
     header = ["round"] + list(problem.schools)
     widths = [max(5, len(h)) for h in header]
     rows = []
+    held = {}  # tentative rosters, carried across rounds in which a school is quiet
     for r, rnd in enumerate(trace.rounds):
+        held.update(rnd.held)
         row = [f"r{r + 1}"]
         for s in range(problem.n_schools):
-            cell = [(i, False) for i in rosters[r][s]]
+            cell = [(i, False) for i in held.get(s, ())]
             cell += [(i, True) for i in rnd.rejected.get(s, ())]
             cell.sort()
             row.append(

@@ -4,18 +4,18 @@ Rounds are simultaneous: every currently rejected student proposes in the
 same round.  The final outcome is order-independent, but the *round numbers*
 recorded in the trace are not, and downstream bookkeeping (interrupting
 pairs) depends on them, so this convention is part of the contract.
+
+One proposal loop, ``_propose``, serves ``run_da`` and every EADA rerun.  It
+records the interrupting pairs as rejections happen and logs only each
+round's proposers; ``run_da`` builds the ``DaTrace`` from that log afterwards.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
-from matchlab.model import (
-    NULL_SCHOOL,
-    InputError,
-    Matching,
-    Problem,
-)
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ class DaTrace:
     rounds: tuple[DaRound, ...]
     final: Matching
     proposals: int
+    pairs: tuple[InterruptPair, ...]  # interrupting pairs, in ``interrupters`` order
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,53 @@ class InterruptPair:
     rejection_round: int
 
 
+def _propose(problem: Problem, prefs):
+    """Run the proposal loop with ``prefs`` in place of ``problem.prefs``.
+
+    Returns the matching, the interrupting pairs as ``(rejection round,
+    student, school)`` in round order, and each round's proposers, unordered.
+    """
+    n = problem.n_students
+    prio_tables = problem._prio_rank
+    quotas = problem.quotas
+    choices = [iter(p) for p in prefs]  # the schools each student has yet to try
+    entry = [0] * n  # round in which each student proposed to her current school
+    last_reject = [-1] * problem.n_schools  # latest round with a rejection, per school
+    before = [-1] * problem.n_schools  # the latest such round before that one
+    held: list[list[int]] = [[] for _ in range(problem.n_schools)]  # best first
+    active = list(range(n))
+    pairs = []
+    log = []
+    while active:
+        # Taking a round's proposals one at a time ends it as if all came at once.
+        r = len(log)
+        log.append(active)
+        rejected = []
+        for i in active:
+            s = next(choices[i], None)
+            if s is None:
+                continue  # she has exhausted her list
+            entry[i] = r
+            roster = held[s]
+            insort(roster, i, key=prio_tables[s].__getitem__)
+            if len(roster) > quotas[s]:
+                loser = roster.pop()
+                rejected.append(loser)
+                if last_reject[s] < r:
+                    before[s], last_reject[s] = last_reject[s], r
+                # She interrupted if s turned anyone away in an earlier round
+                # since she arrived; a newcomer (entry r) never qualifies.
+                if before[s] >= entry[loser]:
+                    pairs.append((r + 1, loser, s))
+        active = rejected
+
+    assignment = [NULL_SCHOOL] * n
+    for s, roster in enumerate(held):
+        for i in roster:
+            assignment[i] = s
+    return Matching(tuple(assignment)), pairs, log
+
+
 def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     """Run deferred acceptance; returns the student-optimal stable matching
     and its execution trace.
@@ -57,65 +105,35 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     A student who exhausts her list is assigned the null school and stops
     proposing.  Total proposals are bounded by ``n_students * n_schools``.
     """
-    n = problem.n_students
     prefs = problem.prefs
-    prio_tables = problem._prio_rank
-    next_choice = [0] * n
-    held: list[list[int]] = [[] for _ in range(problem.n_schools)]
-    active = list(range(n))
+    matching, pairs, log = _propose(problem, prefs)
+    proposed = [0] * problem.n_students  # a student's k-th proposal goes to prefs[k]
+    rosters: list[list[int]] = [[] for _ in range(problem.n_schools)]
     rounds = []
-    proposals = 0
-
-    while True:
-        new_by_school: dict[int, list[int]] = {}
+    for r, active in enumerate(log):
+        applicants: dict[int, list[int]] = {}
         for i in active:
-            if next_choice[i] >= len(prefs[i]):
-                continue
-            s = prefs[i][next_choice[i]]
-            new_by_school.setdefault(s, []).append(i)
-            proposals += 1
-        if not new_by_school:
+            if proposed[i] < len(prefs[i]):
+                applicants.setdefault(prefs[i][proposed[i]], []).append(i)
+                proposed[i] += 1
+        if not applicants:
             break
-
-        held_snapshot = {}
-        rejected_snapshot = {}
-        active = []
-        for s, newcomers in new_by_school.items():
-            pool = held[s] + newcomers
-            pool.sort(key=prio_tables[s].__getitem__)
-            kept, rejected = pool[: problem.quotas[s]], pool[problem.quotas[s] :]
-            held[s] = kept
-            held_snapshot[s] = tuple(sorted(kept))
-            if rejected:
-                rejected_snapshot[s] = tuple(sorted(rejected))
-            for i in rejected:
-                next_choice[i] += 1
-                active.append(i)
+        # This round's rejected students are the next round's proposers.
+        rejected: dict[int, list[int]] = {}
+        for i in log[r + 1] if r + 1 < len(log) else ():
+            rejected.setdefault(prefs[i][proposed[i] - 1], []).append(i)
+        for s, newcomers in applicants.items():
+            rosters[s] = [i for i in rosters[s] + newcomers if i not in rejected.get(s, ())]
+        schools = sorted(applicants)
         rounds.append(
             DaRound(
-                applicants={s: tuple(sorted(v)) for s, v in sorted(new_by_school.items())},
-                held=held_snapshot,
-                rejected=rejected_snapshot,
+                applicants={s: tuple(sorted(applicants[s])) for s in schools},
+                held={s: tuple(sorted(rosters[s])) for s in schools},
+                rejected={s: tuple(sorted(rejected[s])) for s in schools if s in rejected},
             )
         )
-
-    assignment = [NULL_SCHOOL] * n
-    for s, roster in enumerate(held):
-        for i in roster:
-            assignment[i] = s
-    matching = Matching(tuple(assignment))
-    return matching, DaTrace(tuple(rounds), matching, proposals)
-
-
-def held_by_round(trace: DaTrace, n_schools: int) -> list[list[tuple[int, ...]]]:
-    """Full per-round tentative rosters, carrying holds across quiet rounds."""
-    current: list[tuple[int, ...]] = [()] * n_schools
-    out = []
-    for rnd in trace.rounds:
-        for s, kept in rnd.held.items():
-            current[s] = kept
-        out.append(list(current))
-    return out
+    interrupting = tuple(InterruptPair(i, s, r) for r, i, s in sorted(pairs))
+    return matching, DaTrace(tuple(rounds), matching, sum(proposed), interrupting)
 
 
 def rejecting_schools(problem: Problem, trace: DaTrace, improvable) -> set[int]:
@@ -138,28 +156,7 @@ def interrupters(problem: Problem, trace: DaTrace) -> list[InterruptPair]:
     A pair (i, s) qualifies when some other student was rejected from s in a
     round at whose end i was tentatively held there, and i was later rejected
     from s herself.  A rejection in the very round a student arrives counts:
-    she ends that round held while the other was turned away.
+    she ends that round held while the other was turned away.  DA records
+    the pairs as it runs; this returns them.
     """
-    rosters = held_by_round(trace, problem.n_schools)
-    pairs = []
-    for r, rnd in enumerate(trace.rounds):
-        for s, rejected in rnd.rejected.items():
-            for i in rejected:
-                if r == 0 or i not in rosters[r - 1][s]:
-                    continue  # never held: rejected on arrival
-                # i was held at s through rounds [entry, r-1]; look for another
-                # student rejected from s in one of those rounds.
-                if _saw_other_rejection(trace, rosters, s, i, r):
-                    pairs.append(InterruptPair(i, s, r + 1))
-    pairs.sort(key=lambda p: (p.rejection_round, p.student, p.school))
-    return pairs
-
-
-def _saw_other_rejection(trace, rosters, school, student, rejection_round):
-    for r in range(rejection_round - 1, -1, -1):
-        if student not in rosters[r][school]:
-            return False
-        others = trace.rounds[r].rejected.get(school, ())
-        if any(j != student for j in others):
-            return True
-    return False
+    return list(trace.pairs)

@@ -4,12 +4,14 @@ Repeatedly rerun deferred acceptance, each time deleting the school of the
 latest-rejected consenting interrupters from their preference lists, until
 the last interrupter rejection involves no consenting student.  Deletions
 are batched by round: every consenting interrupting pair rejected at the
-latest such round is removed together before the rerun.
+latest such round is removed together before the rerun.  The reruns delete
+from one mutable copy of the preference lists and read the interrupting
+pairs DA's proposal loop records; no instance or trace is rebuilt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from matchlab import da as da_mod
 from matchlab.model import InputError, Matching, Problem
@@ -43,21 +45,17 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     """
     members = _validated_consent(problem, consent)
     prefs = [list(p) for p in problem.prefs]
-    current = problem
-    matching, trace = da_mod.run_da(current)
+    matching, pairs, _ = da_mod._propose(problem, prefs)
     iterations = []
     while True:
-        pairs = [p for p in da_mod.interrupters(current, trace) if p.student in members]
-        if not pairs:
+        consenting = [p for p in pairs if p[1] in members]  # (round, student, school)
+        if not consenting:
             break
-        last_round = max(p.rejection_round for p in pairs)
-        batch = sorted(
-            (p.student, p.school) for p in pairs if p.rejection_round == last_round
-        )
+        last_round = consenting[-1][0]
+        batch = sorted((i, s) for r, i, s in consenting if r == last_round)
         for student, school in batch:
             prefs[student].remove(school)
-        current = replace(current, prefs=tuple(tuple(p) for p in prefs))
-        matching, trace = da_mod.run_da(current)
+        matching, pairs, _ = da_mod._propose(problem, prefs)
         iterations.append(EadaIteration(tuple(batch), matching))
     return matching, EadaRun(tuple(iterations), matching)
 

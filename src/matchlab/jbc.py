@@ -37,6 +37,10 @@ class SchoolGraph:
 def cutoff_student(problem: Problem, da_matching: Matching, school: int) -> int:
     """The lowest-priority student assigned to ``school``."""
     occupants = [i for i, s in enumerate(da_matching.assignment) if s == school]
+    return _cutoff(problem, school, occupants)
+
+
+def _cutoff(problem, school, occupants) -> int:
     if not occupants:
         raise InputError(f"school {problem.schools[school]} has no occupants")
     return max(occupants, key=lambda i: priority_rank_of(problem, school, i))
@@ -50,14 +54,14 @@ def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school
     and raises ``InputError``.
     """
     envious = envied(problem, da_matching.assignment)[school]
-    return _below_cutoff(problem, da_matching, frozenset(improvable), school, envious)
+    cutoff = cutoff_student(problem, da_matching, school)
+    return _below_cutoff(problem, frozenset(improvable), school, envious, cutoff)
 
 
-def _below_cutoff(problem, da_matching, improvable, school, envious) -> set[int]:
-    """``below_cutoff_set`` given the students who envy ``school`` at DA."""
-    cutoff_rank = priority_rank_of(problem, school, cutoff_student(problem, da_matching, school))
+def _below_cutoff(problem, improvable, school, envious, cutoff) -> set[int]:
+    """``below_cutoff_set`` given who envies ``school`` at DA and its cutoff student."""
     prio = problem._prio_rank[school]
-    out = {i for i in envious if i in improvable and prio[i] > cutoff_rank}
+    out = {i for i in envious if i in improvable and prio[i] > prio[cutoff]}
     if not out:
         raise InputError(
             f"school {problem.schools[school]} rejected no improvable student"
@@ -68,10 +72,12 @@ def _below_cutoff(problem, da_matching, improvable, school, envious) -> set[int]
 def _school_graph(problem, da_matching, trace, improvable) -> SchoolGraph:
     rejecting = sorted(da_mod.rejecting_schools(problem, trace, improvable))
     envious = envied(problem, da_matching.assignment)
+    rosters = da_matching.rosters(problem)
     succ = {}
     entrant = {}
     for s in rejecting:
-        candidates = _below_cutoff(problem, da_matching, improvable, s, envious[s])
+        cutoff = _cutoff(problem, s, rosters[s])
+        candidates = _below_cutoff(problem, improvable, s, envious[s], cutoff)
         entrant[s] = best = min(candidates, key=problem._prio_rank[s].__getitem__)
         succ[s] = da_matching.assignment[best]
 

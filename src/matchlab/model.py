@@ -65,12 +65,20 @@ class Problem:
         for i, plist in enumerate(self.prefs):
             if len(set(plist)) != len(plist):
                 raise InputError(f"duplicate school in preference list of {self.students[i]}")
-            for s in plist:
-                if not 0 <= s < m:
-                    raise InputError(f"invalid school id {s} in preferences of {self.students[i]}")
+            if plist and (min(plist) < 0 or max(plist) >= m):
+                s = next(s for s in plist if not 0 <= s < m)
+                raise InputError(f"invalid school id {s} in preferences of {self.students[i]}")
+        prio_rank = []  # filling a school's rank table completes its permutation check
+        ranks = list(range(1, n + 1))  # one set of int objects shared by every table
         for s, plist in enumerate(self.priorities):
-            if sorted(plist) != list(range(n)):
+            table = [0] * n
+            if len(plist) == n and 0 <= min(plist, default=0) and max(plist, default=0) < n:
+                for i, pos in zip(plist, ranks):
+                    table[i] = pos
+            if len(plist) != n or 0 in table:  # a repeated id leaves a slot empty
                 raise InputError(f"priority list of {self.schools[s]} is not a permutation of all students")
+            prio_rank.append(table)
+        self.__dict__["_prio_rank"] = prio_rank
 
     @property
     def n_students(self) -> int:
@@ -83,16 +91,6 @@ class Problem:
     @cached_property
     def _pref_rank(self) -> list[dict[int, int]]:
         return [{s: pos + 1 for pos, s in enumerate(plist)} for plist in self.prefs]
-
-    @cached_property
-    def _prio_rank(self) -> list[list[int]]:
-        tables = []
-        for plist in self.priorities:
-            table = [0] * self.n_students
-            for pos, i in enumerate(plist):
-                table[i] = pos + 1
-            tables.append(table)
-        return tables
 
     @cached_property
     def _student_ids(self) -> dict[str, int]:

@@ -1,7 +1,7 @@
 import pytest
 
 from matchlab.fixtures import load_fixture
-from matchlab.model import Matching
+from matchlab.model import Matching, Problem
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +47,20 @@ def flag_completed(problem, label):
     if problem.completed_priorities:
         done = sorted(problem.schools[s] for s in problem.completed_priorities)
         print(f"note[{label}]: priorities completed for {done}")
+
+
+def random_market(rng):
+    """Quotas 1-3, truncated preference lists, unequal side sizes."""
+    n, m = rng.randint(3, 9), rng.randint(2, 5)
+    priorities = []
+    for _ in range(m):
+        order = list(range(n))
+        rng.shuffle(order)
+        priorities.append(tuple(order))
+    return Problem(
+        students=tuple(f"i{k}" for k in range(n)),
+        schools=tuple(f"s{k}" for k in range(m)),
+        quotas=tuple(rng.randint(1, 3) for _ in range(m)),
+        prefs=tuple(tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)),
+        priorities=tuple(priorities),
+    )

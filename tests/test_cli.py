@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -181,3 +182,46 @@ def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
 
     assert str(fp("ex1")).startswith(str(tmp_path))
     monkeypatch.delenv("MATCHLAB_FIXTURES")
+
+
+# SHA-256 of the stdout of `eada-orbit` and `trace` on every fixture.
+GOLDEN_STDOUT = {
+    ("ex1", "eada-orbit"): "647cd57e250f4c2fbc02ae62bb86423ff476c9db9c61514845b1978cc1127b92",
+    ("ex1", "trace"): "261b9c331c0ad5ae3173caf6253e905a77ad5ccde9ca62e25949942f033457cb",
+    ("exd", "eada-orbit"): "bd253d31ae5e6e92298e29da307b64ccbb410742ffd0df3e0f378a501f38df1b",
+    ("exd", "trace"): "baa3f3bbd0b4ed63c16dcf5d79d8b707f0422a48c73f0700c54c894447e5690f",
+    ("exe", "eada-orbit"): "4e04b9128272d6aaa1376b6fe8d8e50f3732fe8f8325e428d5657e996eac1c35",
+    ("exe", "trace"): "dc9997f77ca590e4d1f668bd3ea023d96edd4d5872375813459ef5c95c471359",
+    ("exnoeff", "eada-orbit"): "839ea61b39b017c2a362a57464ab020efb2f090737354466bfd45b752a4b0deb",
+    ("exnoeff", "trace"): "05f34ee5fcfcbe19e7c6790bb4ff6219291911100c6278ccefd9c45c678dc42f",
+    ("explus", "eada-orbit"): "f81d1166702da4fc6da8ad5e6261b6a1653725c51caab6d2806b08aa927187bc",
+    ("explus", "trace"): "88a87c653ee0c7eb0c0d2edbc23fc34c4cfb488d97e4db5bda562f5330f703af",
+}
+
+
+@pytest.mark.parametrize("fixture, command", sorted(GOLDEN_STDOUT))
+def test_fixture_stdout_is_byte_stable(capsys, fixture, command):
+    code, out, _ = run_cli(capsys, command, str(fixture_path(fixture)))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[fixture, command]
+
+
+def test_simulate_csv_identical_across_jobs(tmp_path, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        agg, per = tmp_path / f"stats{jobs}.csv", tmp_path / f"per{jobs}.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate",
+            "--n", "12",
+            "--model", "correlated",
+            "--rho", "0.5",
+            "--reps", "10",
+            "--seed", "5",
+            "--jobs", jobs,
+            "--out", str(agg),
+            "--per-instance", str(per),
+        )
+        assert code == 0
+        outputs.append((agg.read_bytes(), per.read_bytes()))
+    assert outputs[0] == outputs[1]

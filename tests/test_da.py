@@ -1,12 +1,49 @@
+import random
+
 import pytest
 from dataclasses import replace
 
-from matchlab.da import held_by_round, interrupters, rejecting_schools, run_da
+from matchlab.da import interrupters, rejecting_schools, run_da
 from matchlab.envy import build_envy
 from matchlab.model import InputError, Matching, Problem, rank_of, violations, is_nonwasteful
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name
+from conftest import matching_by_name, random_market
+
+
+def held_by_round(trace, n_schools):
+    """Full per-round tentative rosters, carrying holds across quiet rounds."""
+    current = [()] * n_schools
+    out = []
+    for rnd in trace.rounds:
+        for s, kept in rnd.held.items():
+            current[s] = kept
+        out.append(list(current))
+    return out
+
+
+def interrupters_by_definition(problem, trace):
+    """Interrupting pairs by a post-hoc scan of the whole trace.
+
+    (i, s, r) qualifies when i, held at s at the end of round r - 1, is
+    rejected from s in round r, and some other student was rejected from s
+    in a round at whose end i was held there.  Walks back from r - 1 over
+    the rounds in which i was held.
+    """
+    rosters = held_by_round(trace, problem.n_schools)
+    pairs = []
+    for r, rnd in enumerate(trace.rounds):
+        for s, rejected in rnd.rejected.items():
+            for i in rejected:
+                if r == 0 or i not in rosters[r - 1][s]:
+                    continue  # never held: rejected on arrival
+                for back in range(r - 1, -1, -1):
+                    if i not in rosters[back][s]:
+                        break
+                    if any(j != i for j in trace.rounds[back].rejected.get(s, ())):
+                        pairs.append((i, s, r + 1))
+                        break
+    return sorted(pairs, key=lambda p: (p[2], p[0], p[1]))
 
 
 def diagonal(problem):
@@ -169,3 +206,34 @@ def test_quota_two_school_holds_two():
     )
     matching, _ = run_da(problem)
     assert matching.assignment == (0, 0, 1)
+
+
+def test_interrupter_counts_rejection_in_arrival_round():
+    # Round 1: i and j apply to x, j is turned away while i is kept; k is
+    # turned away from y.  Round 2: k displaces i from x.  i interrupted at x
+    # although her only witness was rejected in the round she arrived.
+    problem = Problem(
+        students=("i", "j", "k", "l"),
+        schools=("x", "y"),
+        quotas=(1, 1),
+        prefs=((0, 1), (0,), (1, 0), (1,)),
+        priorities=((2, 0, 1, 3), (3, 2, 0, 1)),
+    )
+    matching, trace = run_da(problem)
+    assert matching.assignment == (-1, -1, 0, 1)
+    assert [(p.student, p.school, p.rejection_round) for p in interrupters(problem, trace)] == [
+        (0, 0, 2)
+    ]
+    assert interrupters_by_definition(problem, trace) == [(0, 0, 2)]
+
+
+def test_interrupters_match_definition_many_to_one():
+    rng = random.Random(2010)
+    found = 0
+    for _ in range(1500):
+        problem = random_market(rng)
+        _, trace = run_da(problem)
+        got = [(p.student, p.school, p.rejection_round) for p in interrupters(problem, trace)]
+        assert got == interrupters_by_definition(problem, trace)
+        found += len(got)
+    assert found > 50  # the battery exercises the rule, not just empty lists

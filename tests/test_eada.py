@@ -8,7 +8,55 @@ from matchlab.eada import eada_orbit, run_eada
 from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name
+from conftest import matching_by_name, random_market
+
+
+def naive_da(prefs, priorities, quotas):
+    """Sequential student-proposing DA over dicts; {student: school} for the assigned."""
+    tried = {i: 0 for i in prefs}
+    held = {s: [] for s in quotas}
+    free = sorted(prefs)
+    while free:
+        i = free.pop()
+        if tried[i] == len(prefs[i]):
+            continue
+        s = prefs[i][tried[i]]
+        tried[i] += 1
+        held[s].append(i)
+        if len(held[s]) > quotas[s]:
+            worst = max(held[s], key=priorities[s].index)
+            held[s].remove(worst)
+            free.append(worst)
+    return {i: s for s, roster in held.items() for i in roster}
+
+
+def simplified_eada(problem):
+    """Full-consent EADA after Tang and Yu (JET 2014), straight from its definition.
+
+    Run DA; a school nobody prefers to their DA seat is underdemanded.  Fix
+    the students placed at underdemanded schools and the unassigned students,
+    remove them and the underdemanded schools, and repeat on the rest.
+    """
+    students = set(range(problem.n_students))
+    schools = set(range(problem.n_schools))
+    final = [-1] * problem.n_students
+    while students:
+        prefs = {i: [s for s in problem.prefs[i] if s in schools] for i in students}
+        prios = {s: [i for i in problem.priorities[s] if i in students] for s in schools}
+        seat = naive_da(prefs, prios, {s: problem.quotas[s] for s in schools})
+
+        def wants(i, s):
+            above = prefs[i][: prefs[i].index(seat[i])] if i in seat else prefs[i]
+            return s in above
+
+        under = {s for s in schools if not any(wants(i, s) for i in students)}
+        fixed = {i for i in students if i not in seat or seat[i] in under}
+        assert under or fixed, "every DA outcome has an underdemanded school"
+        for i in fixed:
+            final[i] = seat.get(i, -1)
+        students -= fixed
+        schools -= under
+    return tuple(final)
 
 
 def test_eada_full_consent_ex1(ex1):
@@ -116,3 +164,15 @@ def test_eada_full_consent_is_pareto_efficient_random():
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=290 + n), rep)
             matching, _ = run_eada(problem, range(n))
             assert is_pareto_efficient(problem, matching)
+
+
+def test_full_consent_matches_simplified_eada():
+    rng = random.Random(2014)
+    markets = [random_market(rng) for _ in range(3000)]
+    for model, rho in (("iid", None), ("correlated", 0.5)):
+        for n in (10, 20, 30):
+            config = GenConfig(n=n, model=model, rho=rho, replications=1, seed=2014 + n)
+            markets += [gen_instance(config, rep) for rep in range(10)]
+    for problem in markets:
+        matching, _ = run_eada(problem, range(problem.n_students))
+        assert matching.assignment == simplified_eada(problem)

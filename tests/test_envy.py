@@ -17,7 +17,7 @@ from matchlab.envy import (
 from matchlab.model import InputError, Matching, Problem, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name, names_of
+from conftest import matching_by_name, names_of, random_market
 
 
 def label_names(problem, digraph, a, b):
@@ -267,23 +267,6 @@ def test_quota_two_edges_target_students():
     c = 2
     assert set(g.edges[c]) == {0, 1}  # c envies each occupant of x separately
     assert g.improvable == frozenset()
-
-
-def random_market(rng):
-    """Quotas 1-3, truncated preference lists, unequal side sizes."""
-    n, m = rng.randint(3, 9), rng.randint(2, 5)
-    priorities = []
-    for _ in range(m):
-        order = list(range(n))
-        rng.shuffle(order)
-        priorities.append(tuple(order))
-    return Problem(
-        students=tuple(f"i{k}" for k in range(n)),
-        schools=tuple(f"s{k}" for k in range(m)),
-        quotas=tuple(rng.randint(1, 3) for _ in range(m)),
-        prefs=tuple(tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)),
-        priorities=tuple(priorities),
-    )
 
 
 def random_feasible(rng, problem):

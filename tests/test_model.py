@@ -12,6 +12,7 @@ from matchlab.model import (
     NULL_SCHOOL,
     InputError,
     Matching,
+    Problem,
     dump_matching,
     is_nonwasteful,
     load_problem,
@@ -261,3 +262,55 @@ def test_name_lookup_and_unknown_names():
         matching_from_dict(good, {"assignment": {"a": ["x"]}})
     with pytest.raises(InputError):
         matching_from_dict(good, {"assignment": [["a", "x"]]})
+
+
+@pytest.mark.parametrize(
+    "priorities, message",
+    [
+        (((0, 1), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 1), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 3), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, -1), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 2, 0), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 2), (2, 2, 0)), "priority list of y is not a permutation of all students"),
+    ],
+)
+def test_priority_lists_must_be_permutations(priorities, message):
+    with pytest.raises(InputError) as exc:
+        Problem(
+            students=("a", "b", "c"),
+            schools=("x", "y"),
+            quotas=(1, 2),
+            prefs=((0, 1), (1,), ()),
+            priorities=priorities,
+        )
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "prefs, message",
+    [
+        (((0, 0), (1,), ()), "duplicate school in preference list of a"),
+        (((0, 1), (1, 2, 5), ()), "invalid school id 2 in preferences of b"),
+        (((0, -1), (1,), ()), "invalid school id -1 in preferences of a"),
+    ],
+)
+def test_preference_lists_must_list_known_schools_once(prefs, message):
+    with pytest.raises(InputError) as exc:
+        Problem(
+            students=("a", "b", "c"),
+            schools=("x", "y"),
+            quotas=(1, 2),
+            prefs=prefs,
+            priorities=((0, 1, 2), (2, 1, 0)),
+        )
+    assert str(exc.value) == message
+
+
+def test_rank_tables_match_list_positions():
+    for rep in range(5):
+        problem = gen_instance(GenConfig(n=9, model="iid", replications=1, seed=77), rep)
+        for school, plist in enumerate(problem.priorities):
+            assert [problem._prio_rank[school][i] for i in plist] == list(range(1, 10))
+        for student, plist in enumerate(problem.prefs):
+            assert [problem._pref_rank[student][s] for s in plist] == list(range(1, 10))
