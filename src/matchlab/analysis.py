@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab import da as da_mod
 from matchlab.model import (
     NULL_SCHOOL,
     InputError,
@@ -27,7 +26,7 @@ from matchlab.model import (
 )
 from matchlab.envy import (
     LabelledEnvyDigraph,
-    build_envy,
+    da_context,
     decompose_as_packing,
     envy_edges,
     packing_label,
@@ -74,14 +73,6 @@ def beneficiaries(problem: Problem, da_matching: Matching, matching: Matching) -
     return frozenset(out)
 
 
-def _context(problem, da_matching, digraph):
-    if da_matching is None:
-        da_matching, _ = da_mod.run_da(problem)
-    if digraph is None:
-        digraph = build_envy(problem, da_matching)
-    return da_matching, digraph
-
-
 def is_justifiable(
     problem: Problem,
     matching: Matching,
@@ -93,7 +84,7 @@ def is_justifiable(
     Each violation victim is tagged; the matching is justifiable when no
     victim is an improvable student left at her DA seat.
     """
-    da_matching, digraph = _context(problem, da_matching, digraph)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     benef = beneficiaries(problem, da_matching, matching)
     tagged = []
     justifiable = True
@@ -122,7 +113,7 @@ def is_strongly_justifiable(
     digraph: LabelledEnvyDigraph | None = None,
 ) -> bool:
     """True iff the matching trades along cycles whose labels are all empty."""
-    da_matching, digraph = _context(problem, da_matching, digraph)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     packing = decompose_as_packing(problem, da_matching, matching)
     if packing is None:
         return False

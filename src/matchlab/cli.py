@@ -13,7 +13,7 @@ import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
 from matchlab.da import run_da
-from matchlab.envy import build_envy
+from matchlab.envy import da_context
 from matchlab.model import (
     InputError,
     dump_matching,
@@ -180,8 +180,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_envy(args) -> int:
     problem = load_problem(args.instance)
-    da_matching, _ = run_da(problem)
-    digraph = build_envy(problem, da_matching)
+    da_matching, digraph = da_context(problem)
     for i in range(problem.n_students):
         for j in digraph.edges[i]:
             label = ",".join(sorted(problem.students[h] for h in digraph.labels[(i, j)]))

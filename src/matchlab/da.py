@@ -5,15 +5,19 @@ same round.  The final outcome is order-independent, but the *round numbers*
 recorded in the trace are not, and downstream bookkeeping (interrupting
 pairs) depends on them, so this convention is part of the contract.
 
-One proposal loop, ``_propose``, serves ``run_da`` and every EADA rerun.  It
-records the interrupting pairs as rejections happen and logs only each
-round's proposers; ``run_da`` builds the ``DaTrace`` from that log afterwards.
+One proposal loop, ``_propose``, serves ``run_da`` and every EADA rerun.  Each
+school's tentative roster is a sorted list of priority ranks, so admitting a
+proposal is one plain ``insort``.  The loop records the interrupting pairs as
+rejections happen and logs only each round's proposers; a ``DaTrace`` builds
+its round table from that log the first time ``rounds`` or ``proposals`` is
+read, so callers that never read it never pay for it.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem
 
@@ -35,10 +39,47 @@ class DaRound:
 
 @dataclass(frozen=True)
 class DaTrace:
-    rounds: tuple[DaRound, ...]
+    """A DA run's outcome and interrupting pairs; ``rounds`` and ``proposals``
+    are replayed from the run's proposal log on first read."""
+
     final: Matching
-    proposals: int
     pairs: tuple[InterruptPair, ...]  # interrupting pairs, in ``interrupters`` order
+    _prefs: tuple = field(repr=False, compare=False)
+    _log: list = field(repr=False, compare=False)  # each round's proposers
+
+    @cached_property
+    def rounds(self) -> tuple[DaRound, ...]:
+        prefs, log = self._prefs, self._log
+        proposed = [0] * len(prefs)  # a student's k-th proposal goes to prefs[k]
+        rosters: dict[int, list[int]] = {}
+        rounds = []
+        for r, active in enumerate(log):
+            applicants: dict[int, list[int]] = {}
+            for i in active:
+                if proposed[i] < len(prefs[i]):
+                    applicants.setdefault(prefs[i][proposed[i]], []).append(i)
+                    proposed[i] += 1
+            if not applicants:
+                break
+            # This round's rejected students are the next round's proposers.
+            rejected: dict[int, list[int]] = {}
+            for i in log[r + 1] if r + 1 < len(log) else ():
+                rejected.setdefault(prefs[i][proposed[i] - 1], []).append(i)
+            for s, newcomers in applicants.items():
+                rosters[s] = [i for i in rosters.get(s, []) + newcomers if i not in rejected.get(s, ())]
+            schools = sorted(applicants)
+            rounds.append(
+                DaRound(
+                    applicants={s: tuple(sorted(applicants[s])) for s in schools},
+                    held={s: tuple(sorted(rosters[s])) for s in schools},
+                    rejected={s: tuple(sorted(rejected[s])) for s in schools if s in rejected},
+                )
+            )
+        return tuple(rounds)
+
+    @cached_property
+    def proposals(self) -> int:
+        return sum(len(new) for rnd in self.rounds for new in rnd.applicants.values())
 
 
 @dataclass(frozen=True)
@@ -58,13 +99,13 @@ def _propose(problem: Problem, prefs):
     student, school)`` in round order, and each round's proposers, unordered.
     """
     n = problem.n_students
-    prio_tables = problem._prio_rank
+    prio_tables, priorities = problem._prio_rank, problem.priorities
     quotas = problem.quotas
     choices = [iter(p) for p in prefs]  # the schools each student has yet to try
     entry = [0] * n  # round in which each student proposed to her current school
     last_reject = [-1] * problem.n_schools  # latest round with a rejection, per school
     before = [-1] * problem.n_schools  # the latest such round before that one
-    held: list[list[int]] = [[] for _ in range(problem.n_schools)]  # best first
+    held: list[list[int]] = [[] for _ in range(problem.n_schools)]  # priority ranks, best first
     active = list(range(n))
     pairs = []
     log = []
@@ -79,9 +120,9 @@ def _propose(problem: Problem, prefs):
                 continue  # she has exhausted her list
             entry[i] = r
             roster = held[s]
-            insort(roster, i, key=prio_tables[s].__getitem__)
+            insort(roster, prio_tables[s][i])
             if len(roster) > quotas[s]:
-                loser = roster.pop()
+                loser = priorities[s][roster.pop() - 1]
                 rejected.append(loser)
                 if last_reject[s] < r:
                     before[s], last_reject[s] = last_reject[s], r
@@ -93,8 +134,8 @@ def _propose(problem: Problem, prefs):
 
     assignment = [NULL_SCHOOL] * n
     for s, roster in enumerate(held):
-        for i in roster:
-            assignment[i] = s
+        for rank in roster:
+            assignment[priorities[s][rank - 1]] = s
     return Matching(tuple(assignment)), pairs, log
 
 
@@ -105,35 +146,9 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     A student who exhausts her list is assigned the null school and stops
     proposing.  Total proposals are bounded by ``n_students * n_schools``.
     """
-    prefs = problem.prefs
-    matching, pairs, log = _propose(problem, prefs)
-    proposed = [0] * problem.n_students  # a student's k-th proposal goes to prefs[k]
-    rosters: list[list[int]] = [[] for _ in range(problem.n_schools)]
-    rounds = []
-    for r, active in enumerate(log):
-        applicants: dict[int, list[int]] = {}
-        for i in active:
-            if proposed[i] < len(prefs[i]):
-                applicants.setdefault(prefs[i][proposed[i]], []).append(i)
-                proposed[i] += 1
-        if not applicants:
-            break
-        # This round's rejected students are the next round's proposers.
-        rejected: dict[int, list[int]] = {}
-        for i in log[r + 1] if r + 1 < len(log) else ():
-            rejected.setdefault(prefs[i][proposed[i] - 1], []).append(i)
-        for s, newcomers in applicants.items():
-            rosters[s] = [i for i in rosters[s] + newcomers if i not in rejected.get(s, ())]
-        schools = sorted(applicants)
-        rounds.append(
-            DaRound(
-                applicants={s: tuple(sorted(applicants[s])) for s in schools},
-                held={s: tuple(sorted(rosters[s])) for s in schools},
-                rejected={s: tuple(sorted(rejected[s])) for s in schools if s in rejected},
-            )
-        )
+    matching, pairs, log = _propose(problem, problem.prefs)
     interrupting = tuple(InterruptPair(i, s, r) for r, i, s in sorted(pairs))
-    return matching, DaTrace(tuple(rounds), matching, sum(proposed), interrupting)
+    return matching, DaTrace(matching, interrupting, problem.prefs, log)
 
 
 def rejecting_schools(problem: Problem, trace: DaTrace, improvable) -> set[int]:

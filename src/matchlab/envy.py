@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from matchlab.da import run_da
 from matchlab.model import (
     NULL_SCHOOL,
     InputError,
@@ -154,6 +155,15 @@ def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
         sccs=tuple(tuple(c) for c in sccs),
         improvable=improvable,
     )
+
+
+def da_context(problem: Problem, da_matching=None, digraph=None):
+    """The DA matching and its envy digraph, computing whichever is not given."""
+    if da_matching is None:
+        da_matching, _ = run_da(problem)
+    if digraph is None:
+        digraph = build_envy(problem, da_matching)
+    return da_matching, digraph
 
 
 def _check_packing(problem: Problem, da_matching: Matching, packing: CyclePacking) -> None:

@@ -7,14 +7,17 @@ ranked below its weakest admitted occupant.  Trading simultaneously along
 all cycles of this out-degree-one graph improves its participants without
 putting any improvable student's priority at stake, and subsets of the
 cycles generate exactly the matchings with that property.
+
+The rejecting schools come from ``model.envied`` at DA, not from the DA
+trace: a student proposes down her list, so the schools that rejected her
+are exactly those she prefers to her DA seat.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab import da as da_mod
-from matchlab.envy import build_envy
+from matchlab.envy import da_context
 from matchlab.model import (
     InputError,
     Matching,
@@ -69,9 +72,9 @@ def _below_cutoff(problem, improvable, school, envious, cutoff) -> set[int]:
     return out
 
 
-def _school_graph(problem, da_matching, trace, improvable) -> SchoolGraph:
-    rejecting = sorted(da_mod.rejecting_schools(problem, trace, improvable))
+def _school_graph(problem, da_matching, improvable) -> SchoolGraph:
     envious = envied(problem, da_matching.assignment)
+    rejecting = [s for s, wanting in enumerate(envious) if not improvable.isdisjoint(wanting)]
     rosters = da_matching.rosters(problem)
     succ = {}
     entrant = {}
@@ -111,35 +114,29 @@ def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_jbc(problem: Problem, da_matching=None, trace=None, digraph=None):
+def run_jbc(problem: Problem, da_matching=None, digraph=None):
     """Run the mechanism; returns the matching and the school graph.
 
     When deferred acceptance is already efficient there is nothing to trade
     and DA comes back unchanged with an empty graph.
     """
-    if da_matching is None or trace is None:
-        da_matching, trace = da_mod.run_da(problem)
-    if digraph is None:
-        digraph = build_envy(problem, da_matching)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
-    graph = _school_graph(problem, da_matching, trace, digraph.improvable)
+    graph = _school_graph(problem, da_matching, digraph.improvable)
     return _execute(problem, da_matching, graph, graph.cycles), graph
 
 
-def strongly_justifiable_family(problem: Problem, da_matching=None, trace=None, digraph=None):
+def strongly_justifiable_family(problem: Problem, da_matching=None, digraph=None):
     """All matchings obtained by executing a subset of the mechanism's cycles.
 
     One matching per subset (the empty subset gives DA back); these are
     exactly the strongly justifiable matchings of the instance.
     """
-    if da_matching is None or trace is None:
-        da_matching, trace = da_mod.run_da(problem)
-    if digraph is None:
-        digraph = build_envy(problem, da_matching)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     if not digraph.improvable:
         return [da_matching]
-    graph = _school_graph(problem, da_matching, trace, digraph.improvable)
+    graph = _school_graph(problem, da_matching, digraph.improvable)
     k = len(graph.cycles)
     if k > 20:
         raise InputError(f"too many cycles to enumerate subsets ({k})")

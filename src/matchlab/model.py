@@ -90,7 +90,8 @@ class Problem:
 
     @cached_property
     def _pref_rank(self) -> list[dict[int, int]]:
-        return [{s: pos + 1 for pos, s in enumerate(plist)} for plist in self.prefs]
+        ranks = list(range(1, self.n_schools + 1))  # int objects shared by every table
+        return [dict(zip(plist, ranks)) for plist in self.prefs]
 
     @cached_property
     def _student_ids(self) -> dict[str, int]:
@@ -264,7 +265,7 @@ def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> list[int
     if not isinstance(row, list):
         raise InputError(f"malformed instance file: {field} of {name} must be a list")
     try:
-        return [ids[entry] for entry in row]
+        return list(map(ids.__getitem__, row))
     except (KeyError, TypeError) as exc:
         raise InputError(f"unknown {kind} {exc} in {field} of {name}") from None
 

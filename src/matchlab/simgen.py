@@ -21,8 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
-from matchlab.da import run_da
-from matchlab.envy import build_envy
+from matchlab.envy import da_context
 from matchlab.model import InputError, Matching, Problem, rank_of, violations
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
@@ -83,23 +82,16 @@ def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
         quality = _standard_normal(rng, n)
         noise = _standard_normal(rng, (n, n))
         utility = config.rho * quality + math.sqrt(1.0 - config.rho**2) * noise
-        prefs = tuple(
-            tuple(int(s) for s in np.argsort(-utility[i], kind="stable"))
-            for i in range(n)
-        )
+        prefs = np.argsort(-utility, axis=1, kind="stable").tolist()
     else:
-        prefs = tuple(
-            tuple(int(s) for s in rng.permutation(n)) for _ in range(n)
-        )
-    priorities = tuple(
-        tuple(int(i) for i in rng.permutation(n)) for _ in range(n)
-    )
+        prefs = [rng.permutation(n).tolist() for _ in range(n)]
+    priorities = [rng.permutation(n).tolist() for _ in range(n)]
     return Problem(
         students=tuple(f"i{k + 1}" for k in range(n)),
         schools=tuple(f"s{k + 1}" for k in range(n)),
         quotas=(1,) * n,
-        prefs=prefs,
-        priorities=priorities,
+        prefs=tuple(map(tuple, prefs)),
+        priorities=tuple(map(tuple, priorities)),
     )
 
 
@@ -118,9 +110,8 @@ def draw_instance_and_consent(config: GenConfig, replication_index: int):
 
 
 def _mechanism_outcomes(problem: Problem, consent):
-    da_matching, trace = run_da(problem)
-    digraph = build_envy(problem, da_matching)
-    mu_star, b_star = sjbc_plus.run_expansion(problem, da_matching, trace, digraph)
+    da_matching, digraph = da_context(problem)
+    mu_star, b_star = sjbc_plus.run_expansion(problem, da_matching, digraph)
     plus = sjbc_plus.run_refinement(problem, mu_star, b_star, da_matching, digraph)
     outcomes = {
         "da": da_matching,

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from matchlab import da as da_mod
-from matchlab.envy import LabelledEnvyDigraph, build_envy, decompose_as_packing
+from matchlab.envy import LabelledEnvyDigraph, da_context, decompose_as_packing
 from matchlab.jbc import run_jbc
 from matchlab.model import (
     NULL_SCHOOL,
@@ -117,16 +116,13 @@ def _matching_from_permutation(problem, da_matching, perm) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_expansion(problem: Problem, da_matching=None, trace=None, digraph=None, log=None):
+def run_expansion(problem: Problem, da_matching=None, digraph=None, log=None):
     """Expand from the JBC matching; returns the matching and its beneficiaries."""
-    if da_matching is None or trace is None:
-        da_matching, trace = da_mod.run_da(problem)
-    if digraph is None:
-        digraph = build_envy(problem, da_matching)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     if not digraph.improvable:
         return da_matching, frozenset()
 
-    jbc_matching, _ = run_jbc(problem, da_matching, trace, digraph)
+    jbc_matching, _ = run_jbc(problem, da_matching, digraph)
     packing = decompose_as_packing(problem, da_matching, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
@@ -185,10 +181,7 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None
     the result equal ``b_star``; every executed cycle strictly improves each
     of its members relative to her current seat.
     """
-    if da_matching is None:
-        da_matching, _ = da_mod.run_da(problem)
-    if digraph is None:
-        digraph = build_envy(problem, da_matching)
+    da_matching, digraph = da_context(problem, da_matching, digraph)
     b_star = frozenset(b_star)
     members = sorted(b_star)
     if not members:
@@ -229,8 +222,7 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None
 
 def run_sjbc_plus(problem: Problem, log=None) -> Matching:
     """Full pipeline: deferred acceptance, JBC, expansion, refinement."""
-    da_matching, trace = da_mod.run_da(problem)
-    digraph = build_envy(problem, da_matching)
-    mu_star, b_star = run_expansion(problem, da_matching, trace, digraph, log=log)
+    da_matching, digraph = da_context(problem)
+    mu_star, b_star = run_expansion(problem, da_matching, digraph, log=log)
     refined = run_refinement(problem, mu_star, b_star, da_matching, digraph, log=log)
     return refined

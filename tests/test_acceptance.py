@@ -214,7 +214,7 @@ def test_property_battery_against_oracle():
         config = GenConfig(n=n, model="iid", replications=1, seed=9000 + n)
         for rep in range(BATTERY_PER_SIZE):
             problem = gen_instance(config, rep)
-            da, trace = run_da(problem)
+            da, _ = run_da(problem)
             digraph = build_envy(problem, da)
             rep_report = oracle.oracle_report(problem, include_pareto_family=False)
 
@@ -227,11 +227,11 @@ def test_property_battery_against_oracle():
             if not rep_report.claims["label_containment_equals_justifiability"]:
                 failures["label containment equivalence"] += 1
 
-            if not _lattice_matches_subset_order(problem, da, trace, digraph):
+            if not _lattice_matches_subset_order(problem, da, digraph):
                 failures["family lattice order"] += 1
 
             plus = run_sjbc_plus(problem)
-            jbc_matching, _ = run_jbc(problem, da, trace, digraph)
+            jbc_matching, _ = run_jbc(problem, da, digraph)
             ok3 = rep_report.claims["sjbc_plus_outcome_justifiable"] and rep_report.claims[
                 "sjbc_plus_undominated_without_more_beneficiaries"
             ]
@@ -254,11 +254,11 @@ def test_property_battery_against_oracle():
     report("battery finished inside five minutes", elapsed < 300)
 
 
-def _lattice_matches_subset_order(problem, da, trace, digraph):
+def _lattice_matches_subset_order(problem, da, digraph):
     if not digraph.improvable:
         return True
-    family = strongly_justifiable_family(problem, da, trace, digraph)
-    _, graph = run_jbc(problem, da, trace, digraph)
+    family = strongly_justifiable_family(problem, da, digraph)
+    _, graph = run_jbc(problem, da, digraph)
     k = len(graph.cycles)
     if k < 2:
         return True

@@ -1,12 +1,27 @@
+import json
 import random
 
 import pytest
 from dataclasses import replace
 
-from matchlab.da import interrupters, rejecting_schools, run_da
+from matchlab.analysis import is_justifiable
+from matchlab.cli import main
+from matchlab.da import DaTrace, interrupters, rejecting_schools, run_da
 from matchlab.envy import build_envy
-from matchlab.model import InputError, Matching, Problem, rank_of, violations, is_nonwasteful
-from matchlab.simgen import GenConfig, gen_instance
+from matchlab.fixtures import load_fixture
+from matchlab.jbc import run_jbc
+from matchlab.model import (
+    InputError,
+    Matching,
+    Problem,
+    envied,
+    is_nonwasteful,
+    problem_to_dict,
+    rank_of,
+    violations,
+)
+from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
+from matchlab.sjbc_plus import run_sjbc_plus
 
 from conftest import matching_by_name, random_market
 
@@ -114,6 +129,11 @@ def test_da_stable_nonwasteful_on_random_instances():
             assert violations(problem, matching) == []
             assert is_nonwasteful(problem, matching)
             assert trace.proposals <= n * n
+            # Each student proposes down her list until DA seats her.
+            assert trace.proposals == sum(
+                min(rank_of(problem, i, s), len(problem.prefs[i]))
+                for i, s in enumerate(matching.assignment)
+            )
 
 
 def test_da_exhausted_student_lands_at_null_school():
@@ -237,3 +257,51 @@ def test_interrupters_match_definition_many_to_one():
         assert got == interrupters_by_definition(problem, trace)
         found += len(got)
     assert found > 50  # the battery exercises the rule, not just empty lists
+
+
+def test_rejecting_schools_equal_envied_schools_many_to_one():
+    # The JBC graph's nodes are the schools some improvable student envies at
+    # DA; the trace replay is the reference definition of that set.
+    rng = random.Random(2014)
+    graphs = subsets = 0  # markets where each set is nonempty
+    for _ in range(1500):
+        problem = random_market(rng)
+        da, trace = run_da(problem)
+        digraph = build_envy(problem, da)
+        expected = rejecting_schools(problem, trace, digraph.improvable)
+        assert set(run_jbc(problem, da, digraph)[1].nodes) == expected
+        subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
+        wanted = envied(problem, da.assignment)
+        got = rejecting_schools(problem, trace, subset)
+        assert got == {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
+        graphs += bool(expected)
+        subsets += bool(got)
+    assert graphs > 30 and subsets > 300
+
+
+def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
+    def refuse(trace):
+        raise AssertionError("DA round table built")
+
+    monkeypatch.setattr(DaTrace, "rounds", property(refuse))
+    with pytest.raises(AssertionError):
+        run_da(load_fixture("ex1"))[1].rounds  # the guard is live
+
+    problems = [load_fixture(name) for name in ("ex1", "exd", "exe", "exnoeff", "explus")]
+    iid = GenConfig(n=12, model="iid", replications=1, seed=41)
+    problems += [gen_instance(iid, rep) for rep in range(3)]
+    rng = random.Random(41)
+    problems += [random_market(rng) for _ in range(20)]
+    for k, problem in enumerate(problems):
+        plus = run_sjbc_plus(problem)
+        run_jbc(problem)
+        is_justifiable(problem, plus)
+        if k < 8:
+            path = tmp_path / f"p{k}.json"
+            path.write_text(json.dumps(problem_to_dict(problem)))
+            assert main(["solve", "--mechanism", "sjbc+", str(path)]) == 0
+    capsys.readouterr()
+    for model, rho in (("iid", None), ("correlated", 0.5)):
+        cfg = GenConfig(n=15, model=model, rho=rho, replications=2, seed=42)
+        for rep in range(2):
+            evaluate_instance(*draw_instance_and_consent(cfg, rep), rep)

@@ -149,13 +149,13 @@ def test_family_lattice_is_subset_order():
     for n in (5, 6, 7):
         for rep in range(10):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=190 + n), rep)
-            da, trace = run_da(problem)
+            da, _ = run_da(problem)
             digraph = build_envy(problem, da)
             if not digraph.improvable:
                 continue
             from matchlab.jbc import _execute, _school_graph
 
-            graph = _school_graph(problem, da, trace, digraph.improvable)
+            graph = _school_graph(problem, da, digraph.improvable)
             k = len(graph.cycles)
             if k < 2:
                 continue

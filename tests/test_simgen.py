@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,29 @@ def test_consent_draw_deterministic():
     p2, c2 = draw_instance_and_consent(cfg, 0)
     assert p1 == p2 and c1 == c2
     assert len(c1) == 5
+
+
+# SHA-256 of the prefs, priorities and sorted consent of replications 0 and 1
+# (seed 2026, rho 0.5 when correlated), captured before the draws were vectorised.
+DRAW_DIGESTS = {
+    ("iid", 7): "64f81efd931fd0a44eecc82ad5f80a516806710c724d703f44d7a2833711beae",
+    ("iid", 50): "51e0391ba525c50029936d7540f90cd6d95e136bb05e832a865a9c4cc0d538d4",
+    ("iid", 500): "6117f5660692d8ae3f4eb77381918b8699aa6b36150e1d5c869cf737a2f44bde",
+    ("correlated", 7): "e75022f8b919fba0b7c33d34387619e4679592f505348d65b9a0c616cbade6f7",
+    ("correlated", 50): "7521a6c74cf3a9cfc8bfb21a480a73dcad76b6338b4a1b36b35fd74e5a2167cf",
+    ("correlated", 500): "367654ecd08c30f07f5051599babd266c20e709c61807460295275830283172b",
+}
+
+
+@pytest.mark.parametrize("model, n", sorted(DRAW_DIGESTS))
+def test_instance_draws_are_pinned(model, n):
+    rho = 0.5 if model == "correlated" else None
+    cfg = GenConfig(n=n, model=model, rho=rho, replications=1, seed=2026)
+    digest = hashlib.sha256()
+    for rep in (0, 1):
+        problem, consent = draw_instance_and_consent(cfg, rep)
+        digest.update(repr((problem.prefs, problem.priorities, sorted(consent))).encode())
+    assert digest.hexdigest() == DRAW_DIGESTS[model, n]
 
 
 def test_correlated_rho_one_aligns_everyone():

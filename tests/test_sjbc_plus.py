@@ -19,9 +19,9 @@ MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6"
 
 
 def bootstrap_state(problem):
-    da, trace = run_da(problem)
+    da, _ = run_da(problem)
     digraph = build_envy(problem, da)
-    jbc_matching, _ = run_jbc(problem, da, trace, digraph)
+    jbc_matching, _ = run_jbc(problem, da, digraph)
     packing = decompose_as_packing(problem, da, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
@@ -142,9 +142,9 @@ def test_outcome_guarantees_random():
     for n in (4, 5, 6, 7):
         for rep in range(25):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=210 + n), rep)
-            da, trace = run_da(problem)
+            da, _ = run_da(problem)
             digraph = build_envy(problem, da)
-            jbc_matching, _ = run_jbc(problem, da, trace, digraph)
+            jbc_matching, _ = run_jbc(problem, da, digraph)
             plus = run_sjbc_plus(problem)
             if digraph.improvable:
                 assert pareto_compare(problem, plus, da) == A_DOMINATES
