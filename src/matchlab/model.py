@@ -7,12 +7,14 @@ so values can be shared freely across threads.
 
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
-schools all rank one past the null school.
+schools all rank one past the null school.  Both rank tables are built while
+a problem validates; the null rank sits at slot -1 of a student's table.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +46,9 @@ class Problem:
         completed_priorities: ids of schools whose priority list was only
             partially given in the source file and was completed by appending
             the missing students in declaration order.
+
+    Validating the lists fills both flat rank tables, indexed by id; a
+    student's table keeps the null rank at slot -1, where NULL_SCHOOL reads it.
     """
 
     students: tuple[str, ...]
@@ -62,23 +67,31 @@ class Problem:
         for q in self.quotas:
             if q < 1:
                 raise InputError("quotas must be >= 1")
+        ranks = list(range(1, max(n, m) + 1))  # one set of rank ints shared by every table
+        pref_rank = []
         for i, plist in enumerate(self.prefs):
-            if len(set(plist)) != len(plist):
-                raise InputError(f"duplicate school in preference list of {self.students[i]}")
-            if plist and (min(plist) < 0 or max(plist) >= m):
+            unlisted = len(plist) + 2
+            table = [unlisted] * m + [len(plist) + 1]  # the null rank sits at slot -1
+            with suppress(IndexError):  # an id past m stops the fill; it, an id of m or a repeat leaves extra unlisted slots
+                for s, pos in zip(plist, ranks):
+                    table[s] = pos
+            if min(plist, default=0) < 0 or table.count(unlisted) != m - len(plist):
+                if len(set(plist)) != len(plist):
+                    raise InputError(f"duplicate school in preference list of {self.students[i]}")
                 s = next(s for s in plist if not 0 <= s < m)
                 raise InputError(f"invalid school id {s} in preferences of {self.students[i]}")
+            pref_rank.append(table)
         prio_rank = []  # filling a school's rank table completes its permutation check
-        ranks = list(range(1, n + 1))  # one set of int objects shared by every table
         for s, plist in enumerate(self.priorities):
             table = [0] * n
-            if len(plist) == n and 0 <= min(plist, default=0) and max(plist, default=0) < n:
-                for i, pos in zip(plist, ranks):
-                    table[i] = pos
+            with suppress(IndexError):  # an id past the last student stops the fill with a slot empty
+                if len(plist) == n and min(plist, default=0) >= 0:
+                    for i, pos in zip(plist, ranks):
+                        table[i] = pos
             if len(plist) != n or 0 in table:  # a repeated id leaves a slot empty
                 raise InputError(f"priority list of {self.schools[s]} is not a permutation of all students")
             prio_rank.append(table)
-        self.__dict__["_prio_rank"] = prio_rank
+        self.__dict__.update(_pref_rank=pref_rank, _prio_rank=prio_rank)
 
     @property
     def n_students(self) -> int:
@@ -87,11 +100,6 @@ class Problem:
     @property
     def n_schools(self) -> int:
         return len(self.schools)
-
-    @cached_property
-    def _pref_rank(self) -> list[dict[int, int]]:
-        ranks = list(range(1, self.n_schools + 1))  # int objects shared by every table
-        return [dict(zip(plist, ranks)) for plist in self.prefs]
 
     @cached_property
     def _student_ids(self) -> dict[str, int]:
@@ -147,12 +155,9 @@ def rank_of(problem: Problem, student: int, school: int) -> int:
     """
     if not 0 <= student < problem.n_students:
         raise InputError(f"invalid student id {student}")
-    listed = len(problem.prefs[student])
-    if school == NULL_SCHOOL:
-        return listed + 1
-    if not 0 <= school < problem.n_schools:
+    if not NULL_SCHOOL <= school < problem.n_schools:
         raise InputError(f"invalid school id {school}")
-    return problem._pref_rank[student].get(school, listed + 2)
+    return problem._pref_rank[student][school]
 
 
 def priority_rank_of(problem: Problem, school: int, student: int) -> int:
@@ -189,7 +194,7 @@ def envied(problem: Problem, assignment) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(problem.n_schools)]
     for i, (plist, ranks) in enumerate(zip(problem.prefs, problem._pref_rank)):
         # A null or unlisted seat ranks below every listed school.
-        for school in plist[: ranks.get(assignment[i], len(plist) + 1) - 1]:
+        for school in plist[: ranks[assignment[i]] - 1]:
             out[school].append(i)
     return out
 
@@ -259,13 +264,13 @@ def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
 # File formats
 
 
-def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> list[int]:
+def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> tuple[int, ...]:
     """Ids of the names listed under ``name`` in the ``field`` mapping ``raw``."""
     row = raw.get(name, [])
     if not isinstance(row, list):
         raise InputError(f"malformed instance file: {field} of {name} must be a list")
     try:
-        return list(map(ids.__getitem__, row))
+        return tuple(map(ids.__getitem__, row))
     except (KeyError, TypeError) as exc:
         raise InputError(f"unknown {kind} {exc} in {field} of {name}") from None
 
@@ -292,29 +297,34 @@ def problem_from_dict(data: dict) -> Problem:
     sid = {name: i for i, name in enumerate(student_names)}
     cid = {name: s for s, name in enumerate(school_names)}
 
-    prefs = [_row_ids(prefs_raw, name, cid, "school", "preferences") for name in student_names]
+    prefs = tuple(_row_ids(prefs_raw, name, cid, "school", "preferences") for name in student_names)
     priorities = []
     completed = set()
-    for s, name in enumerate(school_names):
-        listed = _row_ids(prio_raw, name, sid, "student", "priorities")
-        if len(set(listed)) != len(listed):
-            raise InputError(f"duplicate student in priorities of {name}")
-        if len(listed) < len(student_names):
-            # Partial lists are completed by appending everyone missing, in
-            # declaration order; the instance records which schools this hit.
-            seen = set(listed)
-            listed.extend(i for i in range(len(student_names)) if i not in seen)
-            completed.add(s)
-        priorities.append(tuple(listed))
-
-    return Problem(
-        students=tuple(student_names),
-        schools=tuple(school_names),
-        quotas=tuple(quotas),
-        prefs=tuple(map(tuple, prefs)),
-        priorities=tuple(priorities),
-        completed_priorities=frozenset(completed),
-    )
+    try:
+        for s, name in enumerate(school_names):
+            listed = _row_ids(prio_raw, name, sid, "student", "priorities")
+            if len(listed) < len(student_names):
+                # Partial lists are completed by appending everyone missing, in
+                # declaration order; the instance records which schools this hit.
+                seen = set(listed)
+                listed += tuple(i for i in range(len(student_names)) if i not in seen)
+                completed.add(s)
+            priorities.append(listed)
+        return Problem(
+            students=tuple(student_names),
+            schools=tuple(school_names),
+            quotas=tuple(quotas),
+            prefs=prefs,
+            priorities=tuple(priorities),
+            completed_priorities=frozenset(completed),
+        )
+    except InputError:
+        # Name the first priority row with an unknown name or a repeat, in file order.
+        for name in school_names:
+            listed = _row_ids(prio_raw, name, sid, "student", "priorities")
+            if len(set(listed)) != len(listed):
+                raise InputError(f"duplicate student in priorities of {name}") from None
+        raise
 
 
 def problem_to_dict(problem: Problem) -> dict:

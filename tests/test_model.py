@@ -21,6 +21,7 @@ from matchlab.model import (
     pareto_compare,
     problem_from_dict,
     problem_to_dict,
+    envied,
     rank_of,
     respects_priorities_of,
     violations,
@@ -28,7 +29,7 @@ from matchlab.model import (
 from matchlab.da import run_da
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name
+from conftest import matching_by_name, random_market
 
 JBC_EX1 = {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
 MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6": "s6"}
@@ -293,6 +294,11 @@ def test_priority_lists_must_be_permutations(priorities, message):
         (((0, 0), (1,), ()), "duplicate school in preference list of a"),
         (((0, 1), (1, 2, 5), ()), "invalid school id 2 in preferences of b"),
         (((0, -1), (1,), ()), "invalid school id -1 in preferences of a"),
+        (((0, -2), (1,), ()), "invalid school id -2 in preferences of a"),
+        (((0, 2), (1,), ()), "invalid school id 2 in preferences of a"),
+        (((0, 1), (7,), ()), "invalid school id 7 in preferences of b"),
+        (((3, 3, -5), (1,), ()), "duplicate school in preference list of a"),
+        (((0, 1, 0, 1, 0), (1,), ()), "duplicate school in preference list of a"),
     ],
 )
 def test_preference_lists_must_list_known_schools_once(prefs, message):
@@ -305,6 +311,57 @@ def test_preference_lists_must_list_known_schools_once(prefs, message):
             priorities=((0, 1, 2), (2, 1, 0)),
         )
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"priorities": {"x": ["a", "b", "a"], "y": []}}, "duplicate student in priorities of x"),
+        ({"priorities": {"x": ["a", "a"], "y": []}}, "duplicate student in priorities of x"),
+        ({"priorities": {"x": ["a", "b"], "y": ["b", "a", "b"]}}, "duplicate student in priorities of y"),
+        # a repeat is named before a later row's unknown name and before Problem's checks
+        ({"priorities": {"x": ["a", "b", "a"], "y": ["zz"]}}, "duplicate student in priorities of x"),
+        (
+            {"prefs": {"a": ["x", "x"]}, "priorities": {"x": ["b", "a", "b"], "y": []}},
+            "duplicate student in priorities of x",
+        ),
+        ({"students": ["a", "a"], "priorities": {"x": ["a", "a"], "y": []}}, "duplicate student in priorities of x"),
+        ({"prefs": {"a": ["x", "x"]}}, "duplicate school in preference list of a"),
+    ],
+)
+def test_load_errors_name_the_first_fault(fields, message):
+    with pytest.raises(InputError) as exc:
+        problem_from_dict(instance_dict(**fields))
+    assert str(exc.value) == message
+
+
+def test_rank_of_matches_list_positions_many_to_one():
+    rng = random.Random(505)
+    for _ in range(1500):
+        problem = random_market(rng)
+        n, m = problem.n_students, problem.n_schools
+        for i, plist in enumerate(problem.prefs):
+            expected = {s: plist.index(s) + 1 if s in plist else len(plist) + 2 for s in range(m)}
+            expected[NULL_SCHOOL] = len(plist) + 1
+            assert {s: rank_of(problem, i, s) for s in expected} == expected
+        for student, school, message in (
+            (0, -2, "invalid school id -2"),
+            (0, m, f"invalid school id {m}"),
+            (-1, 0, "invalid student id -1"),
+            (n, NULL_SCHOOL, f"invalid student id {n}"),
+        ):
+            with pytest.raises(InputError) as exc:
+                rank_of(problem, student, school)
+            assert str(exc.value) == message
+        # a null or unlisted seat lies below the whole list, so all of it is envied
+        whole_list = [[i for i in range(n) if s in problem.prefs[i]] for s in range(m)]
+        assert envied(problem, (NULL_SCHOOL,) * n) == whole_list
+        for i, plist in enumerate(problem.prefs):
+            unlisted = [s for s in range(m) if s not in plist]
+            if unlisted:
+                seated = [NULL_SCHOOL] * n
+                seated[i] = unlisted[0]
+                assert envied(problem, seated) == whole_list
 
 
 def test_rank_tables_match_list_positions():
