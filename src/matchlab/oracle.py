@@ -40,9 +40,8 @@ def priority_scan(problem: Problem, school: int, student: int) -> int:
     return problem.priorities[school].index(student)
 
 
-def violations_scan(problem: Problem, matching: Matching) -> list[tuple[int, int, int]]:
-    """(victim, occupant, school) triples by exhaustive scan."""
-    found = []
+def _violations_walk(problem: Problem, matching: Matching):
+    """Yield (victim, occupant, school) triples by exhaustive scan, one at a time."""
     for victim in range(problem.n_students):
         for occupant in range(problem.n_students):
             if occupant == victim:
@@ -54,13 +53,22 @@ def violations_scan(problem: Problem, matching: Matching) -> list[tuple[int, int
                 priority_scan(problem, school, victim)
                 < priority_scan(problem, school, occupant)
             ):
-                found.append((victim, occupant, school))
-    return found
+                yield victim, occupant, school
+
+
+def violations_scan(problem: Problem, matching: Matching) -> list[tuple[int, int, int]]:
+    """(victim, occupant, school) triples by exhaustive scan."""
+    return list(_violations_walk(problem, matching))
+
+
+def stable_scan(problem: Problem, matching: Matching) -> bool:
+    """No violation at all; the scan stops at the first one it finds."""
+    return next(_violations_walk(problem, matching), None) is None
 
 
 def respects_scan(problem: Problem, matching: Matching, protected) -> bool:
     protected = set(protected)
-    return all(v not in protected for v, _, _ in violations_scan(problem, matching))
+    return all(v not in protected for v, _, _ in _violations_walk(problem, matching))
 
 
 def dominates_weakly(problem: Problem, a: Matching, b: Matching) -> bool:
@@ -255,7 +263,7 @@ def oracle_report(
 
     claims = {}
 
-    stable = [m for m in everything if not violations_scan(problem, m)]
+    stable = [m for m in everything if stable_scan(problem, m)]
     claims["da_student_optimal_stable"] = any(
         m.assignment == da_matching.assignment for m in stable
     ) and all(dominates_weakly(problem, da_matching, m) for m in stable)

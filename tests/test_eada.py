@@ -2,9 +2,11 @@ import random
 
 import pytest
 
+from matchlab import da as da_mod
 from matchlab.analysis import is_pareto_efficient
 from matchlab.da import run_da
-from matchlab.eada import eada_orbit, run_eada
+from matchlab.eada import EadaIteration, EadaRun, _validated_consent, eada_orbit, run_eada
+from matchlab.fixtures import load_fixture
 from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
 
@@ -59,37 +61,107 @@ def simplified_eada(problem):
     return tuple(final)
 
 
+def kesten_eada(problem, consent):
+    """Kesten's EADA, the reference for the peel: rerun DA after deleting, from
+    one mutable copy of the lists, the school of every consenting interrupter
+    rejected in the latest round that has one, until no consenting student
+    interrupts."""
+    members = _validated_consent(problem, consent)
+    prefs = [list(p) for p in problem.prefs]
+    matching, pairs, _ = da_mod._propose(problem, prefs)
+    iterations = []
+    while True:
+        consenting = [p for p in pairs if p[1] in members]  # (round, student, school)
+        if not consenting:
+            break
+        last_round = consenting[-1][0]
+        batch = sorted((i, s) for r, i, s in consenting if r == last_round)
+        for student, school in batch:
+            prefs[student].remove(school)
+        matching, pairs, _ = da_mod._propose(problem, prefs)
+        iterations.append(EadaIteration(tuple(batch), matching))
+    return matching, EadaRun(tuple(iterations), matching)
+
+
+def deleted_names(problem, run):
+    return [[(problem.students[i], problem.schools[s]) for i, s in it.deleted] for it in run.iterations]
+
+
 def test_eada_full_consent_ex1(ex1):
-    matching, run = run_eada(ex1, range(ex1.n_students))
-    assert matching == matching_by_name(
+    expected = matching_by_name(
         ex1, {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
     )
-    deleted = [
-        [(ex1.students[i], ex1.schools[s]) for i, s in it.deleted] for it in run.iterations
+    matching, run = run_eada(ex1, range(ex1.n_students))
+    assert matching == run.final == expected
+    assert deleted_names(ex1, run) == [
+        [("i7", "s4")],
+        [("i2", "s1")],
+        [("i5", "s3"), ("i5", "s4"), ("i5", "s6")],
+        [("i3", "s6")],
     ]
-    assert deleted == [[("i7", "s4")], [("i3", "s6")], [("i5", "s6")]]
-    assert run.final == matching
+    matching, run = kesten_eada(ex1, range(ex1.n_students))
+    assert matching == run.final == expected
+    assert deleted_names(ex1, run) == [[("i7", "s4")], [("i3", "s6")], [("i5", "s6")]]
 
 
 def test_eada_partial_consent_ex1(ex1):
     consent = {ex1.student_id(n) for n in ("i1", "i5", "i7")}
-    matching, run = run_eada(ex1, consent)
-    assert matching == matching_by_name(
+    expected = matching_by_name(
         ex1, {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
     )
+    matching, run = run_eada(ex1, consent)
+    assert matching == expected
+    assert deleted_names(ex1, run) == [[("i7", "s4")], [("i5", "s3"), ("i5", "s4"), ("i5", "s6")]]
+    matching, run = kesten_eada(ex1, consent)
+    assert matching == expected
     assert len(run.iterations) == 1  # stops once the last interrupter is i3, a non-consenter
 
 
 def test_eada_empty_consent_is_da(ex1):
     da, _ = run_da(ex1)
-    matching, run = run_eada(ex1, ())
-    assert matching == da
-    assert run.iterations == ()
+    for eada in (run_eada, kesten_eada):
+        matching, run = eada(ex1, ())
+        assert matching == da
+        assert run.iterations == ()
 
 
 def test_eada_rejects_bad_consent(ex1):
-    with pytest.raises(InputError):
-        run_eada(ex1, {42})
+    for consent in ({42}, {-1}, {1.5}, {"1"}, {None}, {True}, None, [[0]]):
+        with pytest.raises(InputError):
+            run_eada(ex1, consent)
+
+
+def test_peel_matches_kesten_eada():
+    rng = random.Random(2026)
+    cases = []
+    for _ in range(4000):
+        problem = random_market(rng)
+        n = problem.n_students
+        one = rng.randrange(n)
+        for consent in (
+            set(),
+            {one},
+            set(range(n)) - {one},
+            set(range(n)),
+            {i for i in range(n) if rng.random() < 0.5},
+        ):
+            cases.append((problem, consent))
+    for model, rho in (("iid", None), ("correlated", 0.5), ("correlated", 0.9)):
+        for n in (5, 10, 20, 30):
+            config = GenConfig(n=n, model=model, rho=rho, replications=1, seed=2026 + n)
+            for rep in range(10):
+                problem = gen_instance(config, rep)
+                for consent in (set(range(n)), {i for i in range(n) if rng.random() < 0.5}):
+                    cases.append((problem, consent))
+    for name in ("ex1", "exnoeff", "explus", "exd", "exe"):
+        problem = load_fixture(name)
+        n = problem.n_students
+        cases += [(problem, {i for i in range(n) if mask >> i & 1}) for mask in range(1 << n)]
+    for problem, consent in cases:
+        matching, run = run_eada(problem, consent)
+        assert matching == run.final == kesten_eada(problem, consent)[0], (problem, consent)
+        if not consent:
+            assert run.iterations == ()
 
 
 def test_eada_orbit_ex1(ex1):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchlab import oracle
@@ -5,7 +7,7 @@ from matchlab.da import run_da
 from matchlab.model import InputError, Problem
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import flag_completed, matching_by_name, names_of
+from conftest import flag_completed, matching_by_name, names_of, random_market
 
 
 def test_enumerate_three_by_three_full_lists():
@@ -36,6 +38,20 @@ def test_enumerate_one_by_one():
 def test_enumerate_budget_refusal(ex1):
     with pytest.raises(InputError):
         list(oracle.enumerate_matchings(ex1, budget=50))
+
+
+def test_early_exit_scans_agree_with_full_scan():
+    rng = random.Random(46)
+    for _ in range(200):
+        problem = random_market(rng)
+        n = problem.n_students
+        protected = {i for i in range(n) if rng.random() < 0.5}
+        for m in oracle.enumerate_matchings(problem):
+            found = oracle.violations_scan(problem, m)
+            assert oracle.stable_scan(problem, m) == (not found)
+            assert oracle.respects_scan(problem, m, protected) == all(
+                v not in protected for v, _, _ in found
+            )
 
 
 def test_oracle_report_exnoeff(exnoeff):
