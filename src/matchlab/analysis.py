@@ -26,11 +26,11 @@ from matchlab.model import (
 )
 from matchlab.envy import (
     LabelledEnvyDigraph,
+    cycle_members,
     da_context,
     decompose_as_packing,
     envy_edges,
     packing_label,
-    strongly_connected_components,
 )
 
 VICTIM_BENEFICIARY = "beneficiary"
@@ -131,8 +131,7 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     if not is_nonwasteful(problem, matching):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
     edges = envy_edges(problem, matching, envied(problem, matching.assignment))
-    sccs = strongly_connected_components(range(problem.n_students), edges)
-    return all(len(scc) == 1 for scc in sccs)
+    return not cycle_members(problem.n_students, edges)
 
 
 def reassignment_chain(

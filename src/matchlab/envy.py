@@ -3,20 +3,31 @@
 Nodes are students; an edge i -> j means i strictly prefers j's assigned
 school to her own.  Each edge carries a label: the improvable students who
 also want j's school and outrank i there, i.e. the potential victims were i
-to take that seat.  Students lying on directed cycles (equivalently, in
-strongly connected components of size >= 2) are exactly the ones that some
-Pareto improvement over the input matching can help.
+to take that seat.  Students lying on directed cycles are exactly the ones
+that some Pareto improvement over the input matching can help.
 
 Edges come from ``model.envied``, which walks each student's preference
 prefix above her own seat, so the graph costs O(sum of ranks + edges), not
-O(n^2).  With quotas above one an edge targets a specific student (a seat);
-labels depend only on the target's school, so they are computed once per
-school and do not depend on which occupant a trade displaces.
+O(n^2).  With quotas above one an edge targets a specific student (a seat).
+
+A label depends only on the target's school, and every label is a prefix of
+one list per school: its *contenders*, the improvable students who envy it,
+best priority first.  The digraph therefore keeps, per school, the
+contenders and, per envious student, how many contenders outrank her; the
+label of i -> j is the first that-many contenders of j's school.  Whether a
+label lies inside a covered set is then one integer compare against the
+school's *reach*, the number of its leading contenders that are covered.
+``labels`` spells every label out on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from matchlab.da import run_da
 from matchlab.model import (
@@ -32,15 +43,38 @@ from matchlab.model import (
 
 @dataclass(frozen=True)
 class LabelledEnvyDigraph:
-    """Envy edges, per-edge labels, and the cycle structure of the graph."""
+    """Envy edges, the improvable students, and per school the contenders
+    whose prefixes label the edges into it.
+
+    ``seats`` is the DA assignment.  ``contenders[s]`` lists the improvable
+    students who envy school s, best priority first; ``ahead[s]`` maps each
+    student who envies s to the number of contenders that outrank her, in
+    priority order.
+    """
 
     edges: dict[int, tuple[int, ...]]
-    labels: dict[tuple[int, int], frozenset[int]]
-    sccs: tuple[tuple[int, ...], ...]
     improvable: frozenset[int]
+    seats: tuple[int, ...]
+    contenders: tuple[tuple[int, ...], ...]
+    ahead: tuple[dict[int, int], ...]
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.labels
+        school = self.seats[j] if 0 <= j < len(self.seats) else NULL_SCHOOL
+        return school != NULL_SCHOOL and i in self.ahead[school]
+
+    @cached_property
+    def labels(self) -> dict[tuple[int, int], frozenset[int]]:
+        """Every edge's label, spelled out on first read."""
+        rosters: list[list[int]] = [[] for _ in self.contenders]
+        for j, school in enumerate(self.seats):
+            if school != NULL_SCHOOL:
+                rosters[school].append(j)
+        out = {}
+        for school, roster in enumerate(rosters):
+            for i, k in self.ahead[school].items():
+                label = frozenset(self.contenders[school][:k])
+                out.update(((i, j), label) for j in roster)
+        return out
 
 
 @dataclass(frozen=True)
@@ -55,7 +89,7 @@ class CyclePacking:
 
 
 def canonical_packing(cycles) -> CyclePacking:
-    """Rotate each cycle so its smallest student leads; sort cycles by that."""
+    """Rotate each cycle so its smallest member leads; sort cycles by that."""
     normal = []
     for cycle in cycles:
         k = cycle.index(min(cycle))
@@ -64,53 +98,18 @@ def canonical_packing(cycles) -> CyclePacking:
     return CyclePacking(tuple(normal))
 
 
-def strongly_connected_components(nodes, edges) -> list[list[int]]:
-    """Tarjan's algorithm, iterative to cope with deep recursion."""
-    index = {}
-    lowlink = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(edges.get(root, ())))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges.get(w, ()))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(component))
-    return sccs
+def cycle_members(n: int, edges) -> frozenset[int]:
+    """The nodes of ``range(n)`` on a directed cycle of the loop-free graph
+    ``edges`` (node -> iterable of targets): its strong components of two or
+    more."""
+    targets = [edges.get(v, ()) for v in range(n)]
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum([len(t) for t in targets], out=indptr[1:])
+    indices = np.fromiter((w for t in targets for w in t), dtype=np.int32, count=indptr[-1])
+    # float64 weights and int32 indices are csgraph's own types: no conversion
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    _, component = connected_components(graph, directed=True, connection="strong")
+    return frozenset(np.flatnonzero(np.bincount(component)[component] >= 2).tolist())
 
 
 def envy_edges(problem: Problem, matching: Matching, envious) -> dict[int, tuple[int, ...]]:
@@ -128,33 +127,62 @@ def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
     check_feasible(problem, da_matching)
     envious = envied(problem, da_matching.assignment)
     edges = envy_edges(problem, da_matching, envious)
-    sccs = strongly_connected_components(range(problem.n_students), edges)
-    # A student never envies herself, so nontrivial means size >= 2.
-    improvable = frozenset(i for scc in sccs for i in scc if len(scc) >= 2)
-
-    # Per school, each envious student's label: the improvable students who
-    # also envy the school and outrank her there.
-    per_school: list[dict[int, frozenset[int]]] = []
+    improvable = cycle_members(problem.n_students, edges)
+    contenders, ahead = [], []
     for school, students in enumerate(envious):
-        label: dict[int, frozenset[int]] = {}
-        above: frozenset[int] = frozenset()  # improvable envious students seen so far
+        leading: list[int] = []
+        count: dict[int, int] = {}
         for h in sorted(students, key=problem._prio_rank[school].__getitem__):
-            label[h] = above
+            count[h] = len(leading)
             if h in improvable:
-                above = above | {h}
-        per_school.append(label)
-    labels = {
-        (i, j): per_school[school][i]
-        for j, school in enumerate(da_matching.assignment)
-        if school != NULL_SCHOOL
-        for i in envious[school]
-    }
+                leading.append(h)
+        contenders.append(tuple(leading))
+        ahead.append(count)
     return LabelledEnvyDigraph(
         edges=edges,
-        labels=labels,
-        sccs=tuple(tuple(c) for c in sccs),
         improvable=improvable,
+        seats=da_matching.assignment,
+        contenders=tuple(contenders),
+        ahead=tuple(ahead),
     )
+
+
+def admitted(digraph: LabelledEnvyDigraph, covered, nodes) -> list[set[int]]:
+    """Per school s, the ``nodes`` whose envy edges into s are admissible,
+    i.e. carry a label inside ``covered``.
+
+    A school's *reach* is how many of its leading contenders are covered; a
+    label lies inside ``covered`` exactly when at most that many contenders
+    outrank its envier.
+    """
+    out = []
+    for leading, ahead in zip(digraph.contenders, digraph.ahead):
+        reach = 0
+        while reach < len(leading) and leading[reach] in covered:
+            reach += 1
+        out.append({i for i, k in ahead.items() if k <= reach and i in nodes})
+    return out
+
+
+def admissible_adjacency(
+    allowed: list[set[int]], nodes, seats, envious
+) -> dict[int, tuple[int, ...]]:
+    """Admissible envy edges among ``nodes`` (ascending) at the seats ``seats``.
+
+    ``envious[s]`` lists who envies school s at ``seats`` and ``allowed`` is
+    what ``admitted`` returns; i -> j is admissible when i envies j's seat
+    and is allowed there.  Target tuples ascend.
+    """
+    adj: dict[int, list[int]] = {i: [] for i in nodes}
+    for j in adj:
+        school = seats[j]
+        if school == NULL_SCHOOL:
+            continue
+        here = allowed[school]
+        for i in envious[school]:
+            if i in here:
+                adj[i].append(j)
+    return {i: tuple(targets) for i, targets in adj.items()}
 
 
 def da_context(problem: Problem, da_matching=None, digraph=None):
@@ -205,15 +233,17 @@ def apply_packing(problem: Problem, da_matching: Matching, packing: CyclePacking
 
 
 def packing_label(digraph: LabelledEnvyDigraph, packing: CyclePacking) -> frozenset[int]:
-    """Union of the labels of all traded edges."""
-    out: set[int] = set()
+    """Union of the labels of all traded edges: per entered school, the
+    contenders that outrank its lowest-priority entrant."""
+    deepest: dict[int, int] = {}
     for cycle in packing.cycles:
         for pos, i in enumerate(cycle):
             j = cycle[(pos + 1) % len(cycle)]
-            if (i, j) not in digraph.labels:
+            if not digraph.has_edge(i, j):
                 raise InputError("packing uses an edge outside the digraph")
-            out |= digraph.labels[(i, j)]
-    return frozenset(out)
+            school = digraph.seats[j]
+            deepest[school] = max(deepest.get(school, 0), digraph.ahead[school][i])
+    return frozenset(h for s, k in deepest.items() for h in digraph.contenders[s][:k])
 
 
 def decompose_as_packing(problem: Problem, da_matching: Matching, matching: Matching):

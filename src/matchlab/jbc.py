@@ -8,16 +8,18 @@ all cycles of this out-degree-one graph improves its participants without
 putting any improvable student's priority at stake, and subsets of the
 cycles generate exactly the matchings with that property.
 
-The rejecting schools come from ``model.envied`` at DA, not from the DA
-trace: a student proposes down her list, so the schools that rejected her
-are exactly those she prefers to her DA seat.
+The graph reads the envy digraph's per-school contenders.  A student
+proposes down her list, so the schools that rejected an improvable student
+are exactly those with a contender.  DA is stable and non-wasteful, so
+everyone who envies a school at DA ranks below its cutoff, and the school's
+just-below-cutoff student is its first contender.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab.envy import da_context
+from matchlab.envy import LabelledEnvyDigraph, canonical_packing, da_context
 from matchlab.model import (
     InputError,
     Matching,
@@ -40,10 +42,6 @@ class SchoolGraph:
 def cutoff_student(problem: Problem, da_matching: Matching, school: int) -> int:
     """The lowest-priority student assigned to ``school``."""
     occupants = [i for i, s in enumerate(da_matching.assignment) if s == school]
-    return _cutoff(problem, school, occupants)
-
-
-def _cutoff(problem, school, occupants) -> int:
     if not occupants:
         raise InputError(f"school {problem.schools[school]} has no occupants")
     return max(occupants, key=lambda i: priority_rank_of(problem, school, i))
@@ -57,14 +55,10 @@ def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school
     and raises ``InputError``.
     """
     envious = envied(problem, da_matching.assignment)[school]
-    cutoff = cutoff_student(problem, da_matching, school)
-    return _below_cutoff(problem, frozenset(improvable), school, envious, cutoff)
-
-
-def _below_cutoff(problem, improvable, school, envious, cutoff) -> set[int]:
-    """``below_cutoff_set`` given who envies ``school`` at DA and its cutoff student."""
     prio = problem._prio_rank[school]
-    out = {i for i in envious if i in improvable and prio[i] > prio[cutoff]}
+    cutoff = prio[cutoff_student(problem, da_matching, school)]
+    improvable = frozenset(improvable)
+    out = {i for i in envious if i in improvable and prio[i] > cutoff}
     if not out:
         raise InputError(
             f"school {problem.schools[school]} rejected no improvable student"
@@ -72,38 +66,24 @@ def _below_cutoff(problem, improvable, school, envious, cutoff) -> set[int]:
     return out
 
 
-def _school_graph(problem, da_matching, improvable) -> SchoolGraph:
-    envious = envied(problem, da_matching.assignment)
-    rejecting = [s for s, wanting in enumerate(envious) if not improvable.isdisjoint(wanting)]
-    rosters = da_matching.rosters(problem)
-    succ = {}
-    entrant = {}
-    for s in rejecting:
-        cutoff = _cutoff(problem, s, rosters[s])
-        candidates = _below_cutoff(problem, improvable, s, envious[s], cutoff)
-        entrant[s] = best = min(candidates, key=problem._prio_rank[s].__getitem__)
-        succ[s] = da_matching.assignment[best]
+def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
+    entrant = {s: leading[0] for s, leading in enumerate(digraph.contenders) if leading}
+    succ = {s: digraph.seats[i] for s, i in entrant.items()}
+    return SchoolGraph(tuple(entrant), succ, entrant, _cycles(succ))
 
-    cycles = []
-    status: dict[int, tuple] = {}
-    for start in rejecting:
-        if start in status:
-            continue
+
+def _cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of an out-degree-at-most-one graph, in canonical form."""
+    cycles, seen = [], set()
+    for cur in succ:
         walk = []
-        pos = {}
-        cur = start
-        while cur not in status and cur not in pos:
-            pos[cur] = len(walk)
+        while cur in succ and cur not in seen:
+            seen.add(cur)
             walk.append(cur)
             cur = succ[cur]
-        if cur in pos:  # the walk closed on itself: a new cycle
-            cycle = walk[pos[cur] :]
-            k = cycle.index(min(cycle))
-            cycles.append(tuple(cycle[k:]) + tuple(cycle[:k]))
-        for v in walk:
-            status[v] = True
-    cycles.sort()
-    return SchoolGraph(tuple(rejecting), succ, entrant, tuple(cycles))
+        if cur in walk:  # the walk closed on itself: a new cycle
+            cycles.append(walk[walk.index(cur) :])
+    return canonical_packing(cycles).cycles
 
 
 def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
@@ -123,7 +103,7 @@ def run_jbc(problem: Problem, da_matching=None, digraph=None):
     da_matching, digraph = da_context(problem, da_matching, digraph)
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
-    graph = _school_graph(problem, da_matching, digraph.improvable)
+    graph = _school_graph(digraph)
     return _execute(problem, da_matching, graph, graph.cycles), graph
 
 
@@ -136,7 +116,7 @@ def strongly_justifiable_family(problem: Problem, da_matching=None, digraph=None
     da_matching, digraph = da_context(problem, da_matching, digraph)
     if not digraph.improvable:
         return [da_matching]
-    graph = _school_graph(problem, da_matching, digraph.improvable)
+    graph = _school_graph(digraph)
     k = len(graph.cycles)
     if k > 20:
         raise InputError(f"too many cycles to enumerate subsets ({k})")

@@ -5,7 +5,9 @@ improvable students.  A permutation with self-loops encodes a trade plan:
 non-loop edges are envy edges and decompose into disjoint trading cycles,
 loops mean "stay at DA".  An envy edge is admissible while its label is
 contained in the current beneficiary set, i.e. the only priorities it can
-put at stake belong to students who are gaining anyway.  Each iteration
+put at stake belong to students who are gaining anyway.  Labels are
+prefixes of each school's contenders, so ``envy.admitted`` decides this
+with one integer compare per envious student and school.  Each iteration
 picks, among permutations that use only admissible edges and keep every
 current beneficiary trading, one with the fewest self-loops; newly covered
 students enlarge the beneficiary set and may unlock more edges, so this
@@ -21,7 +23,9 @@ graph is the formulation that is always feasible, and it is solved here as a
 The refinement pass then fixes leftover inefficiency among the final
 beneficiaries: it repeatedly executes cycles of envy edges at the *current*
 matching whose execution cannot violate the priority of any improvable
-student outside the beneficiary set, until none remain.
+student outside the beneficiary set, until none remain.  That is the same
+rule, label inside the beneficiary set, applied to the envy of the current
+matching.
 """
 
 from __future__ import annotations
@@ -31,14 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from matchlab.envy import LabelledEnvyDigraph, da_context, decompose_as_packing
-from matchlab.jbc import run_jbc
-from matchlab.model import (
-    NULL_SCHOOL,
-    Matching,
-    Problem,
-    envied,
+from matchlab.envy import (
+    LabelledEnvyDigraph,
+    admissible_adjacency,
+    admitted,
+    da_context,
+    decompose_as_packing,
 )
+from matchlab.jbc import run_jbc
+from matchlab.model import Matching, Problem, envied
 
 
 @dataclass(frozen=True)
@@ -49,18 +54,6 @@ class ExpansionState:
     beneficiaries: frozenset[int]
     permutation: dict[int, int]
     admissible: dict[int, tuple[int, ...]]
-
-
-def _admissible_adjacency(digraph: LabelledEnvyDigraph, covered: frozenset[int]):
-    improvable = digraph.improvable
-    adj = {}
-    for i in sorted(improvable):
-        adj[i] = tuple(
-            j
-            for j in digraph.edges[i]
-            if j in improvable and digraph.labels[(i, j)] <= covered
-        )
-    return adj
 
 
 def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], keep_trading):
@@ -100,7 +93,8 @@ def expansion_step(
     the stopping signal.
     """
     nodes = sorted(digraph.improvable)
-    adj = _admissible_adjacency(digraph, state.beneficiaries)
+    allowed = admitted(digraph, state.beneficiaries, digraph.improvable)
+    adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)  # keys: DA enviers
     perm = _min_loop_permutation(nodes, adj, state.beneficiaries)
     covered = frozenset(i for i in nodes if perm[i] != i)
     if covered == state.beneficiaries:
@@ -186,26 +180,12 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None
     members = sorted(b_star)
     if not members:
         return mu_star
-    # Per school, the best priority rank held by an improvable non-beneficiary
-    # who prefers the school to her DA assignment.
-    prio, waiting = problem._prio_rank, digraph.improvable - b_star
-    thresholds = [
-        min((prio[s][h] for h in envious if h in waiting), default=problem.n_students + 1)
-        for s, envious in enumerate(envied(problem, da_matching.assignment))
-    ]
+    allowed = admitted(digraph, b_star, b_star)  # b_star is fixed, so the rule is too
 
     current = list(mu_star.assignment)
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
-        envious = envied(problem, current)
-        adj = {i: [] for i in members}
-        for j in members:  # ascending, so every target list ascends too
-            s = current[j]
-            if s == NULL_SCHOOL:
-                continue
-            for i in envious[s]:
-                if i in b_star and prio[s][i] <= thresholds[s]:
-                    adj[i].append(j)
+        adj = admissible_adjacency(allowed, members, current, envied(problem, current))
         cycle = _find_cycle(members, adj)
         if cycle is None:
             return Matching(tuple(current))

@@ -1,7 +1,12 @@
+import random
+
 import pytest
 
+from matchlab.da import run_da
+from matchlab.envy import build_envy
 from matchlab.fixtures import load_fixture
 from matchlab.model import Matching, Problem
+from matchlab.simgen import GenConfig, gen_instance
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +69,39 @@ def random_market(rng):
         prefs=tuple(tuple(rng.sample(range(m), rng.randint(0, m))) for _ in range(n)),
         priorities=tuple(priorities),
     )
+
+
+def many_to_one_market(rng):
+    """4-8 students, 2-5 schools, quotas 1-3; 60% of the preference lists
+    are complete, the rest truncated."""
+    n, m = rng.randint(4, 8), rng.randint(2, 5)
+    prefs = tuple(
+        tuple(rng.sample(range(m), m if rng.random() < 0.6 else rng.randint(0, m - 1)))
+        for _ in range(n)
+    )
+    return Problem(
+        students=tuple(f"i{k}" for k in range(n)),
+        schools=tuple(f"s{k}" for k in range(m)),
+        quotas=tuple(rng.randint(1, 3) for _ in range(m)),
+        prefs=prefs,
+        priorities=tuple(tuple(rng.sample(range(n), n)) for _ in range(m)),
+    )
+
+
+def mixed_markets(seed, count):
+    """``count`` seeded ``random_market`` draws, ``count // 4``
+    ``many_to_one_market`` draws whose DA some trade improves, and square
+    iid and correlated markets at n = 8, 20 and 40."""
+    rng = random.Random(seed)
+    markets = [random_market(rng) for _ in range(count)]
+    improvable = 0
+    while improvable < count // 4:
+        problem = many_to_one_market(rng)
+        if build_envy(problem, run_da(problem)[0]).improvable:
+            markets.append(problem)
+            improvable += 1
+    for n in (8, 20, 40):
+        for model, rho in (("iid", None), ("correlated", 0.5)):
+            config = GenConfig(n=n, model=model, rho=rho, replications=1, seed=seed + n)
+            markets += [gen_instance(config, rep) for rep in range(3)]
+    return markets

@@ -259,6 +259,16 @@ def test_interrupters_match_definition_many_to_one():
     assert found > 50  # the battery exercises the rule, not just empty lists
 
 
+def rejecting_by_replay(trace, students):
+    """Schools that turn away someone in ``students`` in some round of the trace."""
+    return {
+        s
+        for rnd in trace.rounds
+        for s, rejected in rnd.rejected.items()
+        if students.intersection(rejected)
+    }
+
+
 def test_rejecting_schools_equal_envied_schools_many_to_one():
     # The JBC graph's nodes are the schools some improvable student envies at
     # DA; the trace replay is the reference definition of that set.
@@ -268,11 +278,13 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         problem = random_market(rng)
         da, trace = run_da(problem)
         digraph = build_envy(problem, da)
-        expected = rejecting_schools(problem, trace, digraph.improvable)
+        expected = rejecting_by_replay(trace, digraph.improvable)
+        assert rejecting_schools(problem, trace, digraph.improvable) == expected
         assert set(run_jbc(problem, da, digraph)[1].nodes) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
         wanted = envied(problem, da.assignment)
         got = rejecting_schools(problem, trace, subset)
+        assert got == rejecting_by_replay(trace, subset)
         assert got == {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
         graphs += bool(expected)
         subsets += bool(got)
@@ -295,6 +307,7 @@ def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
     for k, problem in enumerate(problems):
         plus = run_sjbc_plus(problem)
         run_jbc(problem)
+        rejecting_schools(problem, run_da(problem)[1], range(problem.n_students))
         is_justifiable(problem, plus)
         if k < 8:
             path = tmp_path / f"p{k}.json"

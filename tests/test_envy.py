@@ -7,17 +7,20 @@ from matchlab.analysis import is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.envy import (
     CyclePacking,
+    admissible_adjacency,
+    admitted,
     apply_packing,
     build_envy,
     canonical_packing,
+    cycle_members,
     decompose_as_packing,
     packing_label,
-    strongly_connected_components,
 )
-from matchlab.model import InputError, Matching, Problem, is_nonwasteful, violations
+from matchlab.jbc import run_jbc
+from matchlab.model import InputError, Matching, Problem, envied, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name, names_of, random_market
+from conftest import matching_by_name, mixed_markets, names_of, random_market
 
 
 def label_names(problem, digraph, a, b):
@@ -27,8 +30,7 @@ def label_names(problem, digraph, a, b):
 
 def test_scc_basic():
     edges = {0: (1,), 1: (2,), 2: (0,), 3: (1,), 4: ()}
-    comps = {frozenset(c) for c in strongly_connected_components(range(5), edges)}
-    assert comps == {frozenset({0, 1, 2}), frozenset({3}), frozenset({4})}
+    assert cycle_members(5, edges) == {0, 1, 2}
 
 
 def test_ex1_labels_and_improvable(ex1):
@@ -295,35 +297,55 @@ def serial_dictatorship(rng, problem):
     return Matching(tuple(assignment))
 
 
-def test_envy_scans_match_pairwise_definitions_many_to_one():
-    def envies(problem, matching, i, school):
-        return school != -1 and oracle.prefers(problem, i, school, matching.assignment[i])
+def envies(problem, matching, i, school):
+    return school != -1 and oracle.prefers(problem, i, school, matching.assignment[i])
 
-    def pairwise_edges(problem, matching):
-        return {
-            i: tuple(
-                j
-                for j in range(problem.n_students)
-                if j != i and envies(problem, matching, i, matching.assignment[j])
+
+def pairwise_edges(problem, matching):
+    return {
+        i: tuple(
+            j
+            for j in range(problem.n_students)
+            if j != i and envies(problem, matching, i, matching.assignment[j])
+        )
+        for i in range(problem.n_students)
+    }
+
+
+def on_cycle(edges):
+    # i lies on a cycle iff i reaches itself; plain search from each node
+    out = set()
+    for start in edges:
+        seen, stack = set(), list(edges[start])
+        while stack:
+            v = stack.pop()
+            if v == start:
+                out.add(start)
+                break
+            if v not in seen:
+                seen.add(v)
+                stack.extend(edges.get(v, ()))
+    return out
+
+
+def labels_by_definition(problem, da, edges, improvable):
+    """Per edge i -> j, the improvable students who envy j's DA school and
+    outrank i there."""
+    labels = {}
+    for i, targets in edges.items():
+        for j in targets:
+            school = da.assignment[j]
+            labels[(i, j)] = frozenset(
+                h
+                for h in improvable
+                if envies(problem, da, h, school)
+                and oracle.priority_scan(problem, school, h)
+                < oracle.priority_scan(problem, school, i)
             )
-            for i in range(problem.n_students)
-        }
+    return labels
 
-    def on_cycle(edges):
-        # i lies on a cycle iff i reaches itself; plain search from each node
-        out = set()
-        for start in edges:
-            seen, stack = set(), list(edges[start])
-            while stack:
-                v = stack.pop()
-                if v == start:
-                    out.add(start)
-                    break
-                if v not in seen:
-                    seen.add(v)
-                    stack.extend(edges[v])
-        return out
 
+def test_envy_scans_match_pairwise_definitions_many_to_one():
     rng = random.Random(2008)
     quotas_seen = set()
     for _ in range(1500):
@@ -335,18 +357,7 @@ def test_envy_scans_match_pairwise_definitions_many_to_one():
         improvable = on_cycle(edges)
         assert g.edges == edges
         assert g.improvable == improvable
-        labels = {}
-        for i, targets in edges.items():
-            for j in targets:
-                school = da.assignment[j]
-                labels[(i, j)] = frozenset(
-                    h
-                    for h in improvable
-                    if envies(problem, da, h, school)
-                    and oracle.priority_scan(problem, school, h)
-                    < oracle.priority_scan(problem, school, i)
-                )
-        assert g.labels == labels
+        assert g.labels == labels_by_definition(problem, da, edges, improvable)
 
         for matching in (random_feasible(rng, problem), serial_dictatorship(rng, problem)):
             found = [(v.victim, v.occupant, v.school) for v in violations(problem, matching)]
@@ -362,3 +373,100 @@ def test_envy_scans_match_pairwise_definitions_many_to_one():
                 efficient = not on_cycle(pairwise_edges(problem, matching))
                 assert is_pareto_efficient(problem, matching) == efficient
     assert quotas_seen == {1, 2, 3}
+
+
+# ---------------------------------------------------------------------------
+# The per-school admissibility rule against the label definition
+
+
+def test_admissible_adjacency_matches_label_containment():
+    # At DA, i -> j is admissible iff the label of i -> j lies inside the
+    # covered set; at a matching that improves on DA (here JBC's), i's entry
+    # at a school is admissible iff no uncovered contender of it outranks her.
+    rng = random.Random(2031)
+    checked = 0
+    for problem in mixed_markets(2031, 400):
+        da, _ = run_da(problem)
+        g = build_envy(problem, da)
+        labels = labels_by_definition(problem, da, g.edges, g.improvable)
+        nodes = sorted(g.improvable)
+        everyone = frozenset(range(problem.n_students))
+        some = frozenset(i for i in nodes if rng.random() < 0.5)
+        jbc_matching, _ = run_jbc(problem, da, g)
+        for covered in (frozenset(), some, g.improvable, everyone):
+            allowed = admitted(g, covered, g.improvable)
+            wanting = envied(problem, da.assignment)
+            adj = admissible_adjacency(allowed, nodes, da.assignment, wanting)
+            assert adj == {
+                i: tuple(j for j in g.edges[i] if j in g.improvable and labels[(i, j)] <= covered)
+                for i in nodes
+            }
+            seats = jbc_matching.assignment
+            adj = admissible_adjacency(allowed, nodes, seats, envied(problem, seats))
+            assert adj == {
+                i: tuple(
+                    j
+                    for j in nodes
+                    if envies(problem, jbc_matching, i, seats[j])
+                    and not any(
+                        h not in covered
+                        and envies(problem, da, h, seats[j])
+                        and oracle.priority_scan(problem, seats[j], h)
+                        < oracle.priority_scan(problem, seats[j], i)
+                        for h in g.improvable
+                    )
+                )
+                for i in nodes
+            }
+            checked += sum(map(len, adj.values()))
+    assert checked > 1000
+
+
+def test_packing_label_is_union_of_definitional_labels():
+    rng = random.Random(2032)
+    nonempty = 0
+    for problem in mixed_markets(2032, 600):
+        da, _ = run_da(problem)
+        g = build_envy(problem, da)
+        labels = labels_by_definition(problem, da, g.edges, g.improvable)
+        packings = [random_packing(g, rng) for _ in range(3)]
+        packings.append(decompose_as_packing(problem, da, run_jbc(problem, da, g)[0]))
+        traded = [(i, j) for i in sorted(g.improvable) for j in g.edges[i] if j in g.improvable]
+        for i, j in rng.sample(traded, min(len(traded), 20)):
+            cycle = cycle_through_edge(g, i, j)
+            packings.append(cycle and canonical_packing([cycle]))
+        for packing in packings:
+            if packing is None:
+                continue
+            expected = frozenset().union(
+                *(
+                    labels[(i, cycle[(pos + 1) % len(cycle)])]
+                    for cycle in packing.cycles
+                    for pos, i in enumerate(cycle)
+                )
+            )
+            assert packing_label(g, packing) == expected
+            nonempty += bool(expected)
+    assert nonempty > 100
+
+
+def test_packing_label_rejects_non_edges(ex1):
+    da, _ = run_da(ex1)
+    g = build_envy(ex1, da)
+    S = ex1.student_id
+    for cycle in ((S("i4"), S("i1")), (S("i1"), 99), (99, S("i1")), (S("i1"), -1)):
+        with pytest.raises(InputError):
+            packing_label(g, CyclePacking((cycle,)))
+
+
+def test_cycle_members_match_reachability():
+    rng = random.Random(2033)
+    for _ in range(500):
+        n = rng.randint(0, 12)
+        density = rng.random() / 2
+        edges = {
+            v: tuple(w for w in range(n) if w != v and rng.random() < density)
+            for v in range(n)
+            if rng.random() < 0.9
+        }
+        assert cycle_members(n, edges) == on_cycle(edges)

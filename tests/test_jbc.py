@@ -1,13 +1,13 @@
 import pytest
 
 from matchlab.da import run_da
-from matchlab.envy import build_envy
+from matchlab.envy import build_envy, canonical_packing
 from matchlab.jbc import below_cutoff_set, cutoff_student, run_jbc, strongly_justifiable_family
-from matchlab.model import InputError, Problem, pareto_compare, A_DOMINATES, EQUAL
+from matchlab.model import InputError, Problem, pareto_compare, priority_rank_of, A_DOMINATES, EQUAL
 from matchlab.analysis import is_strongly_justifiable
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name, names_of
+from conftest import matching_by_name, mixed_markets, names_of
 
 
 def test_cutoff_student(ex1):
@@ -155,7 +155,7 @@ def test_family_lattice_is_subset_order():
                 continue
             from matchlab.jbc import _execute, _school_graph
 
-            graph = _school_graph(problem, da, digraph.improvable)
+            graph = _school_graph(digraph)
             k = len(graph.cycles)
             if k < 2:
                 continue
@@ -171,3 +171,36 @@ def test_family_lattice_is_subset_order():
                     assert rel == A_DOMINATES
                 elif a & b == a:
                     assert rel != A_DOMINATES
+
+
+def test_jbc_entrant_is_best_below_cutoff_student():
+    # The school graph reads each school's first contender; by definition its
+    # entrant is the highest-priority member of the below-cutoff set.
+    entered = 0
+    for problem in mixed_markets(2034, 600):
+        da, _ = run_da(problem)
+        digraph = build_envy(problem, da)
+        _, graph = run_jbc(problem, da, digraph)
+        for s in range(problem.n_schools):
+            if s not in graph.nodes:
+                with pytest.raises(InputError):
+                    below_cutoff_set(problem, da, digraph.improvable, s)
+                continue
+            below = below_cutoff_set(problem, da, digraph.improvable, s)
+            best = min(below, key=lambda i: priority_rank_of(problem, s, i))
+            assert graph.jbc_student[s] == best
+            assert graph.succ[s] == da.assignment[best]
+            entered += 1
+        on_cycles = {s for s in graph.nodes if s in walk_from(graph.succ, graph.succ[s])}
+        assert {s for cycle in graph.cycles for s in cycle} == on_cycles
+        assert graph.cycles == canonical_packing(graph.cycles).cycles
+    assert entered > 300
+
+
+def walk_from(succ, s):
+    """Schools reached from ``s`` by following ``succ``."""
+    seen = []
+    while s in succ and s not in seen:
+        seen.append(s)
+        s = succ[s]
+    return seen
