@@ -74,17 +74,15 @@ def beneficiaries(problem: Problem, da_matching: Matching, matching: Matching) -
 
 
 def is_justifiable(
-    problem: Problem,
-    matching: Matching,
-    da_matching: Matching | None = None,
-    digraph: LabelledEnvyDigraph | None = None,
+    problem: Problem, matching: Matching, digraph: LabelledEnvyDigraph | None = None
 ) -> Verdict:
     """Full verdict for a matching that weakly dominates DA.
 
     Each violation victim is tagged; the matching is justifiable when no
-    victim is an improvable student left at her DA seat.
+    victim is an improvable student left at her DA seat.  ``digraph`` is the
+    DA envy digraph, which carries the DA seats.
     """
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+    da_matching, digraph = da_context(problem, digraph)
     benef = beneficiaries(problem, da_matching, matching)
     tagged = []
     justifiable = True
@@ -101,19 +99,19 @@ def is_justifiable(
         beneficiaries=benef,
         violations=tuple(tagged),
         justifiable=justifiable,
-        strongly_justifiable=is_strongly_justifiable(problem, matching, da_matching, digraph),
+        strongly_justifiable=is_strongly_justifiable(problem, matching, digraph),
         pareto_efficient=is_pareto_efficient(problem, matching),
     )
 
 
 def is_strongly_justifiable(
-    problem: Problem,
-    matching: Matching,
-    da_matching: Matching | None = None,
-    digraph: LabelledEnvyDigraph | None = None,
+    problem: Problem, matching: Matching, digraph: LabelledEnvyDigraph | None = None
 ) -> bool:
-    """True iff the matching trades along cycles whose labels are all empty."""
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+    """True iff the matching trades along cycles whose labels are all empty.
+
+    ``digraph`` is the DA envy digraph, which carries the DA seats.
+    """
+    da_matching, digraph = da_context(problem, digraph)
     packing = decompose_as_packing(problem, da_matching, matching)
     if packing is None:
         return False

@@ -98,6 +98,21 @@ def canonical_packing(cycles) -> CyclePacking:
     return CyclePacking(tuple(normal))
 
 
+def successor_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """The cycles of an out-degree-at-most-one graph (node -> successor), in
+    canonical form."""
+    cycles, seen = [], set()
+    for cur in succ:
+        walk = []
+        while cur in succ and cur not in seen:
+            seen.add(cur)
+            walk.append(cur)
+            cur = succ[cur]
+        if cur in walk:  # the walk closed on itself: a new cycle
+            cycles.append(walk[walk.index(cur) :])
+    return canonical_packing(cycles).cycles
+
+
 def cycle_members(n: int, edges) -> frozenset[int]:
     """The nodes of ``range(n)`` on a directed cycle of the loop-free graph
     ``edges`` (node -> iterable of targets): its strong components of two or
@@ -185,13 +200,15 @@ def admissible_adjacency(
     return {i: tuple(targets) for i, targets in adj.items()}
 
 
-def da_context(problem: Problem, da_matching=None, digraph=None):
-    """The DA matching and its envy digraph, computing whichever is not given."""
-    if da_matching is None:
-        da_matching, _ = run_da(problem)
+def da_context(problem: Problem, digraph=None):
+    """The DA matching and its envy digraph.
+
+    The digraph carries the DA seats, so DA runs only when no digraph is
+    given, and the matching is always the one the digraph was built from.
+    """
     if digraph is None:
-        digraph = build_envy(problem, da_matching)
-    return da_matching, digraph
+        digraph = build_envy(problem, run_da(problem)[0])
+    return Matching(digraph.seats), digraph
 
 
 def _check_packing(problem: Problem, da_matching: Matching, packing: CyclePacking) -> None:
@@ -284,17 +301,4 @@ def decompose_as_packing(problem: Problem, da_matching: Matching, matching: Matc
             return None
         for i, j in zip(sorted(arriving), leaving):
             successor[i] = j
-
-    cycles = []
-    remaining = set(movers)
-    while remaining:
-        start = min(remaining)
-        cycle = [start]
-        remaining.discard(start)
-        cur = successor[start]
-        while cur != start:
-            cycle.append(cur)
-            remaining.discard(cur)
-            cur = successor[cur]
-        cycles.append(tuple(cycle))
-    return canonical_packing(cycles)
+    return CyclePacking(successor_cycles(successor))

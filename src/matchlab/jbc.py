@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab.envy import LabelledEnvyDigraph, canonical_packing, da_context
+from matchlab.envy import LabelledEnvyDigraph, da_context, successor_cycles
 from matchlab.model import (
     InputError,
     Matching,
@@ -69,21 +69,7 @@ def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school
 def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
     entrant = {s: leading[0] for s, leading in enumerate(digraph.contenders) if leading}
     succ = {s: digraph.seats[i] for s, i in entrant.items()}
-    return SchoolGraph(tuple(entrant), succ, entrant, _cycles(succ))
-
-
-def _cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """The cycles of an out-degree-at-most-one graph, in canonical form."""
-    cycles, seen = [], set()
-    for cur in succ:
-        walk = []
-        while cur in succ and cur not in seen:
-            seen.add(cur)
-            walk.append(cur)
-            cur = succ[cur]
-        if cur in walk:  # the walk closed on itself: a new cycle
-            cycles.append(walk[walk.index(cur) :])
-    return canonical_packing(cycles).cycles
+    return SchoolGraph(tuple(entrant), succ, entrant, successor_cycles(succ))
 
 
 def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
@@ -94,26 +80,29 @@ def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_jbc(problem: Problem, da_matching=None, digraph=None):
+def run_jbc(problem: Problem, digraph=None):
     """Run the mechanism; returns the matching and the school graph.
 
-    When deferred acceptance is already efficient there is nothing to trade
-    and DA comes back unchanged with an empty graph.
+    ``digraph`` is the DA envy digraph, which carries the DA seats; it is
+    built when not given.  When deferred acceptance is already efficient
+    there is nothing to trade and DA comes back unchanged with an empty
+    graph.
     """
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+    da_matching, digraph = da_context(problem, digraph)
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
     graph = _school_graph(digraph)
     return _execute(problem, da_matching, graph, graph.cycles), graph
 
 
-def strongly_justifiable_family(problem: Problem, da_matching=None, digraph=None):
+def strongly_justifiable_family(problem: Problem, digraph=None):
     """All matchings obtained by executing a subset of the mechanism's cycles.
 
     One matching per subset (the empty subset gives DA back); these are
-    exactly the strongly justifiable matchings of the instance.
+    exactly the strongly justifiable matchings of the instance.  ``digraph``
+    is the DA envy digraph, which carries the DA seats.
     """
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+    da_matching, digraph = da_context(problem, digraph)
     if not digraph.improvable:
         return [da_matching]
     graph = _school_graph(digraph)

@@ -345,13 +345,16 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
-def load_problem(path) -> Problem:
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad syntax or bytes, too deep
             raise InputError(f"invalid JSON in {path}: {exc}") from None
-    return problem_from_dict(data)
+
+
+def load_problem(path) -> Problem:
+    return problem_from_dict(_read_json(path))
 
 
 def matching_from_dict(problem: Problem, data: dict) -> Matching:
@@ -379,12 +382,7 @@ def matching_to_dict(problem: Problem, matching: Matching) -> dict:
 
 
 def load_matching(problem: Problem, path) -> Matching:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from None
-    return matching_from_dict(problem, data)
+    return matching_from_dict(problem, _read_json(path))
 
 
 def dump_matching(problem: Problem, matching: Matching) -> str:

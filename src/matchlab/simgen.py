@@ -111,8 +111,8 @@ def draw_instance_and_consent(config: GenConfig, replication_index: int):
 
 def _mechanism_outcomes(problem: Problem, consent):
     da_matching, digraph = da_context(problem)
-    mu_star, b_star = sjbc_plus.run_expansion(problem, da_matching, digraph)
-    plus = sjbc_plus.run_refinement(problem, mu_star, b_star, da_matching, digraph)
+    mu_star, b_star = sjbc_plus.run_expansion(problem, digraph)
+    plus = sjbc_plus.run_refinement(problem, mu_star, b_star, digraph)
     outcomes = {
         "da": da_matching,
         "eada_full": eada.run_eada(problem, range(problem.n_students))[0],

@@ -110,13 +110,16 @@ def _matching_from_permutation(problem, da_matching, perm) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_expansion(problem: Problem, da_matching=None, digraph=None, log=None):
-    """Expand from the JBC matching; returns the matching and its beneficiaries."""
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+def run_expansion(problem: Problem, digraph=None, log=None):
+    """Expand from the JBC matching; returns the matching and its beneficiaries.
+
+    ``digraph`` is the DA envy digraph, which carries the DA seats.
+    """
+    da_matching, digraph = da_context(problem, digraph)
     if not digraph.improvable:
         return da_matching, frozenset()
 
-    jbc_matching, _ = run_jbc(problem, da_matching, digraph)
+    jbc_matching, _ = run_jbc(problem, digraph)
     packing = decompose_as_packing(problem, da_matching, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
@@ -168,14 +171,15 @@ def _find_cycle(nodes, adj):
     return None
 
 
-def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None, digraph=None, log=None):
+def run_refinement(problem: Problem, mu_star: Matching, b_star, digraph=None, log=None):
     """Trade along admissible cycles at the current matching until none remain.
 
     Cycles run among the fixed beneficiary set only, so the beneficiaries of
     the result equal ``b_star``; every executed cycle strictly improves each
-    of its members relative to her current seat.
+    of its members relative to her current seat.  ``digraph`` is the DA envy
+    digraph, which carries the DA seats.
     """
-    da_matching, digraph = da_context(problem, da_matching, digraph)
+    _, digraph = da_context(problem, digraph)
     b_star = frozenset(b_star)
     members = sorted(b_star)
     if not members:
@@ -202,7 +206,6 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, da_matching=None
 
 def run_sjbc_plus(problem: Problem, log=None) -> Matching:
     """Full pipeline: deferred acceptance, JBC, expansion, refinement."""
-    da_matching, digraph = da_context(problem)
-    mu_star, b_star = run_expansion(problem, da_matching, digraph, log=log)
-    refined = run_refinement(problem, mu_star, b_star, da_matching, digraph, log=log)
-    return refined
+    _, digraph = da_context(problem)
+    mu_star, b_star = run_expansion(problem, digraph, log=log)
+    return run_refinement(problem, mu_star, b_star, digraph, log=log)

@@ -228,11 +228,11 @@ def test_property_battery_against_oracle():
             if not rep_report.claims["label_containment_equals_justifiability"]:
                 failures["label containment equivalence"] += 1
 
-            if not _lattice_matches_subset_order(problem, da, digraph):
+            if not _lattice_matches_subset_order(problem, digraph):
                 failures["family lattice order"] += 1
 
             plus = run_sjbc_plus(problem)
-            jbc_matching, _ = run_jbc(problem, da, digraph)
+            jbc_matching, _ = run_jbc(problem, digraph)
             ok3 = rep_report.claims["sjbc_plus_outcome_justifiable"] and rep_report.claims[
                 "sjbc_plus_undominated_without_more_beneficiaries"
             ]
@@ -294,10 +294,10 @@ def test_many_to_one_battery_against_oracle():
         rep_report = oracle.oracle_report(problem, include_pareto_family=False)
         for name, ok in rep_report.claims.items():
             failures[name] = failures.get(name, 0) + (not ok)
-        if not _lattice_matches_subset_order(problem, da, digraph):
+        if not _lattice_matches_subset_order(problem, digraph):
             failures["family lattice order"] += 1
         plus = run_sjbc_plus(problem)
-        jbc_matching, _ = run_jbc(problem, da, digraph)
+        jbc_matching, _ = run_jbc(problem, digraph)
         if not (
             pareto_compare(problem, plus, da) == A_DOMINATES
             and oracle.beneficiaries_scan(problem, da, jbc_matching)
@@ -316,11 +316,11 @@ def test_many_to_one_battery_against_oracle():
         report(f"many-to-one battery {name} ({count} mismatches)", count == 0)
 
 
-def _lattice_matches_subset_order(problem, da, digraph):
+def _lattice_matches_subset_order(problem, digraph):
     if not digraph.improvable:
         return True
-    family = strongly_justifiable_family(problem, da, digraph)
-    _, graph = run_jbc(problem, da, digraph)
+    family = strongly_justifiable_family(problem, digraph)
+    _, graph = run_jbc(problem, digraph)
     k = len(graph.cycles)
     if k < 2:
         return True

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchlab
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
 from matchlab.model import load_problem, matching_from_dict
@@ -45,6 +50,30 @@ def test_solve_malformed_instance_is_exit_2(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", "--mechanism", "da", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("solve", b"\xff"),
+        ("analyze", b"\xff"),
+        ("solve", b"[" * 100_000),
+        ("solve", b'{"students": 1' + b"0" * 5_000 + b"}"),  # past int()'s digit limit
+    ],
+    ids=["non-utf8-instance", "non-utf8-matching", "deep-instance", "huge-int-instance"],
+)
+def test_undecodable_or_deep_file_is_exit_2(tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = ["solve", "--mechanism", "da", str(bad)] if command == "solve" else ["analyze", EX1, str(bad)]
+    # a real process, so an escaping exception shows as a traceback and exit 1
+    env = {**os.environ, "PYTHONPATH": str(Path(matchlab.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchlab.cli", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_solve_round_trips_through_analyze(tmp_path, capsys):
@@ -184,8 +213,13 @@ def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("MATCHLAB_FIXTURES")
 
 
-# SHA-256 of the stdout of `eada-orbit` and `trace` on every fixture.
+# SHA-256 of the stdout of `envy`, `eada-orbit` and `trace` on every fixture.
 GOLDEN_STDOUT = {
+    ("ex1", "envy"): "5886047c35b33d48f9e99e0e2f7420ba9e7ef031e0feb0c73030d6e14638e2cb",
+    ("exd", "envy"): "37be4efbfbd9f1b900cb0a000edc98c09aeb8f982c06f078cc681e2d41791033",
+    ("exe", "envy"): "045aa10ac4e6946f93c596223bd53f2e0c45bef6e08322f467ceaf064b7c4ddc",
+    ("exnoeff", "envy"): "6f74a0f2d62e78d93216dcf5e7d21eda869452a40d5a021d5b4e2456487d5cfd",
+    ("explus", "envy"): "32a3a332c7ad1194da50955b95a2c19fe5c9e950070016061faa4114760a8e16",
     ("ex1", "eada-orbit"): "647cd57e250f4c2fbc02ae62bb86423ff476c9db9c61514845b1978cc1127b92",
     ("ex1", "trace"): "261b9c331c0ad5ae3173caf6253e905a77ad5ccde9ca62e25949942f033457cb",
     ("exd", "eada-orbit"): "bd253d31ae5e6e92298e29da307b64ccbb410742ffd0df3e0f378a501f38df1b",
@@ -204,6 +238,146 @@ def test_fixture_stdout_is_byte_stable(capsys, fixture, command):
     code, out, _ = run_cli(capsys, command, str(fixture_path(fixture)))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[fixture, command]
+
+
+SOLVE_FLAGS = {"da": [], "jbc": ["--graph"], "sjbc+": ["--log-phases"], "eada": ["--consent", "all"]}
+
+# SHA-256 of `solve`'s stderr and matching file (written with --out, so stdout stays empty).
+GOLDEN_SOLVE = {
+    ("ex1", "da"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "9cbedaea42cc36e3bdaf8812ff4f2b825bb7792c7395be67a9fa90d433e90ee1",
+    ),
+    ("ex1", "jbc"): (
+        "3e21254534ed8d3f829899fe04458c8fed0bbfbec9952f24c0862231dd2ff4d5",
+        "40830d01f2076c9b67986780eee51f0eb144d57e2b10cb14a0a425fc02cb1bb3",
+    ),
+    ("ex1", "sjbc+"): (
+        "ce9510500465591047ff3133966775b37356c5d3b82b6a3d734bde3e0e3ead67",
+        "0bcea378f6c2010013615e8d608cfeaabd88c3de8fcac7c2171fac666d6f9520",
+    ),
+    ("ex1", "eada"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "689c25c9fe097d442c2e568c6d61aa4b500332ed8c8804048ae0b8755a7a0ea9",
+    ),
+    ("exd", "da"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eba30b44468acbebb5f1134ae682294b0f55f96208e4e45fd417195d8b6a9ecc",
+    ),
+    ("exd", "jbc"): (
+        "2025127f3fccc322c80c8cfeb214b8ce34eaddb6cd5ba9423a638dc49b030187",
+        "ee527b2d65b44f5a694ee10d3d2f965489a687303ff0dd8fcb266915fad2c29f",
+    ),
+    ("exd", "sjbc+"): (
+        "e39ec65dcd3ea78d651697892c080aae90d3bf9ee5e7227cd0b74dd4144fb9d1",
+        "d4a05da4f02d051d4a1f8b90fca55b6e57a2ab4a4702e068fab9015300345064",
+    ),
+    ("exd", "eada"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "d4a05da4f02d051d4a1f8b90fca55b6e57a2ab4a4702e068fab9015300345064",
+    ),
+    ("exe", "da"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5d5bcc497307019717dc6cd26aec40e4b0f96cb9e7c65fc7e4db69998cc79528",
+    ),
+    ("exe", "jbc"): (
+        "d7a5e2008f5cf47a2f4accd6cfdc626b9600e78ce99ea0afbe63a8064e0bf887",
+        "ae78ba4c2cd1a1d8bd150e53e099ddb01c91bf77a3179fe3ea172637807be5f5",
+    ),
+    ("exe", "sjbc+"): (
+        "4c358a7cd2dc2f75aca5ec566d6e6cd77d26ad67604542d1a5ecad1d04529fa5",
+        "5b29cee69ff62e70630929a967b283034793f38c353e7f0f3b0c8c3ecd41d046",
+    ),
+    ("exe", "eada"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5b29cee69ff62e70630929a967b283034793f38c353e7f0f3b0c8c3ecd41d046",
+    ),
+    ("exnoeff", "da"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5d5bcc497307019717dc6cd26aec40e4b0f96cb9e7c65fc7e4db69998cc79528",
+    ),
+    ("exnoeff", "jbc"): (
+        "d7a5e2008f5cf47a2f4accd6cfdc626b9600e78ce99ea0afbe63a8064e0bf887",
+        "ae78ba4c2cd1a1d8bd150e53e099ddb01c91bf77a3179fe3ea172637807be5f5",
+    ),
+    ("exnoeff", "sjbc+"): (
+        "a237f7f07a2fe2a76ced39ad81332e37ffc1f61a6d32fbe34f6b29fa4e932ca1",
+        "ae78ba4c2cd1a1d8bd150e53e099ddb01c91bf77a3179fe3ea172637807be5f5",
+    ),
+    ("exnoeff", "eada"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6f8f41aa2834ad4bd89226a884f3899d1fd21d44de65f15a2e65953ce2680bb4",
+    ),
+    ("explus", "da"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2c38b686c0ca3438ce444866a8d77a948b7033705b35ec6a88229e9013ecf14c",
+    ),
+    ("explus", "jbc"): (
+        "555b4904c683575a71fe71e101968b49be617679999079f6c7e62e6c0830725a",
+        "dfdc85cec45e30e8a09321d4754b0ada2c2f9ef0b7b7d205ecf9e4d6ecb16433",
+    ),
+    ("explus", "sjbc+"): (
+        "fb9bbaedb5c0b659017208a21d6dcf2cc9e582c1d0aecd4d1790be3f617f0b06",
+        "dbfee6e03432cb7fc7a64d0da7a6893092a844dc9dae7fdcc8fdf49945b9d30d",
+    ),
+    ("explus", "eada"): (
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "dbfee6e03432cb7fc7a64d0da7a6893092a844dc9dae7fdcc8fdf49945b9d30d",
+    ),
+}
+
+
+@pytest.mark.parametrize("fixture, mechanism", sorted(GOLDEN_SOLVE))
+def test_fixture_solve_is_byte_stable(tmp_path, capsys, fixture, mechanism):
+    out_path = tmp_path / "m.json"
+    code, out, err = run_cli(
+        capsys, "solve", "--mechanism", mechanism, *SOLVE_FLAGS[mechanism],
+        str(fixture_path(fixture)), "--out", str(out_path),
+    )
+    assert (code, out) == (0, "")
+    digests = (hashlib.sha256(err.encode()).hexdigest(), hashlib.sha256(out_path.read_bytes()).hexdigest())
+    assert digests == GOLDEN_SOLVE[fixture, mechanism]
+
+
+# SHA-256 of the stdout of `analyze` on each fixture's SJBC+ matching file.
+GOLDEN_ANALYZE = {
+    "ex1": "a089f5339bdb6971034bfab884abacd859bae6afa4ed636ebfdc3e01c8187713",
+    "exd": "cdc71443a7f174d395d9da45e871e83563047b53f370dcb53f75922ced39c00a",
+    "exe": "032377244f4ccb66fd1e298efc3e5622d1587238dc862168f647f4fa09d6992f",
+    "exnoeff": "05e7cea60a6192694cf8e42460a53d8a65ea9ee9042ea214e9f85498ca18cc3e",
+    "explus": "9b055f42fa7a0cf98bd03048d6fb9844aa3568076727b7b315090e791d677d25",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_ANALYZE))
+def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
+    instance, out_path = str(fixture_path(fixture)), tmp_path / "m.json"
+    assert run_cli(capsys, "solve", "--mechanism", "sjbc+", instance, "--out", str(out_path))[0] == 0
+    code, out, err = run_cli(capsys, "analyze", instance, str(out_path))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE[fixture]
+
+
+def test_simulate_csv_is_byte_stable(tmp_path, capsys):
+    agg, per = tmp_path / "stats.csv", tmp_path / "per.csv"
+    code, _, _ = run_cli(
+        capsys,
+        "simulate",
+        "--n", "20",
+        "--model", "correlated",
+        "--rho", "0.5",
+        "--reps", "20",
+        "--seed", "7",
+        "--out", str(agg),
+        "--per-instance", str(per),
+    )
+    assert code == 0
+    assert hashlib.sha256(agg.read_bytes()).hexdigest() == (
+        "d7ccd7d9aafa4287685762a84367bd0252536c87ace41ebb6ab68ef8f0bbae4c"
+    )
+    assert hashlib.sha256(per.read_bytes()).hexdigest() == (
+        "1cb6451afc2ac1af328fcbddea426e980e6c25568a5b8268d54b45b3687bf95e"
+    )
 
 
 def test_simulate_csv_identical_across_jobs(tmp_path, capsys):

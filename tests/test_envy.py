@@ -392,7 +392,7 @@ def test_admissible_adjacency_matches_label_containment():
         nodes = sorted(g.improvable)
         everyone = frozenset(range(problem.n_students))
         some = frozenset(i for i in nodes if rng.random() < 0.5)
-        jbc_matching, _ = run_jbc(problem, da, g)
+        jbc_matching, _ = run_jbc(problem, g)
         for covered in (frozenset(), some, g.improvable, everyone):
             allowed = admitted(g, covered, g.improvable)
             wanting = envied(problem, da.assignment)
@@ -430,7 +430,7 @@ def test_packing_label_is_union_of_definitional_labels():
         g = build_envy(problem, da)
         labels = labels_by_definition(problem, da, g.edges, g.improvable)
         packings = [random_packing(g, rng) for _ in range(3)]
-        packings.append(decompose_as_packing(problem, da, run_jbc(problem, da, g)[0]))
+        packings.append(decompose_as_packing(problem, da, run_jbc(problem, g)[0]))
         traded = [(i, j) for i in sorted(g.improvable) for j in g.edges[i] if j in g.improvable]
         for i, j in rng.sample(traded, min(len(traded), 20)):
             cycle = cycle_through_edge(g, i, j)

@@ -1,6 +1,10 @@
-"""Any mutation of a fixture's instance file exits 0 or 2 from the CLI, never a traceback."""
+"""Any mutation of a fixture's instance file, of its bytes, or of a matching
+file exits 0 or 2 from the CLI (1 only for an unjustifiable matching), never a
+traceback."""
 
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -14,10 +18,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-FIXTURES = {
-    name: json.loads(fixture_path(name).read_text(encoding="utf-8"))
-    for name in ("ex1", "exd", "exe", "exnoeff", "explus")
-}
+RAW = {name: fixture_path(name).read_bytes() for name in ("ex1", "exd", "exe", "exnoeff", "explus")}
+FIXTURES = {name: json.loads(raw.decode("utf-8")) for name, raw in RAW.items()}
 FIELDS = ("students", "schools", "prefs", "priorities")
 
 junk = st.one_of(
@@ -100,3 +102,90 @@ def test_mutated_instances_exit_0_or_2(data):
         assert main(["solve", "--mechanism", "da", str(instance), "--out", str(matching)]) in (0, 2)
         # solve's DA matching is stable, hence justifiable; a file solve refused, analyze refuses too
         assert main(["analyze", str(instance), str(matching)]) in (0, 2)
+
+
+@st.composite
+def mutated_bytes(draw):
+    raw = RAW[draw(st.sampled_from(sorted(RAW)))]
+    at = draw(st.integers(0, len(raw)))
+    kind = draw(st.sampled_from(["truncate", "insert-ff", "nest"]))
+    if kind == "truncate":
+        return raw[:at]
+    if kind == "insert-ff":
+        return raw[:at] + b"\xff" + raw[at:]
+    depth = draw(st.sampled_from([10, 1_000, 100_000]))
+    return raw[:at] + b"[" * depth + raw[at:]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(raw=mutated_bytes())
+def test_mutated_instance_bytes_exit_0_or_2(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, matching = Path(tmp) / "inst.json", Path(tmp) / "m.json"
+        instance.write_bytes(raw)
+        matching.write_text('{"assignment": {}}', encoding="utf-8")
+        assert main(["solve", "--mechanism", "da", str(instance), "--out", str(matching)]) in (0, 2)
+        assert main(["analyze", str(instance), str(matching)]) in (0, 2)
+
+
+def _solved(name, mechanism):
+    """The matching file that ``solve`` writes for a fixture, as parsed JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "m.json"
+        assert main(["solve", "--mechanism", mechanism, str(fixture_path(name)), "--out", str(out)]) == 0
+        return json.loads(out.read_text(encoding="utf-8"))
+
+
+SOLVED = {
+    (name, mechanism): _solved(name, mechanism)
+    for name in FIXTURES
+    for mechanism in ("da", "jbc", "sjbc+", "eada")
+}
+
+
+@st.composite
+def mutated_matchings(draw):
+    name, mechanism = draw(st.sampled_from(sorted(SOLVED)))
+    data = FIXTURES[name]
+    schools = [e["name"] for e in data["schools"]]
+    matching = copy.deepcopy(SOLVED[name, mechanism])
+    assignment = matching["assignment"]
+    for _ in range(draw(st.integers(0, 2))):  # no mutation: a solver's own file
+        kind = draw(st.sampled_from(["swap", "value", "unknown", "repeat", "drop", "retype", "top"]))
+        if kind == "swap" and len(assignment) > 1:
+            pair = st.lists(st.sampled_from(sorted(assignment)), min_size=2, max_size=2, unique=True)
+            a, b = draw(pair)
+            assignment[a], assignment[b] = assignment[b], assignment[a]
+        elif kind == "value" and assignment:
+            assignment[draw(st.sampled_from(sorted(assignment)))] = draw(junk)
+        elif kind == "unknown":
+            student = draw(st.sampled_from(["zz", *data["students"]]))
+            assignment[student] = draw(st.sampled_from(["zz", *schools]))
+        elif kind == "repeat" and assignment:
+            # a second student sent to a school already named in the file
+            named = sorted(map(str, assignment.values()))
+            assignment[draw(st.sampled_from(data["students"]))] = draw(st.sampled_from(named))
+        elif kind == "drop" and assignment:
+            del assignment[draw(st.sampled_from(sorted(assignment)))]
+        elif kind == "retype":
+            matching["assignment"] = assignment = draw(junk)
+            if not isinstance(assignment, dict):
+                break
+        elif kind == "top":
+            return name, draw(junk)
+    return name, matching
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=mutated_matchings())
+def test_mutated_matchings_exit_0_1_or_2(case):
+    name, matching = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(matching), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["analyze", str(fixture_path(name)), str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:  # exit 1 is a verdict on a well-formed matching, never an input error
+        assert "justifiable: False" in out.getvalue()

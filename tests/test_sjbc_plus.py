@@ -21,7 +21,7 @@ MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6"
 def bootstrap_state(problem):
     da, _ = run_da(problem)
     digraph = build_envy(problem, da)
-    jbc_matching, _ = run_jbc(problem, da, digraph)
+    jbc_matching, _ = run_jbc(problem, digraph)
     packing = decompose_as_packing(problem, da, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
@@ -144,11 +144,11 @@ def test_outcome_guarantees_random():
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=210 + n), rep)
             da, _ = run_da(problem)
             digraph = build_envy(problem, da)
-            jbc_matching, _ = run_jbc(problem, da, digraph)
+            jbc_matching, _ = run_jbc(problem, digraph)
             plus = run_sjbc_plus(problem)
             if digraph.improvable:
                 assert pareto_compare(problem, plus, da) == A_DOMINATES
-                verdict = is_justifiable(problem, plus, da, digraph)
+                verdict = is_justifiable(problem, plus, digraph)
                 assert verdict.justifiable
                 assert beneficiaries(problem, da, jbc_matching) <= verdict.beneficiaries
             else:
