@@ -26,10 +26,9 @@ from matchlab.model import (
 )
 from matchlab.envy import (
     LabelledEnvyDigraph,
-    cycle_members,
     da_context,
     decompose_as_packing,
-    envy_edges,
+    on_envy_cycle,
     packing_label,
 )
 
@@ -128,8 +127,7 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     """
     if not is_nonwasteful(problem, matching):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
-    edges = envy_edges(problem, matching, envied(problem, matching.assignment))
-    return not cycle_members(problem.n_students, edges)
+    return not on_envy_cycle(matching.assignment, envied(problem, matching.assignment))
 
 
 def reassignment_chain(

@@ -2,15 +2,14 @@
 
 Rounds are simultaneous: every currently rejected student proposes in the
 same round.  The final outcome is order-independent, but the *round numbers*
-recorded in the trace are not, and downstream bookkeeping (interrupting
-pairs) depends on them, so this convention is part of the contract.
+recorded in the trace are not, and the interrupting pairs depend on them, so
+this convention is part of the contract.
 
 One proposal loop, ``_propose``, serves ``run_da`` and every EADA rerun.  Each
 school's tentative roster is a sorted list of priority ranks, so admitting a
-proposal is one plain ``insort``.  The loop records the interrupting pairs as
-rejections happen and logs only each round's proposers; a ``DaTrace`` builds
-its round table from that log the first time ``rounds`` or ``proposals`` is
-read, so callers that never read it never pay for it.
+proposal is one plain ``insort``.  The loop logs only each round's proposers;
+a ``DaTrace`` replays that log into its round table, and the interrupting
+pairs off that, only when read, so callers that never read them never pay.
 """
 
 from __future__ import annotations
@@ -39,11 +38,10 @@ class DaRound:
 
 @dataclass(frozen=True)
 class DaTrace:
-    """A DA run's outcome and interrupting pairs; ``rounds`` and ``proposals``
-    are replayed from the run's proposal log on first read."""
+    """A DA run's outcome; ``rounds``, ``proposals`` and ``pairs`` are
+    replayed from the run's proposal log on first read."""
 
     final: Matching
-    pairs: tuple[InterruptPair, ...]  # interrupting pairs, in ``interrupters`` order
     _prefs: tuple = field(repr=False, compare=False)
     _log: list = field(repr=False, compare=False)  # each round's proposers
 
@@ -81,6 +79,21 @@ class DaTrace:
     def proposals(self) -> int:
         return sum(len(new) for rnd in self.rounds for new in rnd.applicants.values())
 
+    @cached_property
+    def pairs(self) -> tuple[InterruptPair, ...]:
+        """The interrupting pairs, sorted by (round, student, school): a student
+        rejected from s interrupted when s turned anyone away in an earlier
+        round since she proposed there."""
+        entry: dict[int, int] = {}  # round in which each student proposed to her current school
+        last_reject: dict[int, int] = {}  # latest earlier round with a rejection, per school
+        pairs = []
+        for r, rnd in enumerate(self.rounds):
+            entry.update((i, r) for new in rnd.applicants.values() for i in new)
+            for s, rejected in rnd.rejected.items():
+                pairs += [(r + 1, i, s) for i in rejected if last_reject.get(s, -1) >= entry[i]]
+                last_reject[s] = r
+        return tuple(InterruptPair(i, s, r) for r, i, s in sorted(pairs))
+
 
 @dataclass(frozen=True)
 class InterruptPair:
@@ -95,48 +108,34 @@ class InterruptPair:
 def _propose(problem: Problem, prefs):
     """Run the proposal loop with ``prefs`` in place of ``problem.prefs``.
 
-    Returns the matching, the interrupting pairs as ``(rejection round,
-    student, school)`` in round order, and each round's proposers, unordered.
+    Returns the matching and each round's proposers, unordered.
     """
     n = problem.n_students
     prio_tables, priorities = problem._prio_rank, problem.priorities
     quotas = problem.quotas
     choices = [iter(p) for p in prefs]  # the schools each student has yet to try
-    entry = [0] * n  # round in which each student proposed to her current school
-    last_reject = [-1] * problem.n_schools  # latest round with a rejection, per school
-    before = [-1] * problem.n_schools  # the latest such round before that one
     held: list[list[int]] = [[] for _ in range(problem.n_schools)]  # priority ranks, best first
     active = list(range(n))
-    pairs = []
     log = []
     while active:
         # Taking a round's proposals one at a time ends it as if all came at once.
-        r = len(log)
         log.append(active)
         rejected = []
         for i in active:
             s = next(choices[i], None)
             if s is None:
                 continue  # she has exhausted her list
-            entry[i] = r
             roster = held[s]
             insort(roster, prio_tables[s][i])
             if len(roster) > quotas[s]:
-                loser = priorities[s][roster.pop() - 1]
-                rejected.append(loser)
-                if last_reject[s] < r:
-                    before[s], last_reject[s] = last_reject[s], r
-                # She interrupted if s turned anyone away in an earlier round
-                # since she arrived; a newcomer (entry r) never qualifies.
-                if before[s] >= entry[loser]:
-                    pairs.append((r + 1, loser, s))
+                rejected.append(priorities[s][roster.pop() - 1])
         active = rejected
 
     assignment = [NULL_SCHOOL] * n
     for s, roster in enumerate(held):
         for rank in roster:
             assignment[priorities[s][rank - 1]] = s
-    return Matching(tuple(assignment)), pairs, log
+    return Matching(tuple(assignment)), log
 
 
 def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
@@ -146,9 +145,8 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     A student who exhausts her list is assigned the null school and stops
     proposing.  Total proposals are bounded by ``n_students * n_schools``.
     """
-    matching, pairs, log = _propose(problem, problem.prefs)
-    interrupting = tuple(InterruptPair(i, s, r) for r, i, s in sorted(pairs))
-    return matching, DaTrace(matching, interrupting, problem.prefs, log)
+    matching, log = _propose(problem, problem.prefs)
+    return matching, DaTrace(matching, problem.prefs, log)
 
 
 def rejecting_schools(problem: Problem, trace: DaTrace, improvable) -> set[int]:
@@ -171,7 +169,6 @@ def interrupters(problem: Problem, trace: DaTrace) -> list[InterruptPair]:
     A pair (i, s) qualifies when some other student was rejected from s in a
     round at whose end i was tentatively held there, and i was later rejected
     from s herself.  A rejection in the very round a student arrives counts:
-    she ends that round held while the other was turned away.  DA records
-    the pairs as it runs; this returns them.
+    she ends that round held while the other was turned away.
     """
     return list(trace.pairs)

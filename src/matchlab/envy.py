@@ -6,9 +6,11 @@ also want j's school and outrank i there, i.e. the potential victims were i
 to take that seat.  Students lying on directed cycles are exactly the ones
 that some Pareto improvement over the input matching can help.
 
-Edges come from ``model.envied``, which walks each student's preference
-prefix above her own seat, so the graph costs O(sum of ranks + edges), not
-O(n^2).  With quotas above one an edge targets a specific student (a seat).
+Envy comes from ``model.envied``, which walks each student's preference
+prefix above her own seat, so it costs O(sum of ranks), not O(n^2).  Cycles
+are searched on the student -> school graph (the pointing graph of top
+trading cycles), one edge per envy pair; with quotas above one an edge i -> j
+targets a seat, one per occupant, and ``edges`` spells those out on demand.
 
 A label depends only on the target's school, and every label is a prefix of
 one list per school: its *contenders*, the improvable students who envy it,
@@ -43,8 +45,8 @@ from matchlab.model import (
 
 @dataclass(frozen=True)
 class LabelledEnvyDigraph:
-    """Envy edges, the improvable students, and per school the contenders
-    whose prefixes label the edges into it.
+    """The improvable students and, per school, the contenders whose
+    prefixes label the envy edges into it.
 
     ``seats`` is the DA assignment.  ``contenders[s]`` lists the improvable
     students who envy school s, best priority first; ``ahead[s]`` maps each
@@ -52,7 +54,6 @@ class LabelledEnvyDigraph:
     priority order.
     """
 
-    edges: dict[int, tuple[int, ...]]
     improvable: frozenset[int]
     seats: tuple[int, ...]
     contenders: tuple[tuple[int, ...], ...]
@@ -63,17 +64,23 @@ class LabelledEnvyDigraph:
         return school != NULL_SCHOOL and i in self.ahead[school]
 
     @cached_property
-    def labels(self) -> dict[tuple[int, int], frozenset[int]]:
-        """Every edge's label, spelled out on first read."""
-        rosters: list[list[int]] = [[] for _ in self.contenders]
+    def edges(self) -> dict[int, tuple[int, ...]]:
+        """Every student's envy edges, targets ascending, spelled out on first read."""
+        out: dict[int, list[int]] = {i: [] for i in range(len(self.seats))}
         for j, school in enumerate(self.seats):
             if school != NULL_SCHOOL:
-                rosters[school].append(j)
+                for i in self.ahead[school]:
+                    out[i].append(j)
+        return {i: tuple(targets) for i, targets in out.items()}
+
+    @cached_property
+    def labels(self) -> dict[tuple[int, int], frozenset[int]]:
+        """Every edge's label, spelled out on first read."""
         out = {}
-        for school, roster in enumerate(rosters):
-            for i, k in self.ahead[school].items():
-                label = frozenset(self.contenders[school][:k])
-                out.update(((i, j), label) for j in roster)
+        for i, targets in self.edges.items():
+            for j in targets:
+                school = self.seats[j]
+                out[i, j] = frozenset(self.contenders[school][: self.ahead[school][i]])
         return out
 
 
@@ -127,22 +134,21 @@ def cycle_members(n: int, edges) -> frozenset[int]:
     return frozenset(np.flatnonzero(np.bincount(component)[component] >= 2).tolist())
 
 
-def envy_edges(problem: Problem, matching: Matching, envious) -> dict[int, tuple[int, ...]]:
-    """Edges i -> j for each i in ``envious[s]`` (see ``envied``) and each occupant j
-    of s; every target tuple ascends."""
-    edges: list[list[int]] = [[] for _ in range(problem.n_students)]
-    for school, roster in enumerate(matching.rosters(problem)):
-        for i in envious[school]:
-            edges[i].extend(roster)
-    return {i: tuple(sorted(targets)) for i, targets in enumerate(edges)}
+def on_envy_cycle(seats, envious) -> frozenset[int]:
+    """The students on an envy cycle at ``seats``; ``envious[s]`` lists who
+    envies school s.  On the reversed student -> school graph, school s is
+    node ``n + s`` and points at its enviers, a student at her seat."""
+    n = len(seats)
+    edges = {n + s: students for s, students in enumerate(envious)}
+    edges.update((i, (n + s,)) for i, s in enumerate(seats) if s != NULL_SCHOOL)
+    return frozenset(v for v in cycle_members(n + len(envious), edges) if v < n)
 
 
 def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
     """Build the labelled envy digraph of a (deferred-acceptance) matching."""
     check_feasible(problem, da_matching)
     envious = envied(problem, da_matching.assignment)
-    edges = envy_edges(problem, da_matching, envious)
-    improvable = cycle_members(problem.n_students, edges)
+    improvable = on_envy_cycle(da_matching.assignment, envious)
     contenders, ahead = [], []
     for school, students in enumerate(envious):
         leading: list[int] = []
@@ -154,7 +160,6 @@ def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
         contenders.append(tuple(leading))
         ahead.append(count)
     return LabelledEnvyDigraph(
-        edges=edges,
         improvable=improvable,
         seats=da_matching.assignment,
         contenders=tuple(contenders),

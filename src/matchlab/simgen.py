@@ -157,7 +157,8 @@ def run_experiment(config: GenConfig, jobs: int = 1, per_instance=None) -> Aggre
     """
     tasks = [(config, rep) for rep in range(config.replications)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers at once, so start no more than there are tasks.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_one_replication, tasks, chunksize=8))
     else:
         results = [_one_replication(t) for t in tasks]

@@ -40,7 +40,6 @@ from matchlab.envy import (
     admissible_adjacency,
     admitted,
     da_context,
-    decompose_as_packing,
 )
 from matchlab.jbc import run_jbc
 from matchlab.model import Matching, Problem, envied
@@ -119,13 +118,13 @@ def run_expansion(problem: Problem, digraph=None, log=None):
     if not digraph.improvable:
         return da_matching, frozenset()
 
-    jbc_matching, _ = run_jbc(problem, digraph)
-    packing = decompose_as_packing(problem, da_matching, jbc_matching)
+    # JBC's trades: each school's entrant takes the seat of the previous school's.
+    _, graph = run_jbc(problem, digraph)
     perm = {i: i for i in digraph.improvable}
-    for cycle in packing.cycles:
-        for pos, i in enumerate(cycle):
-            perm[i] = cycle[(pos + 1) % len(cycle)]
-    state = ExpansionState(0, frozenset(packing.covered), perm, {})
+    for cycle in graph.cycles:
+        for pos, s in enumerate(cycle):
+            perm[graph.jbc_student[s]] = graph.jbc_student[cycle[pos - 1]]
+    state = ExpansionState(0, frozenset(i for i, j in perm.items() if i != j), perm, {})
     if log is not None:
         log.append(_expansion_line(problem, state))
 

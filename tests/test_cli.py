@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchlab
+from matchlab import simgen
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
 from matchlab.model import load_problem, matching_from_dict
@@ -398,4 +399,33 @@ def test_simulate_csv_identical_across_jobs(tmp_path, capsys):
         )
         assert code == 0
         outputs.append((agg.read_bytes(), per.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_simulate_starts_at_most_one_worker_per_replication(tmp_path, capsys, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        """Records the requested pool size and maps in this process."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(simgen, "ProcessPoolExecutor", SerialPool)
+    outputs = []
+    for jobs in ("1", "1000"):
+        agg = tmp_path / f"stats{jobs}.csv"
+        args = ("--n", "8", "--model", "iid", "--reps", "3", "--seed", "5", "--jobs", jobs)
+        assert run_cli(capsys, "simulate", *args, "--out", str(agg))[0] == 0
+        outputs.append(agg.read_bytes())
+    assert workers == [3]
     assert outputs[0] == outputs[1]

@@ -7,7 +7,7 @@ from dataclasses import replace
 from matchlab.analysis import is_justifiable
 from matchlab.cli import main
 from matchlab.da import DaTrace, interrupters, rejecting_schools, run_da
-from matchlab.envy import build_envy
+from matchlab.envy import LabelledEnvyDigraph, build_envy
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc
 from matchlab.model import (
@@ -292,12 +292,20 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
 
 
 def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
-    def refuse(trace):
-        raise AssertionError("DA round table built")
+    # The pipeline reads neither the round table (nor ``DaTrace.pairs``, which
+    # reads it) nor the envy digraph's spelled-out edges and labels.
+    def refuse(view):
+        raise AssertionError(f"on-read view of {type(view).__name__} built")
 
     monkeypatch.setattr(DaTrace, "rounds", property(refuse))
-    with pytest.raises(AssertionError):
-        run_da(load_fixture("ex1"))[1].rounds  # the guard is live
+    monkeypatch.setattr(LabelledEnvyDigraph, "edges", property(refuse))
+    monkeypatch.setattr(LabelledEnvyDigraph, "labels", property(refuse))
+    ex1 = load_fixture("ex1")
+    trace = run_da(ex1)[1]
+    digraph = build_envy(ex1, trace.final)
+    for read in (lambda: trace.rounds, lambda: digraph.edges, lambda: digraph.labels):
+        with pytest.raises(AssertionError):
+            read()  # the guards are live
 
     problems = [load_fixture(name) for name in ("ex1", "exd", "exe", "exnoeff", "explus")]
     iid = GenConfig(n=12, model="iid", replications=1, seed=41)

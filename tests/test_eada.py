@@ -4,7 +4,7 @@ import pytest
 
 from matchlab import da as da_mod
 from matchlab.analysis import is_pareto_efficient
-from matchlab.da import run_da
+from matchlab.da import DaTrace, run_da
 from matchlab.eada import EadaIteration, EadaRun, _validated_consent, eada_orbit, run_eada
 from matchlab.fixtures import load_fixture
 from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
@@ -68,17 +68,23 @@ def kesten_eada(problem, consent):
     interrupts."""
     members = _validated_consent(problem, consent)
     prefs = [list(p) for p in problem.prefs]
-    matching, pairs, _ = da_mod._propose(problem, prefs)
+
+    def rerun():
+        matching, log = da_mod._propose(problem, prefs)
+        # The trace replays lazily, so it gets a frozen copy of the lists.
+        return matching, DaTrace(matching, tuple(map(tuple, prefs)), log).pairs
+
+    matching, pairs = rerun()
     iterations = []
     while True:
-        consenting = [p for p in pairs if p[1] in members]  # (round, student, school)
+        consenting = [p for p in pairs if p.student in members]
         if not consenting:
             break
-        last_round = consenting[-1][0]
-        batch = sorted((i, s) for r, i, s in consenting if r == last_round)
+        last_round = consenting[-1].rejection_round
+        batch = sorted((p.student, p.school) for p in consenting if p.rejection_round == last_round)
         for student, school in batch:
             prefs[student].remove(school)
-        matching, pairs, _ = da_mod._propose(problem, prefs)
+        matching, pairs = rerun()
         iterations.append(EadaIteration(tuple(batch), matching))
     return matching, EadaRun(tuple(iterations), matching)
 

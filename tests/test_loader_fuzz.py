@@ -1,6 +1,6 @@
 """Any mutation of a fixture's instance file, of its bytes, or of a matching
-file exits 0 or 2 from the CLI (1 only for an unjustifiable matching), never a
-traceback."""
+file exits 0 or 2 from every CLI subcommand that reads it (1 only for an
+unjustifiable matching), never a traceback."""
 
 import contextlib
 import copy
@@ -21,6 +21,8 @@ from hypothesis import strategies as st  # noqa: E402
 RAW = {name: fixture_path(name).read_bytes() for name in ("ex1", "exd", "exe", "exnoeff", "explus")}
 FIXTURES = {name: json.loads(raw.decode("utf-8")) for name, raw in RAW.items()}
 FIELDS = ("students", "schools", "prefs", "priorities")
+# The subcommands that read only an instance; the oracle's budget keeps it quick.
+INSPECTORS = (["trace"], ["envy"], ["eada-orbit"], ["oracle", "--budget", "200000"])
 
 junk = st.one_of(
     st.none(),
@@ -102,6 +104,8 @@ def test_mutated_instances_exit_0_or_2(data):
         assert main(["solve", "--mechanism", "da", str(instance), "--out", str(matching)]) in (0, 2)
         # solve's DA matching is stable, hence justifiable; a file solve refused, analyze refuses too
         assert main(["analyze", str(instance), str(matching)]) in (0, 2)
+        for command in INSPECTORS:
+            assert main([*command, str(instance)]) in (0, 2), command
 
 
 @st.composite
@@ -126,6 +130,8 @@ def test_mutated_instance_bytes_exit_0_or_2(raw):
         matching.write_text('{"assignment": {}}', encoding="utf-8")
         assert main(["solve", "--mechanism", "da", str(instance), "--out", str(matching)]) in (0, 2)
         assert main(["analyze", str(instance), str(matching)]) in (0, 2)
+        for command in INSPECTORS:
+            assert main([*command, str(instance)]) in (0, 2), command
 
 
 def _solved(name, mechanism):
