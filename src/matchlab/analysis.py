@@ -5,6 +5,8 @@ improvement herself or could never have gained from any improvement; a
 matching is *justifiable* when every violation is of that kind.  It is
 *strongly justifiable* when it trades along cycles whose edges carry empty
 labels, so no improvable student's priority is even potentially at stake.
+Both verdicts read the DA outcome and its improvable students from
+``envy.da_context``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from matchlab.model import (
     rank_of,
     violations,
 )
-from matchlab.envy import (
-    LabelledEnvyDigraph,
-    da_context,
-    decompose_as_packing,
-    on_envy_cycle,
-    packing_label,
-)
+from matchlab.envy import da_context, decompose_as_packing, on_envy_cycle, packing_label
 
 VICTIM_BENEFICIARY = "beneficiary"
 VICTIM_UNIMPROVABLE = "unimprovable"
@@ -72,16 +68,13 @@ def beneficiaries(problem: Problem, da_matching: Matching, matching: Matching) -
     return frozenset(out)
 
 
-def is_justifiable(
-    problem: Problem, matching: Matching, digraph: LabelledEnvyDigraph | None = None
-) -> Verdict:
+def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
     """Full verdict for a matching that weakly dominates DA.
 
     Each violation victim is tagged; the matching is justifiable when no
-    victim is an improvable student left at her DA seat.  ``digraph`` is the
-    DA envy digraph, which carries the DA seats.
+    victim is an improvable student left at her DA seat.
     """
-    da_matching, digraph = da_context(problem, digraph)
+    da_matching, digraph = da_context(problem)
     benef = beneficiaries(problem, da_matching, matching)
     tagged = []
     justifiable = True
@@ -98,19 +91,14 @@ def is_justifiable(
         beneficiaries=benef,
         violations=tuple(tagged),
         justifiable=justifiable,
-        strongly_justifiable=is_strongly_justifiable(problem, matching, digraph),
+        strongly_justifiable=is_strongly_justifiable(problem, matching),
         pareto_efficient=is_pareto_efficient(problem, matching),
     )
 
 
-def is_strongly_justifiable(
-    problem: Problem, matching: Matching, digraph: LabelledEnvyDigraph | None = None
-) -> bool:
-    """True iff the matching trades along cycles whose labels are all empty.
-
-    ``digraph`` is the DA envy digraph, which carries the DA seats.
-    """
-    da_matching, digraph = da_context(problem, digraph)
+def is_strongly_justifiable(problem: Problem, matching: Matching) -> bool:
+    """True iff the matching trades along cycles whose labels are all empty."""
+    da_matching, digraph = da_context(problem)
     packing = decompose_as_packing(problem, da_matching, matching)
     if packing is None:
         return False
@@ -153,10 +141,7 @@ def reassignment_chain(
         )
 
     assignment = list(matching.assignment)
-    rosters = [[] for _ in range(problem.n_schools)]
-    for i, s in enumerate(assignment):
-        if s != NULL_SCHOOL:
-            rosters[s].append(i)
+    rosters = matching.rosters(problem)  # fresh lists, mutated as the chain moves
 
     transcript = [(claimant, school)]
     mover, target = claimant, school

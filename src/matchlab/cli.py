@@ -72,11 +72,6 @@ def _parser() -> argparse.ArgumentParser:
     simulate.add_argument("--jobs", type=int, default=1)
     simulate.add_argument("--out", help="aggregate CSV path (default: stdout)")
     simulate.add_argument("--per-instance", help="also dump per-replication metrics here")
-    simulate.add_argument(
-        "--full",
-        action="store_true",
-        help="full-scale run (2000 replications); not part of the test suite",
-    )
     return parser
 
 
@@ -222,17 +217,15 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    reps = 2000 if args.full else args.reps
     config = simgen.GenConfig(
         n=args.n,
         model=args.model,
         rho=args.rho,
-        replications=reps,
+        replications=args.reps,
         seed=args.seed,
         consent_fraction=args.consent_frac,
     )
-    per_instance = [] if args.per_instance else None
-    stats = simgen.run_experiment(config, jobs=args.jobs, per_instance=per_instance)
+    stats = simgen.run_experiment(config, jobs=args.jobs)
 
     def write_rows(fh):
         writer = csv.writer(fh)
@@ -245,11 +238,11 @@ def _cmd_simulate(args) -> int:
             write_rows(fh)
     else:
         write_rows(sys.stdout)
-    if per_instance is not None:
+    if args.per_instance:
         with open(args.per_instance, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["replication", "mechanism", "metric", "value"])
-            for rec in per_instance:
+            for rec in stats.records:
                 for mech in simgen.MECHANISMS:
                     for metric in simgen.METRICS:
                         writer.writerow(

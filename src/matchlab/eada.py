@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from matchlab import da as da_mod
 from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem
 
+ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
+
 
 @dataclass(frozen=True)
 class EadaIteration:
@@ -108,11 +110,11 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     return matching, EadaRun(tuple(iterations), matching)
 
 
-def eada_orbit(problem: Problem, limit: int = 20) -> dict[frozenset[int], Matching]:
-    """Outcome for every consent set.  Exponential; refuses past ``limit``."""
+def eada_orbit(problem: Problem) -> dict[frozenset[int], Matching]:
+    """Outcome for every consent set.  Exponential; refuses past ``ORBIT_LIMIT``."""
     n = problem.n_students
-    if n > limit:
-        raise InputError(f"orbit enumeration limited to {limit} students, got {n}")
+    if n > ORBIT_LIMIT:
+        raise InputError(f"orbit enumeration limited to {ORBIT_LIMIT} students, got {n}")
     orbit = {}
     for mask in range(1 << n):
         consent = frozenset(i for i in range(n) if mask >> i & 1)

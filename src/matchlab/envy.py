@@ -20,6 +20,9 @@ label of i -> j is the first that-many contenders of j's school.  Whether a
 label lies inside a covered set is then one integer compare against the
 school's *reach*, the number of its leading contenders that are covered.
 ``labels`` spells every label out on demand.
+
+Every mechanism and verdict reads the digraph of the DA outcome through
+``da_context``, which builds it once per problem.
 """
 
 from __future__ import annotations
@@ -205,14 +208,16 @@ def admissible_adjacency(
     return {i: tuple(targets) for i, targets in adj.items()}
 
 
-def da_context(problem: Problem, digraph=None):
-    """The DA matching and its envy digraph.
+def da_context(problem: Problem):
+    """The DA matching and its envy digraph, built on the first call.
 
-    The digraph carries the DA seats, so DA runs only when no digraph is
-    given, and the matching is always the one the digraph was built from.
+    The digraph is kept on the problem, beside its rank tables; a problem
+    is immutable, so it never goes stale.  The matching is read off the
+    digraph's DA seats.
     """
+    digraph = vars(problem).get("_da_digraph")
     if digraph is None:
-        digraph = build_envy(problem, run_da(problem)[0])
+        digraph = vars(problem)["_da_digraph"] = build_envy(problem, run_da(problem)[0])
     return Matching(digraph.seats), digraph
 
 

@@ -8,11 +8,12 @@ all cycles of this out-degree-one graph improves its participants without
 putting any improvable student's priority at stake, and subsets of the
 cycles generate exactly the matchings with that property.
 
-The graph reads the envy digraph's per-school contenders.  A student
-proposes down her list, so the schools that rejected an improvable student
-are exactly those with a contender.  DA is stable and non-wasteful, so
-everyone who envies a school at DA ranks below its cutoff, and the school's
-just-below-cutoff student is its first contender.
+The graph reads the per-school contenders of the instance's DA envy
+digraph, ``envy.da_context``.  A student proposes down her list, so the
+schools that rejected an improvable student are exactly those with a
+contender.  DA is stable and non-wasteful, so everyone who envies a school
+at DA ranks below its cutoff, and the school's just-below-cutoff student is
+its first contender.
 """
 
 from __future__ import annotations
@@ -80,29 +81,26 @@ def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_jbc(problem: Problem, digraph=None):
+def run_jbc(problem: Problem):
     """Run the mechanism; returns the matching and the school graph.
 
-    ``digraph`` is the DA envy digraph, which carries the DA seats; it is
-    built when not given.  When deferred acceptance is already efficient
-    there is nothing to trade and DA comes back unchanged with an empty
-    graph.
+    When deferred acceptance is already efficient there is nothing to trade
+    and DA comes back unchanged with an empty graph.
     """
-    da_matching, digraph = da_context(problem, digraph)
+    da_matching, digraph = da_context(problem)
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
     graph = _school_graph(digraph)
     return _execute(problem, da_matching, graph, graph.cycles), graph
 
 
-def strongly_justifiable_family(problem: Problem, digraph=None):
+def strongly_justifiable_family(problem: Problem):
     """All matchings obtained by executing a subset of the mechanism's cycles.
 
     One matching per subset (the empty subset gives DA back); these are
-    exactly the strongly justifiable matchings of the instance.  ``digraph``
-    is the DA envy digraph, which carries the DA seats.
+    exactly the strongly justifiable matchings of the instance.
     """
-    da_matching, digraph = da_context(problem, digraph)
+    da_matching, digraph = da_context(problem)
     if not digraph.improvable:
         return [da_matching]
     graph = _school_graph(digraph)

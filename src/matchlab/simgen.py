@@ -62,7 +62,7 @@ class InstanceMetrics:
 
 @dataclass(frozen=True)
 class AggregateStats:
-    config: GenConfig
+    records: tuple[InstanceMetrics, ...]  # one per replication, in index order
     rows: tuple[tuple[str, str, float, float], ...]  # mechanism, metric, mean, stderr
 
 
@@ -109,21 +109,14 @@ def draw_instance_and_consent(config: GenConfig, replication_index: int):
     return problem, consent
 
 
-def _mechanism_outcomes(problem: Problem, consent):
+def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMetrics:
     da_matching, digraph = da_context(problem)
-    mu_star, b_star = sjbc_plus.run_expansion(problem, digraph)
-    plus = sjbc_plus.run_refinement(problem, mu_star, b_star, digraph)
     outcomes = {
         "da": da_matching,
         "eada_full": eada.run_eada(problem, range(problem.n_students))[0],
         "eada_half": eada.run_eada(problem, consent)[0],
-        "sjbc_plus": plus,
+        "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
     }
-    return outcomes, da_matching, digraph
-
-
-def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMetrics:
-    outcomes, da_matching, digraph = _mechanism_outcomes(problem, consent)
     da_ranks = [rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students)]
     values = {}
     for name, matching in outcomes.items():
@@ -148,12 +141,11 @@ def _one_replication(args) -> InstanceMetrics:
     return evaluate_instance(problem, consent, rep)
 
 
-def run_experiment(config: GenConfig, jobs: int = 1, per_instance=None) -> AggregateStats:
+def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     """Evaluate all four mechanisms over the configured replications.
 
-    ``per_instance`` may be a list; it receives the ``InstanceMetrics`` of
-    every replication in index order.  Parallel runs aggregate in the same
-    order, so the statistics are identical for any job count.
+    The records and the aggregation follow replication order for any job
+    count, so the statistics are identical however the work is scheduled.
     """
     tasks = [(config, rep) for rep in range(config.replications)]
     if jobs > 1:
@@ -162,9 +154,6 @@ def run_experiment(config: GenConfig, jobs: int = 1, per_instance=None) -> Aggre
             results = list(pool.map(_one_replication, tasks, chunksize=8))
     else:
         results = [_one_replication(t) for t in tasks]
-    results.sort(key=lambda r: r.replication)
-    if per_instance is not None:
-        per_instance.extend(results)
 
     rows = []
     for mech in MECHANISMS:
@@ -176,7 +165,7 @@ def run_experiment(config: GenConfig, jobs: int = 1, per_instance=None) -> Aggre
             else:
                 stderr = 0.0
             rows.append((mech, metric, mean, stderr))
-    return AggregateStats(config, tuple(rows))
+    return AggregateStats(tuple(results), tuple(rows))
 
 
 def stats_value(stats: AggregateStats, mechanism: str, metric: str) -> tuple[float, float]:

@@ -26,6 +26,9 @@ matching whose execution cannot violate the priority of any improvable
 student outside the beneficiary set, until none remain.  That is the same
 rule, label inside the beneficiary set, applied to the envy of the current
 matching.
+
+Both phases, and JBC under them, read the one DA envy digraph of the
+instance from ``envy.da_context``.
 """
 
 from __future__ import annotations
@@ -35,12 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from matchlab.envy import (
-    LabelledEnvyDigraph,
-    admissible_adjacency,
-    admitted,
-    da_context,
-)
+from matchlab.envy import admissible_adjacency, admitted, da_context
 from matchlab.jbc import run_jbc
 from matchlab.model import Matching, Problem, envied
 
@@ -81,9 +79,7 @@ def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], kee
     return {nodes[r]: nodes[c] for r, c in zip(rows, cols)}
 
 
-def expansion_step(
-    problem: Problem, digraph: LabelledEnvyDigraph, state: ExpansionState
-) -> ExpansionState:
+def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     """One iteration: re-optimise the permutation under the current set.
 
     The new beneficiary set is the set of students on non-loop edges; it
@@ -91,6 +87,7 @@ def expansion_step(
     returns an equivalent state (same beneficiaries), which callers use as
     the stopping signal.
     """
+    _, digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
     allowed = admitted(digraph, state.beneficiaries, digraph.improvable)
     adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)  # keys: DA enviers
@@ -109,17 +106,14 @@ def _matching_from_permutation(problem, da_matching, perm) -> Matching:
     return Matching(tuple(assignment))
 
 
-def run_expansion(problem: Problem, digraph=None, log=None):
-    """Expand from the JBC matching; returns the matching and its beneficiaries.
-
-    ``digraph`` is the DA envy digraph, which carries the DA seats.
-    """
-    da_matching, digraph = da_context(problem, digraph)
+def run_expansion(problem: Problem, log=None):
+    """Expand from the JBC matching; returns the matching and its beneficiaries."""
+    da_matching, digraph = da_context(problem)
     if not digraph.improvable:
         return da_matching, frozenset()
 
     # JBC's trades: each school's entrant takes the seat of the previous school's.
-    _, graph = run_jbc(problem, digraph)
+    _, graph = run_jbc(problem)
     perm = {i: i for i in digraph.improvable}
     for cycle in graph.cycles:
         for pos, s in enumerate(cycle):
@@ -129,7 +123,7 @@ def run_expansion(problem: Problem, digraph=None, log=None):
         log.append(_expansion_line(problem, state))
 
     for _ in range(problem.n_students):
-        nxt = expansion_step(problem, digraph, state)
+        nxt = expansion_step(problem, state)
         if log is not None:
             log.append(_expansion_line(problem, nxt))
         if nxt.beneficiaries == state.beneficiaries:
@@ -170,15 +164,14 @@ def _find_cycle(nodes, adj):
     return None
 
 
-def run_refinement(problem: Problem, mu_star: Matching, b_star, digraph=None, log=None):
+def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
     """Trade along admissible cycles at the current matching until none remain.
 
     Cycles run among the fixed beneficiary set only, so the beneficiaries of
     the result equal ``b_star``; every executed cycle strictly improves each
-    of its members relative to her current seat.  ``digraph`` is the DA envy
-    digraph, which carries the DA seats.
+    of its members relative to her current seat.
     """
-    _, digraph = da_context(problem, digraph)
+    _, digraph = da_context(problem)
     b_star = frozenset(b_star)
     members = sorted(b_star)
     if not members:
@@ -205,6 +198,5 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, digraph=None, lo
 
 def run_sjbc_plus(problem: Problem, log=None) -> Matching:
     """Full pipeline: deferred acceptance, JBC, expansion, refinement."""
-    _, digraph = da_context(problem)
-    mu_star, b_star = run_expansion(problem, digraph, log=log)
-    return run_refinement(problem, mu_star, b_star, digraph, log=log)
+    mu_star, b_star = run_expansion(problem, log=log)
+    return run_refinement(problem, mu_star, b_star, log=log)

@@ -232,7 +232,7 @@ def test_property_battery_against_oracle():
                 failures["family lattice order"] += 1
 
             plus = run_sjbc_plus(problem)
-            jbc_matching, _ = run_jbc(problem, digraph)
+            jbc_matching, _ = run_jbc(problem)
             ok3 = rep_report.claims["sjbc_plus_outcome_justifiable"] and rep_report.claims[
                 "sjbc_plus_undominated_without_more_beneficiaries"
             ]
@@ -297,7 +297,7 @@ def test_many_to_one_battery_against_oracle():
         if not _lattice_matches_subset_order(problem, digraph):
             failures["family lattice order"] += 1
         plus = run_sjbc_plus(problem)
-        jbc_matching, _ = run_jbc(problem, digraph)
+        jbc_matching, _ = run_jbc(problem)
         if not (
             pareto_compare(problem, plus, da) == A_DOMINATES
             and oracle.beneficiaries_scan(problem, da, jbc_matching)
@@ -319,8 +319,8 @@ def test_many_to_one_battery_against_oracle():
 def _lattice_matches_subset_order(problem, digraph):
     if not digraph.improvable:
         return True
-    family = strongly_justifiable_family(problem, digraph)
-    _, graph = run_jbc(problem, digraph)
+    family = strongly_justifiable_family(problem)
+    _, graph = run_jbc(problem)
     k = len(graph.cycles)
     if k < 2:
         return True

@@ -99,7 +99,7 @@ def test_strongly_justifiable_implies_justifiable():
             if packing is None:
                 continue
             m = apply_packing(problem, da, packing)
-            verdict = is_justifiable(problem, m, g)
+            verdict = is_justifiable(problem, m)
             if verdict.strongly_justifiable:
                 assert verdict.justifiable
 
@@ -117,7 +117,7 @@ def test_label_containment_matches_definition():
             if packing is None:
                 continue
             m = apply_packing(problem, da, packing)
-            verdict = is_justifiable(problem, m, g)
+            verdict = is_justifiable(problem, m)
             label_ok = packing_label(g, packing) <= verdict.beneficiaries
             assert label_ok == verdict.justifiable
 
@@ -198,7 +198,7 @@ def test_verdict_consistency_random():
             if packing is None:
                 continue
             m = apply_packing(problem, da, packing)
-            verdict = is_justifiable(problem, m, g)
+            verdict = is_justifiable(problem, m)
             assert verdict.justifiable == all(
                 tag != VICTIM_IMPROVABLE_NON_BENEFICIARY for _, tag in verdict.violations
             )

@@ -44,7 +44,7 @@ def test_count_extractors_accept_live_results(ex1):
         "envy.build_envy": (ex1, da),
         "jbc.run_jbc": (ex1,),
         "sjbc_plus.run_expansion": (ex1,),
-        "sjbc_plus.expansion_step": (ex1, digraph, start),
+        "sjbc_plus.expansion_step": (ex1, start),
         "eada.run_eada": (ex1, range(ex1.n_students)),
     }
     counts = {}

@@ -280,7 +280,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         digraph = build_envy(problem, da)
         expected = rejecting_by_replay(trace, digraph.improvable)
         assert rejecting_schools(problem, trace, digraph.improvable) == expected
-        assert set(run_jbc(problem, digraph)[1].nodes) == expected
+        assert set(run_jbc(problem)[1].nodes) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
         wanted = envied(problem, da.assignment)
         got = rejecting_schools(problem, trace, subset)

@@ -1,9 +1,10 @@
+import inspect
 import random
 
 import pytest
 
 from matchlab import oracle
-from matchlab.analysis import is_pareto_efficient
+from matchlab.analysis import is_justifiable, is_pareto_efficient, is_strongly_justifiable
 from matchlab.da import run_da
 from matchlab.envy import (
     CyclePacking,
@@ -13,10 +14,13 @@ from matchlab.envy import (
     build_envy,
     canonical_packing,
     cycle_members,
+    da_context,
     decompose_as_packing,
     packing_label,
 )
-from matchlab.jbc import run_jbc
+from matchlab.fixtures import load_fixture
+from matchlab.jbc import run_jbc, strongly_justifiable_family
+from matchlab.sjbc_plus import expansion_step, run_expansion, run_refinement, run_sjbc_plus
 from matchlab.model import InputError, Matching, Problem, envied, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, gen_instance
 
@@ -392,7 +396,7 @@ def test_admissible_adjacency_matches_label_containment():
         nodes = sorted(g.improvable)
         everyone = frozenset(range(problem.n_students))
         some = frozenset(i for i in nodes if rng.random() < 0.5)
-        jbc_matching, _ = run_jbc(problem, g)
+        jbc_matching, _ = run_jbc(problem)
         for covered in (frozenset(), some, g.improvable, everyone):
             allowed = admitted(g, covered, g.improvable)
             wanting = envied(problem, da.assignment)
@@ -430,7 +434,7 @@ def test_packing_label_is_union_of_definitional_labels():
         g = build_envy(problem, da)
         labels = labels_by_definition(problem, da, g.edges, g.improvable)
         packings = [random_packing(g, rng) for _ in range(3)]
-        packings.append(decompose_as_packing(problem, da, run_jbc(problem, g)[0]))
+        packings.append(decompose_as_packing(problem, da, run_jbc(problem)[0]))
         traded = [(i, j) for i in sorted(g.improvable) for j in g.edges[i] if j in g.improvable]
         for i, j in rng.sample(traded, min(len(traded), 20)):
             cycle = cycle_through_edge(g, i, j)
@@ -470,3 +474,46 @@ def test_cycle_members_match_reachability():
             if rng.random() < 0.9
         }
         assert cycle_members(n, edges) == on_cycle(edges)
+
+
+def test_da_context_is_built_once_per_problem(monkeypatch):
+    # Mechanisms and verdicts share one DA envy digraph per problem, built on
+    # the first read and kept on the problem without changing its value.
+    calls = {"run_da": 0, "build_envy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("matchlab.envy.run_da", counted("run_da", run_da))
+    monkeypatch.setattr("matchlab.envy.build_envy", counted("build_envy", build_envy))
+    problem = load_fixture("ex1")
+    plus = run_sjbc_plus(problem)
+    run_jbc(problem)
+    strongly_justifiable_family(problem)
+    is_justifiable(problem, plus)
+    is_strongly_justifiable(problem, plus)
+    assert calls == {"run_da": 1, "build_envy": 1}
+
+    again = load_fixture("ex1")
+    assert da_context(again)[1] is not da_context(problem)[1]
+    assert da_context(again)[1] == da_context(problem)[1]
+    assert calls == {"run_da": 2, "build_envy": 2}
+
+    fresh = load_fixture("ex1")
+    assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
+
+    assert list(inspect.signature(da_context).parameters) == ["problem"]
+    assert list(inspect.signature(expansion_step).parameters) == ["problem", "state"]
+    for fn in (
+        run_jbc,
+        strongly_justifiable_family,
+        run_expansion,
+        run_refinement,
+        is_justifiable,
+        is_strongly_justifiable,
+    ):
+        assert "digraph" not in inspect.signature(fn).parameters, fn.__name__

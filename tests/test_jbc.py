@@ -139,7 +139,7 @@ def test_jbc_outcome_properties_random():
                 assert matching == da
                 continue
             assert pareto_compare(problem, matching, da) == A_DOMINATES
-            assert is_strongly_justifiable(problem, matching, digraph)
+            assert is_strongly_justifiable(problem, matching)
 
 
 def test_family_lattice_is_subset_order():
@@ -180,7 +180,7 @@ def test_jbc_entrant_is_best_below_cutoff_student():
     for problem in mixed_markets(2034, 600):
         da, _ = run_da(problem)
         digraph = build_envy(problem, da)
-        _, graph = run_jbc(problem, digraph)
+        _, graph = run_jbc(problem)
         for s in range(problem.n_schools):
             if s not in graph.nodes:
                 with pytest.raises(InputError):

@@ -116,8 +116,8 @@ def test_run_experiment_parallel_matches_serial():
 
 def test_per_instance_invariants():
     cfg = GenConfig(n=10, model="iid", replications=12, seed=33)
-    rows = []
-    stats = run_experiment(cfg, per_instance=rows)
+    stats = run_experiment(cfg)
+    rows = stats.records
     assert [r.replication for r in rows] == list(range(12))
     for rec in rows:
         assert rec.values["sjbc_plus"]["justifiable_rate"] == 100.0

@@ -21,7 +21,7 @@ MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6"
 def bootstrap_state(problem):
     da, _ = run_da(problem)
     digraph = build_envy(problem, da)
-    jbc_matching, _ = run_jbc(problem, digraph)
+    jbc_matching, _ = run_jbc(problem)
     packing = decompose_as_packing(problem, da, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
@@ -33,7 +33,7 @@ def bootstrap_state(problem):
 def test_expansion_step_ex1_covers_everyone(ex1):
     da, digraph, state = bootstrap_state(ex1)
     assert names_of(ex1, state.beneficiaries) == ["i1", "i4", "i5"]
-    nxt = expansion_step(ex1, digraph, state)
+    nxt = expansion_step(ex1, state)
     assert names_of(ex1, nxt.beneficiaries) == ["i1", "i2", "i3", "i4", "i5", "i6"]
     # the permutation decomposes into cycles: left and right cover coincide
     non_loops = {(i, j) for i, j in nxt.permutation.items() if i != j}
@@ -44,15 +44,15 @@ def test_expansion_step_ex1_covers_everyone(ex1):
 def test_expansion_step_exnoeff_stalls(exnoeff):
     da, digraph, state = bootstrap_state(exnoeff)
     assert names_of(exnoeff, state.beneficiaries) == ["i1", "i2", "i4"]
-    nxt = expansion_step(exnoeff, digraph, state)
+    nxt = expansion_step(exnoeff, state)
     assert nxt.beneficiaries == state.beneficiaries
     assert nxt.permutation == state.permutation
 
 
 def test_expansion_step_fixed_point_when_everyone_trades(ex1):
     da, digraph, state = bootstrap_state(ex1)
-    grown = expansion_step(ex1, digraph, state)
-    again = expansion_step(ex1, digraph, grown)
+    grown = expansion_step(ex1, state)
+    again = expansion_step(ex1, grown)
     assert again.beneficiaries == grown.beneficiaries
 
 
@@ -144,11 +144,11 @@ def test_outcome_guarantees_random():
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=210 + n), rep)
             da, _ = run_da(problem)
             digraph = build_envy(problem, da)
-            jbc_matching, _ = run_jbc(problem, digraph)
+            jbc_matching, _ = run_jbc(problem)
             plus = run_sjbc_plus(problem)
             if digraph.improvable:
                 assert pareto_compare(problem, plus, da) == A_DOMINATES
-                verdict = is_justifiable(problem, plus, digraph)
+                verdict = is_justifiable(problem, plus)
                 assert verdict.justifiable
                 assert beneficiaries(problem, da, jbc_matching) <= verdict.beneficiaries
             else:
@@ -165,7 +165,7 @@ def test_expansion_permutation_always_cycle_structured():
                 continue
             _, digraph2, state = bootstrap_state(problem)
             for _ in range(n):
-                state = expansion_step(problem, digraph2, state)
+                state = expansion_step(problem, state)
                 non_loops = {(i, j) for i, j in state.permutation.items() if i != j}
                 assert {i for i, _ in non_loops} == {j for _, j in non_loops}
                 for i, j in non_loops:
