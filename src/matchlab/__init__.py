@@ -21,11 +21,10 @@ from matchlab.model import (
     respects_priorities_of,
     violations,
 )
-from matchlab.da import DaTrace, InterruptPair, interrupters, rejecting_schools, run_da
+from matchlab.da import DaTrace, InterruptPair, interrupters, run_da
 from matchlab.envy import (
     CyclePacking,
     LabelledEnvyDigraph,
-    apply_packing,
     build_envy,
     decompose_as_packing,
     packing_label,
@@ -38,7 +37,7 @@ from matchlab.analysis import (
     is_strongly_justifiable,
     reassignment_chain,
 )
-from matchlab.jbc import SchoolGraph, below_cutoff_set, cutoff_student, run_jbc, strongly_justifiable_family
+from matchlab.jbc import SchoolGraph, run_jbc, strongly_justifiable_family
 from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 from matchlab.eada import EadaRun, eada_orbit, run_eada
 from matchlab.oracle import enumerate_matchings, oracle_report, verify_theorem5_steps
@@ -62,11 +61,8 @@ __all__ = [
     "SchoolGraph",
     "EadaRun",
     "GenConfig",
-    "apply_packing",
-    "below_cutoff_set",
     "beneficiaries",
     "build_envy",
-    "cutoff_student",
     "decompose_as_packing",
     "eada_orbit",
     "enumerate_matchings",
@@ -81,7 +77,6 @@ __all__ = [
     "pareto_compare",
     "rank_of",
     "reassignment_chain",
-    "rejecting_schools",
     "respects_priorities_of",
     "run_da",
     "run_eada",

@@ -18,7 +18,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, envied
+from matchlab.model import NULL_SCHOOL, Matching, Problem
 
 
 @dataclass(frozen=True)
@@ -147,20 +147,6 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     """
     matching, log = _propose(problem, problem.prefs)
     return matching, DaTrace(matching, problem.prefs, log)
-
-
-def rejecting_schools(problem: Problem, trace: DaTrace, improvable) -> set[int]:
-    """Schools that rejected at least one student from ``improvable``.
-
-    A student proposes down her list, so the schools that rejected her are
-    exactly those she prefers to her DA seat; the round table is not read.
-    """
-    improvable = set(improvable)
-    for i in improvable:
-        if not 0 <= i < problem.n_students:
-            raise InputError(f"invalid student id {i} in improvable set")
-    wanting = envied(problem, trace.final.assignment)
-    return {s for s, envious in enumerate(wanting) if not improvable.isdisjoint(envious)}
 
 
 def interrupters(problem: Problem, trace: DaTrace) -> list[InterruptPair]:

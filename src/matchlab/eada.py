@@ -4,8 +4,9 @@ Kesten's EADA reruns deferred acceptance after deleting, batch by batch, the
 schools of consenting interrupters.  For full consent, Tang and Yu (JET 2014)
 show the outcome equals a peel over underdemanded schools: a school that no
 student still in play ranks above her DA seat keeps its students, so they are
-fixed and leave the market.  This module runs that peel for every consent set,
-on one mutable copy of the preference lists and ``da._propose``:
+fixed and leave the market.  This module runs that peel for every consent set.
+It starts from the problem's DA outcome, ``envy.da_context``, and reruns
+``da._propose`` on one mutable copy of the preference lists:
 
 1. From the current DA outcome, a live (not yet fixed) student is fixed when
    she is unassigned, or sits at a school no live student ranks above her own
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from matchlab import da as da_mod
+from matchlab.envy import da_context
 from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
@@ -71,7 +73,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     # Per school, the best priority rank of a non-consenter cut from it; only
     # students ranked above it may still take it.
     cap = [problem.n_students + 1] * problem.n_schools
-    matching = da_mod._propose(problem, prefs)[0]
+    matching = da_context(problem)[0]
     live = list(range(problem.n_students))
     iterations = []
     while live:

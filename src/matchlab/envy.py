@@ -221,44 +221,6 @@ def da_context(problem: Problem):
     return Matching(digraph.seats), digraph
 
 
-def _check_packing(problem: Problem, da_matching: Matching, packing: CyclePacking) -> None:
-    seen = set()
-    own_rank = {}
-    for cycle in packing.cycles:
-        if len(cycle) < 2:
-            raise InputError("cycles must have at least two students")
-        for i in cycle:
-            if not 0 <= i < problem.n_students:
-                raise InputError(f"invalid student id {i} in packing")
-            if i in seen:
-                raise InputError(f"student {problem.students[i]} appears in two cycles")
-            seen.add(i)
-        for pos, i in enumerate(cycle):
-            j = cycle[(pos + 1) % len(cycle)]
-            target = da_matching.assignment[j]
-            if i not in own_rank:
-                own_rank[i] = rank_of(problem, i, da_matching.assignment[i])
-            if target == NULL_SCHOOL or rank_of(problem, i, target) >= own_rank[i]:
-                raise InputError(
-                    f"{problem.students[i]} -> {problem.students[j]} is not an envy edge"
-                )
-
-
-def apply_packing(problem: Problem, da_matching: Matching, packing: CyclePacking) -> Matching:
-    """Trade along every cycle: each member takes her successor's seat.
-
-    Covered students strictly improve; everyone else keeps her assignment.
-    Raises ``InputError`` for overlapping cycles or non-edges.
-    """
-    _check_packing(problem, da_matching, packing)
-    assignment = list(da_matching.assignment)
-    for cycle in packing.cycles:
-        for pos, i in enumerate(cycle):
-            j = cycle[(pos + 1) % len(cycle)]
-            assignment[i] = da_matching.assignment[j]
-    return Matching(tuple(assignment))
-
-
 def packing_label(digraph: LabelledEnvyDigraph, packing: CyclePacking) -> frozenset[int]:
     """Union of the labels of all traded edges: per entered school, the
     contenders that outrank its lowest-priority entrant."""

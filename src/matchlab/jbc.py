@@ -21,13 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from matchlab.envy import LabelledEnvyDigraph, da_context, successor_cycles
-from matchlab.model import (
-    InputError,
-    Matching,
-    Problem,
-    envied,
-    priority_rank_of,
-)
+from matchlab.model import InputError, Problem, trade
 
 
 @dataclass(frozen=True)
@@ -40,45 +34,19 @@ class SchoolGraph:
     cycles: tuple[tuple[int, ...], ...]
 
 
-def cutoff_student(problem: Problem, da_matching: Matching, school: int) -> int:
-    """The lowest-priority student assigned to ``school``."""
-    occupants = [i for i, s in enumerate(da_matching.assignment) if s == school]
-    if not occupants:
-        raise InputError(f"school {problem.schools[school]} has no occupants")
-    return max(occupants, key=lambda i: priority_rank_of(problem, school, i))
-
-
-def below_cutoff_set(problem: Problem, da_matching: Matching, improvable, school: int) -> set[int]:
-    """Improvable students who want ``school`` but rank below its cutoff.
-
-    Nonempty exactly when the school rejected an improvable student during
-    the DA run; an empty result therefore signals a school outside that set
-    and raises ``InputError``.
-    """
-    envious = envied(problem, da_matching.assignment)[school]
-    prio = problem._prio_rank[school]
-    cutoff = prio[cutoff_student(problem, da_matching, school)]
-    improvable = frozenset(improvable)
-    out = {i for i in envious if i in improvable and prio[i] > cutoff}
-    if not out:
-        raise InputError(
-            f"school {problem.schools[school]} rejected no improvable student"
-        )
-    return out
-
-
 def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
     entrant = {s: leading[0] for s, leading in enumerate(digraph.contenders) if leading}
     succ = {s: digraph.seats[i] for s, i in entrant.items()}
     return SchoolGraph(tuple(entrant), succ, entrant, successor_cycles(succ))
 
 
-def _execute(problem, da_matching, graph: SchoolGraph, chosen) -> Matching:
-    assignment = list(da_matching.assignment)
-    for cycle in chosen:
-        for s in cycle:
-            assignment[graph.jbc_student[s]] = s
-    return Matching(tuple(assignment))
+def cycle_takes(graph: SchoolGraph, cycles) -> dict[int, int]:
+    """The trades of ``cycles`` for ``model.trade``: each school's entrant
+    takes the seat of the previous school's entrant, which lies at that school."""
+    entrant = graph.jbc_student
+    return {
+        entrant[s]: entrant[cycle[pos - 1]] for cycle in cycles for pos, s in enumerate(cycle)
+    }
 
 
 def run_jbc(problem: Problem):
@@ -91,7 +59,7 @@ def run_jbc(problem: Problem):
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
     graph = _school_graph(digraph)
-    return _execute(problem, da_matching, graph, graph.cycles), graph
+    return trade(da_matching, cycle_takes(graph, graph.cycles)), graph
 
 
 def strongly_justifiable_family(problem: Problem):
@@ -110,5 +78,5 @@ def strongly_justifiable_family(problem: Problem):
     family = []
     for mask in range(1 << k):
         chosen = [graph.cycles[c] for c in range(k) if mask >> c & 1]
-        family.append(_execute(problem, da_matching, graph, chosen))
+        family.append(trade(da_matching, cycle_takes(graph, chosen)))
     return family

@@ -137,6 +137,15 @@ class Matching:
         return out
 
 
+def trade(matching: Matching, takes) -> Matching:
+    """Each student ``i`` in ``takes`` moves to the seat that ``takes[i]``
+    holds under ``matching``; everyone else keeps hers."""
+    assignment = list(matching.assignment)
+    for i, j in takes.items():
+        assignment[i] = matching.assignment[j]
+    return Matching(tuple(assignment))
+
+
 @dataclass(frozen=True)
 class Violation:
     """A blocking triple: ``victim`` prefers ``school`` to her assignment,

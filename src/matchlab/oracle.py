@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab import analysis, envy, jbc, sjbc_plus
+from matchlab import envy, jbc, sjbc_plus
 from matchlab.da import run_da
 from matchlab.model import (
     NULL_SCHOOL,

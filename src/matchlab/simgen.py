@@ -22,7 +22,7 @@ from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import InputError, Matching, Problem, rank_of, violations
+from matchlab.model import InputError, Problem, rank_of, violations
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -167,9 +167,3 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
             rows.append((mech, metric, mean, stderr))
     return AggregateStats(tuple(results), tuple(rows))
 
-
-def stats_value(stats: AggregateStats, mechanism: str, metric: str) -> tuple[float, float]:
-    for mech, met, mean, stderr in stats.rows:
-        if mech == mechanism and met == metric:
-            return mean, stderr
-    raise KeyError((mechanism, metric))

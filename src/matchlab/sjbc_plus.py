@@ -39,8 +39,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import admissible_adjacency, admitted, da_context
-from matchlab.jbc import run_jbc
-from matchlab.model import Matching, Problem, envied
+from matchlab.jbc import cycle_takes, run_jbc
+from matchlab.model import Matching, Problem, envied, trade
 
 
 @dataclass(frozen=True)
@@ -98,27 +98,16 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     return ExpansionState(state.t + 1, covered, perm, adj)
 
 
-def _matching_from_permutation(problem, da_matching, perm) -> Matching:
-    assignment = list(da_matching.assignment)
-    for i, j in perm.items():
-        if i != j:
-            assignment[i] = da_matching.assignment[j]
-    return Matching(tuple(assignment))
-
-
 def run_expansion(problem: Problem, log=None):
     """Expand from the JBC matching; returns the matching and its beneficiaries."""
     da_matching, digraph = da_context(problem)
     if not digraph.improvable:
         return da_matching, frozenset()
 
-    # JBC's trades: each school's entrant takes the seat of the previous school's.
     _, graph = run_jbc(problem)
-    perm = {i: i for i in digraph.improvable}
-    for cycle in graph.cycles:
-        for pos, s in enumerate(cycle):
-            perm[graph.jbc_student[s]] = graph.jbc_student[cycle[pos - 1]]
-    state = ExpansionState(0, frozenset(i for i, j in perm.items() if i != j), perm, {})
+    takes = cycle_takes(graph, graph.cycles)  # JBC's trades; everyone else stays
+    perm = {i: takes.get(i, i) for i in digraph.improvable}
+    state = ExpansionState(0, frozenset(takes), perm, {})
     if log is not None:
         log.append(_expansion_line(problem, state))
 
@@ -131,8 +120,7 @@ def run_expansion(problem: Problem, log=None):
             break
         state = nxt
 
-    matching = _matching_from_permutation(problem, da_matching, state.permutation)
-    return matching, state.beneficiaries
+    return trade(da_matching, state.permutation), state.beneficiaries
 
 
 def _expansion_line(problem, state) -> str:
@@ -178,21 +166,20 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
         return mu_star
     allowed = admitted(digraph, b_star, b_star)  # b_star is fixed, so the rule is too
 
-    current = list(mu_star.assignment)
+    current = mu_star
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
-        adj = admissible_adjacency(allowed, members, current, envied(problem, current))
+        seats = current.assignment
+        adj = admissible_adjacency(allowed, members, seats, envied(problem, seats))
         cycle = _find_cycle(members, adj)
         if cycle is None:
-            return Matching(tuple(current))
+            return current
         if log is not None:
             log.append(
                 "refinement cycle: "
                 + " -> ".join(problem.students[i] for i in cycle + [cycle[0]])
             )
-        taken = [current[cycle[(pos + 1) % len(cycle)]] for pos in range(len(cycle))]
-        for pos, i in enumerate(cycle):
-            current[i] = taken[pos]
+        current = trade(current, dict(zip(cycle, cycle[1:] + cycle[:1])))
     raise RuntimeError("refinement exceeded its iteration bound")
 
 

@@ -5,7 +5,7 @@ import pytest
 from matchlab.da import run_da
 from matchlab.envy import build_envy
 from matchlab.fixtures import load_fixture
-from matchlab.model import Matching, Problem
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, rank_of, trade
 from matchlab.simgen import GenConfig, gen_instance
 
 
@@ -44,6 +44,31 @@ def matching_by_name(problem, moves: dict) -> Matching:
 
 def names_of(problem, ids):
     return sorted(problem.students[i] for i in ids)
+
+
+def apply_packing(problem, da_matching, packing) -> Matching:
+    """Trade along every cycle: each member takes her successor's seat.
+
+    Covered students strictly improve; everyone else keeps her assignment.
+    Raises ``InputError`` for overlapping cycles or non-edges.
+    """
+    names, seats, takes = problem.students, da_matching.assignment, {}
+    for cycle in packing.cycles:
+        if len(cycle) < 2 or not all(0 <= i < problem.n_students for i in cycle):
+            raise InputError(f"not a cycle of two or more students: {cycle}")
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            if i in takes:
+                raise InputError(f"student {names[i]} appears in two cycles")
+            target = seats[j]
+            if target == NULL_SCHOOL or rank_of(problem, i, target) >= rank_of(problem, i, seats[i]):
+                raise InputError(f"{names[i]} -> {names[j]} is not an envy edge")
+            takes[i] = j
+    return trade(da_matching, takes)
+
+
+def stats_value(stats, mechanism, metric):
+    """The (mean, stderr) of one mechanism's metric in ``run_experiment``'s rows."""
+    return {(mech, met): (mean, se) for mech, met, mean, se in stats.rows}[mechanism, metric]
 
 
 def flag_completed(problem, label):

@@ -29,10 +29,10 @@ from matchlab.model import (
     respects_priorities_of,
 )
 from matchlab.analysis import reassignment_chain
-from matchlab.simgen import GenConfig, gen_instance, run_experiment, stats_value
+from matchlab.simgen import GenConfig, gen_instance, run_experiment
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import many_to_one_market, matching_by_name, names_of
+from conftest import many_to_one_market, matching_by_name, names_of, stats_value
 
 
 def report(name, ok):

@@ -11,11 +11,11 @@ from matchlab.analysis import (
     reassignment_chain,
 )
 from matchlab.da import run_da
-from matchlab.envy import build_envy, canonical_packing, apply_packing, packing_label, decompose_as_packing
+from matchlab.envy import build_envy, canonical_packing, packing_label
 from matchlab.model import InputError, violations
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name, names_of
+from conftest import apply_packing, matching_by_name, names_of
 
 EADA_FULL_EX1 = {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
 JPE_EX1 = {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4", "i7": "s7"}

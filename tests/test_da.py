@@ -6,12 +6,11 @@ from dataclasses import replace
 
 from matchlab.analysis import is_justifiable
 from matchlab.cli import main
-from matchlab.da import DaTrace, interrupters, rejecting_schools, run_da
+from matchlab.da import DaTrace, interrupters, run_da
 from matchlab.envy import LabelledEnvyDigraph, build_envy
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc
 from matchlab.model import (
-    InputError,
     Matching,
     Problem,
     envied,
@@ -174,18 +173,14 @@ def test_interrupters_after_deleting_s4_from_i7(ex1):
 def test_rejecting_schools(ex1, exnoeff):
     _, trace = run_da(ex1)
     improvable = {ex1.student_id(f"i{k}") for k in range(1, 7)}
-    assert rejecting_schools(ex1, trace, improvable) == {
-        ex1.school_id(f"s{k}") for k in range(1, 7)
-    }
-    with pytest.raises(InputError):
-        rejecting_schools(ex1, trace, {99})
+    rejecting = {ex1.school_id(f"s{k}") for k in range(1, 7)}
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(ex1)[1].nodes) == rejecting
 
     _, trace = run_da(exnoeff)
     improvable = {exnoeff.student_id(n) for n in ("i1", "i2", "i4", "i5", "i6")}
     # replaying the run: every school except s3 turns away an improvable student
-    assert rejecting_schools(exnoeff, trace, improvable) == {
-        exnoeff.school_id(n) for n in ("s1", "s2", "s4", "s5", "s6")
-    }
+    rejecting = {exnoeff.school_id(n) for n in ("s1", "s2", "s4", "s5", "s6")}
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(exnoeff)[1].nodes) == rejecting
 
 
 def test_rejecting_schools_empty_for_efficient_da():
@@ -197,7 +192,7 @@ def test_rejecting_schools_empty_for_efficient_da():
         priorities=((0, 1), (0, 1)),
     )
     _, trace = run_da(problem)
-    assert rejecting_schools(problem, trace, set()) == set()
+    assert rejecting_by_replay(trace, set()) == set(run_jbc(problem)[1].nodes) == set()
 
 
 def test_da_matches_oracle_student_optimal_stable():
@@ -279,13 +274,11 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         da, trace = run_da(problem)
         digraph = build_envy(problem, da)
         expected = rejecting_by_replay(trace, digraph.improvable)
-        assert rejecting_schools(problem, trace, digraph.improvable) == expected
         assert set(run_jbc(problem)[1].nodes) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
         wanted = envied(problem, da.assignment)
-        got = rejecting_schools(problem, trace, subset)
+        got = {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
         assert got == rejecting_by_replay(trace, subset)
-        assert got == {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
         graphs += bool(expected)
         subsets += bool(got)
     assert graphs > 30 and subsets > 300
@@ -315,7 +308,6 @@ def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
     for k, problem in enumerate(problems):
         plus = run_sjbc_plus(problem)
         run_jbc(problem)
-        rejecting_schools(problem, run_da(problem)[1], range(problem.n_students))
         is_justifiable(problem, plus)
         if k < 8:
             path = tmp_path / f"p{k}.json"

@@ -5,12 +5,12 @@ import pytest
 
 from matchlab import oracle
 from matchlab.analysis import is_justifiable, is_pareto_efficient, is_strongly_justifiable
-from matchlab.da import run_da
+from matchlab.da import _propose, run_da
+from matchlab.eada import run_eada
 from matchlab.envy import (
     CyclePacking,
     admissible_adjacency,
     admitted,
-    apply_packing,
     build_envy,
     canonical_packing,
     cycle_members,
@@ -22,9 +22,9 @@ from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc, strongly_justifiable_family
 from matchlab.sjbc_plus import expansion_step, run_expansion, run_refinement, run_sjbc_plus
 from matchlab.model import InputError, Matching, Problem, envied, is_nonwasteful, violations
-from matchlab.simgen import GenConfig, gen_instance
+from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 
-from conftest import matching_by_name, mixed_markets, names_of, random_market
+from conftest import apply_packing, matching_by_name, mixed_markets, names_of, random_market
 
 
 def label_names(problem, digraph, a, b):
@@ -517,3 +517,13 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
         is_strongly_justifiable,
     ):
         assert "digraph" not in inspect.signature(fn).parameters, fn.__name__
+
+    # EADA's peel starts from the context: one simulated instance runs DA's
+    # proposal loop once for the context and once per EADA rerun, no more.
+    calls["_propose"] = 0
+    monkeypatch.setattr("matchlab.da._propose", counted("_propose", _propose))
+    sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
+    evaluate_instance(sim, consent, 0)
+    loops = calls["_propose"]
+    reruns = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
+    assert reruns > 0 and loops == 1 + reruns

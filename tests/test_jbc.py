@@ -2,12 +2,42 @@ import pytest
 
 from matchlab.da import run_da
 from matchlab.envy import build_envy, canonical_packing
-from matchlab.jbc import below_cutoff_set, cutoff_student, run_jbc, strongly_justifiable_family
-from matchlab.model import InputError, Problem, pareto_compare, priority_rank_of, A_DOMINATES, EQUAL
+from matchlab.jbc import _school_graph, cycle_takes, run_jbc, strongly_justifiable_family
+from matchlab.model import (
+    A_DOMINATES,
+    EQUAL,
+    InputError,
+    Problem,
+    envied,
+    pareto_compare,
+    priority_rank_of,
+    trade,
+)
 from matchlab.analysis import is_strongly_justifiable
 from matchlab.simgen import GenConfig, gen_instance
 
 from conftest import matching_by_name, mixed_markets, names_of
+
+
+def cutoff_student(problem, da_matching, school):
+    """The lowest-priority student assigned to ``school``."""
+    occupants = [i for i, s in enumerate(da_matching.assignment) if s == school]
+    if not occupants:
+        raise InputError(f"school {problem.schools[school]} has no occupants")
+    return max(occupants, key=lambda i: priority_rank_of(problem, school, i))
+
+
+def below_cutoff_set(problem, da_matching, improvable, school):
+    """Improvable students who want ``school`` but rank below its cutoff: by
+    definition the candidates for JBC's entrant.  Empty exactly when the
+    school rejected no improvable student during DA, which raises."""
+    prio = problem._prio_rank[school]
+    cutoff = prio[cutoff_student(problem, da_matching, school)]
+    envious = envied(problem, da_matching.assignment)[school]
+    out = {i for i in envious if i in improvable and prio[i] > cutoff}
+    if not out:
+        raise InputError(f"school {problem.schools[school]} rejected no improvable student")
+    return out
 
 
 def test_cutoff_student(ex1):
@@ -153,8 +183,6 @@ def test_family_lattice_is_subset_order():
             digraph = build_envy(problem, da)
             if not digraph.improvable:
                 continue
-            from matchlab.jbc import _execute, _school_graph
-
             graph = _school_graph(digraph)
             k = len(graph.cycles)
             if k < 2:
@@ -162,7 +190,7 @@ def test_family_lattice_is_subset_order():
             members = {}
             for mask in range(1 << k):
                 chosen = [graph.cycles[c] for c in range(k) if mask >> c & 1]
-                members[mask] = _execute(problem, da, graph, chosen)
+                members[mask] = trade(da, cycle_takes(graph, chosen))
             for a, b in itertools.product(range(1 << k), repeat=2):
                 rel = pareto_compare(problem, members[a], members[b])
                 if a == b:

@@ -371,3 +371,12 @@ def test_rank_tables_match_list_positions():
             assert [problem._prio_rank[school][i] for i in plist] == list(range(1, 10))
         for student, plist in enumerate(problem.prefs):
             assert [problem._pref_rank[student][s] for s in plist] == list(range(1, 10))
+
+
+def test_star_import_binds_every_public_name():
+    import matchlab
+
+    namespace = {}
+    exec("from matchlab import *", namespace)
+    assert len(set(matchlab.__all__)) == len(matchlab.__all__)
+    assert all(name in namespace for name in matchlab.__all__)

@@ -4,14 +4,9 @@ import numpy as np
 import pytest
 
 from matchlab.model import InputError
-from matchlab.simgen import (
-    GenConfig,
-    draw_instance_and_consent,
-    evaluate_instance,
-    gen_instance,
-    run_experiment,
-    stats_value,
-)
+from matchlab.simgen import GenConfig, draw_instance_and_consent, gen_instance, run_experiment
+
+from conftest import stats_value
 
 
 def test_config_validation():
