@@ -19,9 +19,9 @@ from matchlab.model import (
     Matching,
     Problem,
     Violation,
+    _seated,
+    _wasteful,
     check_feasible,
-    envied,
-    is_nonwasteful,
     priority_rank_of,
     rank_of,
     violations,
@@ -113,9 +113,19 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     being acyclic; wasteful input raises ``InputError`` (a wasteful matching
     is never efficient and is outside the domain considered here).
     """
-    if not is_nonwasteful(problem, matching):
+    return _pareto_efficient(problem, matching.assignment, *_seated(problem, matching))
+
+
+def _pareto_efficient(problem: Problem, seats, rosters, envious, on_cycle=None) -> bool:
+    """``is_pareto_efficient`` from a matching's seats, rosters and ``envied``
+    lists.  ``on_cycle``, when given, is the set of students on an envy
+    cycle at those seats, and no cycle search runs: for the DA matching it
+    is the DA context's improvable students."""
+    if _wasteful(problem, rosters, envious):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
-    return not on_envy_cycle(matching.assignment, envied(problem, matching.assignment))
+    if on_cycle is None:
+        on_cycle = on_envy_cycle(seats, envious)
+    return not on_cycle
 
 
 def reassignment_chain(

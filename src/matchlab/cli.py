@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
@@ -22,6 +23,7 @@ from matchlab.model import (
 )
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchlab",

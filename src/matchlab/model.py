@@ -208,23 +208,44 @@ def envied(problem: Problem, assignment) -> list[list[int]]:
     return out
 
 
+def _seated(problem: Problem, matching: Matching) -> tuple[list[list[int]], list[list[int]]]:
+    """The rosters and ``envied`` of a matching, after one ``check_feasible``.
+
+    Blocking triples, waste and Pareto efficiency all read these two lists;
+    a caller that needs several of them computes the lists once.
+    """
+    check_feasible(problem, matching)
+    return matching.rosters(problem), envied(problem, matching.assignment)
+
+
+def _blocking(problem: Problem, rosters, envious) -> list[Violation]:
+    """``violations`` from a matching's rosters and ``envied`` lists."""
+    found = []
+    for school, students in enumerate(envious):
+        prio = problem._prio_rank[school]
+        for victim in students:
+            for occupant in rosters[school]:
+                if prio[victim] < prio[occupant]:
+                    found.append(Violation(victim, occupant, school))
+    found.sort(key=lambda v: (v.victim, v.school, v.occupant))
+    return found
+
+
+def _wasteful(problem: Problem, rosters, envious) -> bool:
+    """True iff someone envies a school with a free seat, read off a
+    matching's rosters and ``envied`` lists."""
+    return any(
+        students and len(rosters[s]) < problem.quotas[s] for s, students in enumerate(envious)
+    )
+
+
 def violations(problem: Problem, matching: Matching) -> list[Violation]:
     """All blocking triples of the matching, duplicate-free.
 
     Empty exactly when the matching is stable.  Triples are ordered by
     (victim, school, occupant) for deterministic output.
     """
-    check_feasible(problem, matching)
-    rosters = matching.rosters(problem)
-    found = []
-    for school, envious in enumerate(envied(problem, matching.assignment)):
-        prio = problem._prio_rank[school]
-        for victim in envious:
-            for occupant in rosters[school]:
-                if prio[victim] < prio[occupant]:
-                    found.append(Violation(victim, occupant, school))
-    found.sort(key=lambda v: (v.victim, v.school, v.occupant))
-    return found
+    return _blocking(problem, *_seated(problem, matching))
 
 
 def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
@@ -235,12 +256,7 @@ def respects_priorities_of(problem: Problem, matching: Matching, protected) -> b
 
 def is_nonwasteful(problem: Problem, matching: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
-    check_feasible(problem, matching)
-    rosters = matching.rosters(problem)
-    return not any(
-        envious and len(rosters[s]) < problem.quotas[s]
-        for s, envious in enumerate(envied(problem, matching.assignment))
-    )
+    return not _wasteful(problem, *_seated(problem, matching))
 
 
 def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:

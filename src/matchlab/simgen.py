@@ -14,6 +14,7 @@ consent sample (`Generator.choice` without replacement).
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import InputError, Problem, rank_of, violations
+from matchlab.model import InputError, Problem, _blocking, _seated
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -110,6 +111,26 @@ def draw_instance_and_consent(config: GenConfig, replication_index: int):
 
 
 def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMetrics:
+    """The four metrics of each mechanism's outcome on one instance.
+
+    DA is the student-optimal stable matching; EADA runs with every student
+    consenting (``eada_full``) and with ``consent`` (``eada_half``).  Per
+    outcome:
+
+    - ``avg_rank``: the mean over students of the rank of their seat (1 is
+      a first choice; see ``model.rank_of`` for null and unlisted seats).
+    - ``beneficiaries``: how many students hold a seat they rank strictly
+      better than their DA seat.
+    - ``pe_rate``: 100 if the outcome is Pareto efficient, else 0.
+    - ``justifiable_rate``: 100 if the victim of every blocking triple is
+      a beneficiary or a student no improvement over DA can help (not
+      improvable), else 0.
+
+    Each outcome passes one feasibility check, which lets its seats index
+    the rank tables directly, and its rosters and envy are read once for
+    both verdicts.  A wasteful outcome raises ``InputError``, as
+    ``analysis.is_pareto_efficient`` does.
+    """
     da_matching, digraph = da_context(problem)
     outcomes = {
         "da": da_matching,
@@ -117,19 +138,25 @@ def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMe
         "eada_half": eada.run_eada(problem, consent)[0],
         "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
     }
-    da_ranks = [rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students)]
+    da_ranks = [table[s] for table, s in zip(problem._pref_rank, da_matching.assignment)]
     values = {}
     for name, matching in outcomes.items():
-        ranks = [rank_of(problem, i, matching.assignment[i]) for i in range(problem.n_students)]
-        gainers = {i for i in range(problem.n_students) if ranks[i] < da_ranks[i]}
+        rosters, envious = _seated(problem, matching)
+        ranks = [table[s] for table, s in zip(problem._pref_rank, matching.assignment)]
+        gainers = {i for i, (r, r_da) in enumerate(zip(ranks, da_ranks)) if r < r_da}
         justifiable = all(
             v.victim not in digraph.improvable or v.victim in gainers
-            for v in violations(problem, matching)
+            for v in _blocking(problem, rosters, envious)
+        )
+        # DA's students on an envy cycle are the context's improvable ones.
+        on_cycle = digraph.improvable if name == "da" else None
+        efficient = analysis._pareto_efficient(
+            problem, matching.assignment, rosters, envious, on_cycle
         )
         values[name] = {
             "avg_rank": sum(ranks) / problem.n_students,
             "beneficiaries": float(len(gainers)),
-            "pe_rate": 100.0 * analysis.is_pareto_efficient(problem, matching),
+            "pe_rate": 100.0 * efficient,
             "justifiable_rate": 100.0 * justifiable,
         }
     return InstanceMetrics(replication, values)
@@ -141,6 +168,14 @@ def _one_replication(args) -> InstanceMetrics:
     return evaluate_instance(problem, consent, rep)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's count where the
+    platform cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     """Evaluate all four mechanisms over the configured replications.
 
@@ -149,8 +184,9 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     """
     tasks = [(config, rep) for rep in range(config.replications)]
     if jobs > 1:
-        # The pool forks all its workers at once, so start no more than there are tasks.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        # The pool forks all its workers at once, so start no more than
+        # there are tasks or usable CPUs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks), _usable_cpus())) as pool:
             results = list(pool.map(_one_replication, tasks, chunksize=8))
     else:
         results = [_one_replication(t) for t in tasks]

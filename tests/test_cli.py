@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import matchlab
-from matchlab import simgen
+from matchlab import cli, simgen
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
 from matchlab.model import load_problem, matching_from_dict
@@ -328,8 +328,7 @@ GOLDEN_SOLVE = {
 }
 
 
-@pytest.mark.parametrize("fixture, mechanism", sorted(GOLDEN_SOLVE))
-def test_fixture_solve_is_byte_stable(tmp_path, capsys, fixture, mechanism):
+def assert_solve_golden(tmp_path, capsys, fixture, mechanism):
     out_path = tmp_path / "m.json"
     code, out, err = run_cli(
         capsys, "solve", "--mechanism", mechanism, *SOLVE_FLAGS[mechanism],
@@ -338,6 +337,11 @@ def test_fixture_solve_is_byte_stable(tmp_path, capsys, fixture, mechanism):
     assert (code, out) == (0, "")
     digests = (hashlib.sha256(err.encode()).hexdigest(), hashlib.sha256(out_path.read_bytes()).hexdigest())
     assert digests == GOLDEN_SOLVE[fixture, mechanism]
+
+
+@pytest.mark.parametrize("fixture, mechanism", sorted(GOLDEN_SOLVE))
+def test_fixture_solve_is_byte_stable(tmp_path, capsys, fixture, mechanism):
+    assert_solve_golden(tmp_path, capsys, fixture, mechanism)
 
 
 # SHA-256 of the stdout of `analyze` on each fixture's SJBC+ matching file.
@@ -350,8 +354,7 @@ GOLDEN_ANALYZE = {
 }
 
 
-@pytest.mark.parametrize("fixture", sorted(GOLDEN_ANALYZE))
-def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
+def assert_analyze_golden(tmp_path, capsys, fixture):
     instance, out_path = str(fixture_path(fixture)), tmp_path / "m.json"
     assert run_cli(capsys, "solve", "--mechanism", "sjbc+", instance, "--out", str(out_path))[0] == 0
     code, out, err = run_cli(capsys, "analyze", instance, str(out_path))
@@ -359,7 +362,12 @@ def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ANALYZE[fixture]
 
 
-def test_simulate_csv_is_byte_stable(tmp_path, capsys):
+@pytest.mark.parametrize("fixture", sorted(GOLDEN_ANALYZE))
+def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
+    assert_analyze_golden(tmp_path, capsys, fixture)
+
+
+def assert_simulate_golden(tmp_path, capsys):
     agg, per = tmp_path / "stats.csv", tmp_path / "per.csv"
     code, _, _ = run_cli(
         capsys,
@@ -379,6 +387,29 @@ def test_simulate_csv_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(per.read_bytes()).hexdigest() == (
         "1cb6451afc2ac1af328fcbddea426e980e6c25568a5b8268d54b45b3687bf95e"
     )
+
+
+def test_simulate_csv_is_byte_stable(tmp_path, capsys):
+    assert_simulate_golden(tmp_path, capsys)
+
+
+def test_main_is_reentrant_with_one_parser(tmp_path, capsys):
+    # One parser serves every call in the process: a parse that fails and a
+    # command that fails leave nothing behind that changes later output.
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "6", "--model", "iid", "--reps", "2"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "solve", "--mechanism", "da", "--consent", "all", EX1)
+    assert (code, out) == (2, "")
+    assert err == "error: --consent only applies to --mechanism eada\n"
+    for fixture, mechanism in sorted(GOLDEN_SOLVE):
+        assert_solve_golden(tmp_path, capsys, fixture, mechanism)
+    for fixture in sorted(GOLDEN_ANALYZE):
+        assert_analyze_golden(tmp_path, capsys, fixture)
+    assert_simulate_golden(tmp_path, capsys)
+    assert cli._parser() is cli._parser()
 
 
 def test_simulate_csv_identical_across_jobs(tmp_path, capsys):
@@ -421,11 +452,26 @@ def test_simulate_starts_at_most_one_worker_per_replication(tmp_path, capsys, mo
             return map(fn, tasks)
 
     monkeypatch.setattr(simgen, "ProcessPoolExecutor", SerialPool)
-    outputs = []
-    for jobs in ("1", "1000"):
-        agg = tmp_path / f"stats{jobs}.csv"
-        args = ("--n", "8", "--model", "iid", "--reps", "3", "--seed", "5", "--jobs", jobs)
-        assert run_cli(capsys, "simulate", *args, "--out", str(agg))[0] == 0
-        outputs.append(agg.read_bytes())
-    assert workers == [3]
-    assert outputs[0] == outputs[1]
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    # Three replications, then more replications than CPUs: the pool starts
+    # at most one worker per replication and per CPU.
+    for reps in (3, cpus + 2):
+        outputs = []
+        for jobs in ("1", "1000"):
+            agg = tmp_path / f"stats{reps}-{jobs}.csv"
+            args = ("--n", "8", "--model", "iid", "--reps", str(reps), "--seed", "5", "--jobs", jobs)
+            assert run_cli(capsys, "simulate", *args, "--out", str(agg))[0] == 0
+            outputs.append(agg.read_bytes())
+        assert outputs[0] == outputs[1]
+    assert workers == [min(3, cpus), cpus]
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert simgen._usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simgen._usable_cpus() == 1

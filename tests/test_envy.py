@@ -520,10 +520,14 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
 
     # EADA's peel starts from the context: one simulated instance runs DA's
     # proposal loop once for the context and once per EADA rerun, no more.
-    calls["_propose"] = 0
+    # It searches for envy cycles once for the context and once per other
+    # outcome's Pareto verdict; DA's verdict reads the context's improvable set.
+    calls["_propose"] = calls["cycle_members"] = 0
     monkeypatch.setattr("matchlab.da._propose", counted("_propose", _propose))
+    monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
     evaluate_instance(sim, consent, 0)
-    loops = calls["_propose"]
+    loops, searches = calls["_propose"], calls["cycle_members"]
     reruns = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert reruns > 0 and loops == 1 + reruns
+    assert searches == 4

@@ -1,12 +1,21 @@
 import hashlib
+import random
 
 import numpy as np
 import pytest
 
-from matchlab.model import InputError
-from matchlab.simgen import GenConfig, draw_instance_and_consent, gen_instance, run_experiment
+from matchlab import analysis, eada, simgen, sjbc_plus
+from matchlab.envy import da_context
+from matchlab.model import NULL_SCHOOL, InputError, Matching, rank_of, violations
+from matchlab.simgen import (
+    GenConfig,
+    draw_instance_and_consent,
+    evaluate_instance,
+    gen_instance,
+    run_experiment,
+)
 
-from conftest import stats_value
+from conftest import mixed_markets, stats_value
 
 
 def test_config_validation():
@@ -141,3 +150,63 @@ def test_sjbc_beneficiaries_dominate_jbc_per_instance():
         jbc_matching, _ = run_jbc(problem)
         plus = run_sjbc_plus(problem)
         assert beneficiaries(problem, da, jbc_matching) <= beneficiaries(problem, da, plus)
+
+
+def reference_evaluate(problem, consent):
+    """The simulation's metrics as first defined: bounds-checked ``rank_of``,
+    ``violations`` and ``analysis.is_pareto_efficient`` on each outcome."""
+    da_matching, digraph = da_context(problem)
+    outcomes = {
+        "da": da_matching,
+        "eada_full": eada.run_eada(problem, range(problem.n_students))[0],
+        "eada_half": eada.run_eada(problem, consent)[0],
+        "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
+    }
+    da_ranks = [rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students)]
+    values = {}
+    for name, matching in outcomes.items():
+        ranks = [rank_of(problem, i, matching.assignment[i]) for i in range(problem.n_students)]
+        gainers = {i for i in range(problem.n_students) if ranks[i] < da_ranks[i]}
+        justifiable = all(
+            v.victim not in digraph.improvable or v.victim in gainers
+            for v in violations(problem, matching)
+        )
+        values[name] = {
+            "avg_rank": sum(ranks) / problem.n_students,
+            "beneficiaries": float(len(gainers)),
+            "pe_rate": 100.0 * analysis.is_pareto_efficient(problem, matching),
+            "justifiable_rate": 100.0 * justifiable,
+        }
+    return values
+
+
+def test_evaluate_instance_matches_reference():
+    # Quotas 1-3, truncated lists and unequal sides, each with a seeded
+    # random consent set, then the paper's correlated n = 50 draws.
+    rng = random.Random(4100)
+    cases = [
+        (problem, frozenset(i for i in range(problem.n_students) if rng.random() < 0.5))
+        for problem in mixed_markets(4100, 60)
+    ]
+    cfg = GenConfig(n=50, model="correlated", rho=0.5, replications=50, seed=4101)
+    cases += [draw_instance_and_consent(cfg, rep) for rep in range(50)]
+    for rep, (problem, consent) in enumerate(cases):
+        record = evaluate_instance(problem, consent, rep)
+        assert record.replication == rep
+        assert record.values == reference_evaluate(problem, consent), (problem, consent)
+        assert [list(v) for v in record.values.values()] == [list(simgen.METRICS)] * 4
+
+
+@pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
+def test_evaluate_instance_rejects_wasteful_outcome(monkeypatch, outcome):
+    problem, consent = draw_instance_and_consent(GenConfig(n=8, model="iid", replications=1, seed=3), 0)
+    nobody = Matching((NULL_SCHOOL,) * problem.n_students)  # complete lists: all seats wasted
+    if outcome == "da":
+        digraph = da_context(problem)[1]
+        monkeypatch.setattr(simgen, "da_context", lambda p: (nobody, digraph))
+    elif outcome == "eada":
+        monkeypatch.setattr(eada, "run_eada", lambda p, c: (nobody, None))
+    else:
+        monkeypatch.setattr(sjbc_plus, "run_sjbc_plus", lambda p: nobody)
+    with pytest.raises(InputError, match="wasteful"):
+        evaluate_instance(problem, consent, 0)
