@@ -19,6 +19,7 @@ from matchlab.model import (
     Matching,
     Problem,
     Violation,
+    _blocking,
     _seated,
     _wasteful,
     check_feasible,
@@ -55,17 +56,65 @@ def beneficiaries(problem: Problem, da_matching: Matching, matching: Matching) -
     domain and raises ``InputError``.
     """
     check_feasible(problem, matching)
+    # Lazy, so each student's DA seat is checked and compared before the next one's.
+    ranks = (rank_of(problem, i, s) for i, s in enumerate(matching.assignment))
+    da_ranks = (rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students))
+    return _gainers(problem, zip(ranks, da_ranks))
+
+
+def _gainers(problem: Problem, rank_pairs, improvement: bool = True) -> frozenset[int]:
+    """The students whose pair in ``rank_pairs`` (student order; rank of the
+    seat, rank of the DA seat) shows a gain over DA.  With ``improvement``,
+    a student worse off than under DA raises ``InputError``."""
     out = set()
-    for i in range(problem.n_students):
-        r_new = rank_of(problem, i, matching.assignment[i])
-        r_da = rank_of(problem, i, da_matching.assignment[i])
-        if r_new > r_da:
+    for i, (r, r_da) in enumerate(rank_pairs):
+        if r < r_da:
+            out.add(i)
+        elif r > r_da and improvement:
             raise InputError(
                 f"matching is worse than DA for {problem.students[i]}; not a DA improvement"
             )
-        if r_new < r_da:
-            out.add(i)
     return frozenset(out)
+
+
+def _judge(problem: Problem, matching: Matching, improvement: bool = True):
+    """One verdict pass over an outcome: one ``check_feasible``, one roster
+    list and one ``envied`` walk.
+
+    Returns, in order: the rank of each student's seat, the students who
+    gain over DA, every blocking triple tagged with the class of its
+    victim, whether no victim is an improvable non-beneficiary
+    (justifiability), and Pareto efficiency.  The paper's three victim
+    classes: a *beneficiary* gains over DA; an *unimprovable* student is on
+    no envy cycle at DA, so no improvement over DA can help her; an
+    *improvable non-beneficiary* is anyone else.
+
+    Errors keep one order: an infeasible matching, then, when
+    ``improvement`` holds, a student worse off than under DA, then a
+    wasteful matching.  Without ``improvement`` such a student simply
+    gains nothing.
+    """
+    rosters, envious = _seated(problem, matching)
+    digraph = da_context(problem)[1]
+    seats = matching.assignment
+    ranks = [table[s] for table, s in zip(problem._pref_rank, seats)]
+    da_ranks = [table[s] for table, s in zip(problem._pref_rank, digraph.seats)]
+    gainers = _gainers(problem, zip(ranks, da_ranks), improvement)
+    tagged = []
+    for v in _blocking(problem, rosters, envious):
+        if v.victim in gainers:
+            tagged.append((v, VICTIM_BENEFICIARY))
+        elif v.victim not in digraph.improvable:
+            tagged.append((v, VICTIM_UNIMPROVABLE))
+        else:
+            tagged.append((v, VICTIM_IMPROVABLE_NON_BENEFICIARY))
+    justifiable = all(tag != VICTIM_IMPROVABLE_NON_BENEFICIARY for _, tag in tagged)
+    # DA is never wasteful, and its students on an envy cycle are the improvable ones.
+    if seats == digraph.seats:
+        efficient = not digraph.improvable
+    else:
+        efficient = _pareto_efficient(problem, seats, rosters, envious)
+    return ranks, gainers, tuple(tagged), justifiable, efficient
 
 
 def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
@@ -74,25 +123,13 @@ def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
     Each violation victim is tagged; the matching is justifiable when no
     victim is an improvable student left at her DA seat.
     """
-    da_matching, digraph = da_context(problem)
-    benef = beneficiaries(problem, da_matching, matching)
-    tagged = []
-    justifiable = True
-    for v in violations(problem, matching):
-        if v.victim in benef:
-            tag = VICTIM_BENEFICIARY
-        elif v.victim not in digraph.improvable:
-            tag = VICTIM_UNIMPROVABLE
-        else:
-            tag = VICTIM_IMPROVABLE_NON_BENEFICIARY
-            justifiable = False
-        tagged.append((v, tag))
+    _, gainers, tagged, justifiable, efficient = _judge(problem, matching)
     return Verdict(
-        beneficiaries=benef,
-        violations=tuple(tagged),
+        beneficiaries=gainers,
+        violations=tagged,
         justifiable=justifiable,
         strongly_justifiable=is_strongly_justifiable(problem, matching),
-        pareto_efficient=is_pareto_efficient(problem, matching),
+        pareto_efficient=efficient,
     )
 
 
@@ -100,9 +137,7 @@ def is_strongly_justifiable(problem: Problem, matching: Matching) -> bool:
     """True iff the matching trades along cycles whose labels are all empty."""
     da_matching, digraph = da_context(problem)
     packing = decompose_as_packing(problem, da_matching, matching)
-    if packing is None:
-        return False
-    return not packing_label(digraph, packing)
+    return packing is not None and not packing_label(digraph, packing)
 
 
 def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
@@ -116,16 +151,11 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     return _pareto_efficient(problem, matching.assignment, *_seated(problem, matching))
 
 
-def _pareto_efficient(problem: Problem, seats, rosters, envious, on_cycle=None) -> bool:
-    """``is_pareto_efficient`` from a matching's seats, rosters and ``envied``
-    lists.  ``on_cycle``, when given, is the set of students on an envy
-    cycle at those seats, and no cycle search runs: for the DA matching it
-    is the DA context's improvable students."""
+def _pareto_efficient(problem: Problem, seats, rosters, envious) -> bool:
+    """``is_pareto_efficient`` from a matching's seats, rosters and ``envied`` lists."""
     if _wasteful(problem, rosters, envious):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
-    if on_cycle is None:
-        on_cycle = on_envy_cycle(seats, envious)
-    return not on_cycle
+    return not on_envy_cycle(seats, envious)
 
 
 def reassignment_chain(
@@ -141,7 +171,6 @@ def reassignment_chain(
     is vacuous when it circles back and evicts the original claimant from
     the school she claimed.
     """
-    check_feasible(problem, matching)
     if not any(
         v.victim == claimant and v.school == school for v in violations(problem, matching)
     ):

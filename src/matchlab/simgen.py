@@ -23,7 +23,7 @@ from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import InputError, Problem, _blocking, _seated
+from matchlab.model import InputError, Problem
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -126,32 +126,21 @@ def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMe
       a beneficiary or a student no improvement over DA can help (not
       improvable), else 0.
 
-    Each outcome passes one feasibility check, which lets its seats index
-    the rank tables directly, and its rosters and envy are read once for
-    both verdicts.  A wasteful outcome raises ``InputError``, as
-    ``analysis.is_pareto_efficient`` does.
+    All four come from one ``analysis`` verdict pass per outcome, the one
+    ``analysis.is_justifiable`` runs, which also gives the seat ranks.  An
+    infeasible outcome raises ``InputError``, and so does a wasteful one,
+    as ``analysis.is_pareto_efficient`` does.
     """
-    da_matching, digraph = da_context(problem)
     outcomes = {
-        "da": da_matching,
+        "da": da_context(problem)[0],
         "eada_full": eada.run_eada(problem, range(problem.n_students))[0],
         "eada_half": eada.run_eada(problem, consent)[0],
         "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
     }
-    da_ranks = [table[s] for table, s in zip(problem._pref_rank, da_matching.assignment)]
     values = {}
     for name, matching in outcomes.items():
-        rosters, envious = _seated(problem, matching)
-        ranks = [table[s] for table, s in zip(problem._pref_rank, matching.assignment)]
-        gainers = {i for i, (r, r_da) in enumerate(zip(ranks, da_ranks)) if r < r_da}
-        justifiable = all(
-            v.victim not in digraph.improvable or v.victim in gainers
-            for v in _blocking(problem, rosters, envious)
-        )
-        # DA's students on an envy cycle are the context's improvable ones.
-        on_cycle = digraph.improvable if name == "da" else None
-        efficient = analysis._pareto_efficient(
-            problem, matching.assignment, rosters, envious, on_cycle
+        ranks, gainers, _, justifiable, efficient = analysis._judge(
+            problem, matching, improvement=False
         )
         values[name] = {
             "avg_rank": sum(ranks) / problem.n_students,
@@ -182,6 +171,8 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     The records and the aggregation follow replication order for any job
     count, so the statistics are identical however the work is scheduled.
     """
+    if jobs < 1:
+        raise InputError("jobs must be at least 1")
     tasks = [(config, rep) for rep in range(config.replications)]
     if jobs > 1:
         # The pool forks all its workers at once, so start no more than

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
+from matchlab import oracle
 from matchlab.analysis import (
     VICTIM_BENEFICIARY,
     VICTIM_IMPROVABLE_NON_BENEFICIARY,
     VICTIM_UNIMPROVABLE,
+    Verdict,
     beneficiaries,
     is_justifiable,
     is_pareto_efficient,
@@ -11,11 +15,15 @@ from matchlab.analysis import (
     reassignment_chain,
 )
 from matchlab.da import run_da
-from matchlab.envy import build_envy, canonical_packing, packing_label
-from matchlab.model import InputError, violations
+from matchlab.eada import run_eada
+from matchlab.envy import build_envy, canonical_packing, da_context, packing_label
+from matchlab.jbc import run_jbc
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, violations
 from matchlab.simgen import GenConfig, gen_instance
+from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import apply_packing, matching_by_name, names_of
+from conftest import apply_packing, matching_by_name, mixed_markets, names_of
+from test_envy import on_cycle, pairwise_edges, serial_dictatorship
 
 EADA_FULL_EX1 = {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
 JPE_EX1 = {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4", "i7": "s7"}
@@ -203,3 +211,147 @@ def test_verdict_consistency_random():
                 tag != VICTIM_IMPROVABLE_NON_BENEFICIARY for _, tag in verdict.violations
             )
             assert verdict.beneficiaries == packing.covered
+
+
+# ---------------------------------------------------------------------------
+# The verdict pass against its first composition and against plain scans
+
+
+def reference_is_justifiable(problem, matching):
+    """``is_justifiable`` as first composed: ``beneficiaries``, then
+    ``violations`` tagged by victim class, ``is_strongly_justifiable`` and
+    ``is_pareto_efficient``, each with its own feasibility check."""
+    da_matching, digraph = da_context(problem)
+    benef = beneficiaries(problem, da_matching, matching)
+    tagged = []
+    justifiable = True
+    for v in violations(problem, matching):
+        if v.victim in benef:
+            tag = VICTIM_BENEFICIARY
+        elif v.victim not in digraph.improvable:
+            tag = VICTIM_UNIMPROVABLE
+        else:
+            tag = VICTIM_IMPROVABLE_NON_BENEFICIARY
+            justifiable = False
+        tagged.append((v, tag))
+    return Verdict(
+        beneficiaries=benef,
+        violations=tuple(tagged),
+        justifiable=justifiable,
+        strongly_justifiable=is_strongly_justifiable(problem, matching),
+        pareto_efficient=is_pareto_efficient(problem, matching),
+    )
+
+
+def test_is_justifiable_matches_reference():
+    # DA, JBC, SJBC+ and EADA with a seeded consent set on quotas 1-3,
+    # truncated lists, unequal sides and the simulation's square markets.
+    rng = random.Random(4300)
+    tags, efficient = set(), set()
+    for problem in mixed_markets(4300, 60):
+        consent = frozenset(i for i in range(problem.n_students) if rng.random() < 0.5)
+        outcomes = (
+            da_context(problem)[0],
+            run_jbc(problem)[0],
+            run_sjbc_plus(problem),
+            run_eada(problem, consent)[0],
+        )
+        for matching in outcomes:
+            verdict = is_justifiable(problem, matching)
+            assert verdict == reference_is_justifiable(problem, matching), (problem, matching)
+            tags.update(tag for _, tag in verdict.violations)
+            efficient.add(verdict.pareto_efficient)
+    assert tags == {VICTIM_BENEFICIARY, VICTIM_UNIMPROVABLE, VICTIM_IMPROVABLE_NON_BENEFICIARY}
+    assert efficient == {True, False}
+
+
+def verdict_or_error(fn, problem, matching):
+    try:
+        return fn(problem, matching)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+def test_is_justifiable_errors_match_reference():
+    # Infeasible before worse than DA before wasteful.  A matching that
+    # weakly dominates DA fills every school as DA does and is never
+    # wasteful, so waste always shows as a student worse off than under DA.
+    rng = random.Random(4301)
+    checked = 0
+    for problem in mixed_markets(4301, 30):
+        n, da = problem.n_students, da_context(problem)[0]
+        crowd = problem.quotas[0] + 1
+        over = Matching((0,) * crowd + (NULL_SCHOOL,) * (n - crowd))
+        nobody = Matching((NULL_SCHOOL,) * n)
+        short = Matching(da.assignment[:-1])
+        for matching in (over, nobody, short, serial_dictatorship(rng, problem)):
+            expected = verdict_or_error(reference_is_justifiable, problem, matching)
+            assert verdict_or_error(is_justifiable, problem, matching) == expected
+        if n >= crowd:
+            assert "over quota" in verdict_or_error(is_justifiable, problem, over)
+        if any(s != NULL_SCHOOL for s in da.assignment):
+            assert verdict_or_error(is_justifiable, problem, nobody).startswith(
+                "InputError: matching is worse than DA for "
+            )
+            assert "wasteful" in verdict_or_error(is_pareto_efficient, problem, nobody)
+            checked += 1
+    assert checked > 20
+
+
+def large_market(rng, surplus):
+    """n = 30-120 students, quotas 1-4, 60% of the preference lists complete
+    and the rest truncated.  With ``surplus`` there are n // 2 schools, about
+    1.25 n seats; without it n // 4 schools, about 0.62 n seats."""
+    n = rng.randint(30, 120)
+    m = n // 2 if surplus else n // 4
+    prefs = tuple(
+        tuple(rng.sample(range(m), m if rng.random() < 0.6 else rng.randint(1, m - 1)))
+        for _ in range(n)
+    )
+    return Problem(
+        students=tuple(f"i{k}" for k in range(n)),
+        schools=tuple(f"s{k}" for k in range(m)),
+        quotas=tuple(rng.randint(1, 4) for _ in range(m)),
+        prefs=prefs,
+        priorities=tuple(tuple(rng.sample(range(n), n)) for _ in range(m)),
+    )
+
+
+def test_verdicts_match_scans_beyond_oracle_sizes():
+    # Polynomial certificates on markets too large to enumerate: the verdict
+    # of SJBC+, JBC and full-consent EADA against exhaustive scans and a
+    # plain reachability search.  Seeds and counts are fixed.
+    rng = random.Random(5150)
+    surplus = [k % 2 == 0 for k in range(30)]
+    markets = [large_market(rng, more_seats) for more_seats in surplus]
+    assert [sum(p.quotas) > p.n_students for p in markets] == surplus
+    tags, efficient = set(), set()
+    for problem in markets:
+        da, _ = run_da(problem)
+        improvable = on_cycle(pairwise_edges(problem, da))
+        outcomes = {
+            "sjbc_plus": run_sjbc_plus(problem),
+            "jbc": run_jbc(problem)[0],
+            "eada_full": run_eada(problem, range(problem.n_students))[0],
+        }
+        for name, matching in outcomes.items():
+            verdict = is_justifiable(problem, matching)
+            found = [(v.victim, v.occupant, v.school) for v, _ in verdict.violations]
+            assert sorted(found) == sorted(oracle.violations_scan(problem, matching)), name
+            gainers = oracle.beneficiaries_scan(problem, da, matching)
+            assert verdict.beneficiaries == gainers, name
+            for v, tag in verdict.violations:
+                if v.victim in gainers:
+                    assert tag == VICTIM_BENEFICIARY
+                elif v.victim not in improvable:
+                    assert tag == VICTIM_UNIMPROVABLE
+                else:
+                    assert tag == VICTIM_IMPROVABLE_NON_BENEFICIARY
+                tags.add(tag)
+            acyclic = not on_cycle(pairwise_edges(problem, matching))
+            assert verdict.pareto_efficient == acyclic, name
+            efficient.add(acyclic)
+        assert is_justifiable(problem, outcomes["sjbc_plus"]).justifiable
+        assert is_justifiable(problem, outcomes["jbc"]).strongly_justifiable
+    assert tags >= {VICTIM_BENEFICIARY, VICTIM_UNIMPROVABLE}
+    assert efficient == {True, False}

@@ -197,6 +197,19 @@ def test_simulate_requires_seed(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_simulate_non_positive_jobs_is_exit_2(tmp_path, capsys, jobs):
+    agg, per = tmp_path / "stats.csv", tmp_path / "per.csv"
+    args = ("--n", "6", "--model", "iid", "--reps", "2", "--seed", "11", "--jobs", jobs)
+    code, out, err = run_cli(
+        capsys, "simulate", *args, "--out", str(agg), "--per-instance", str(per)
+    )
+    assert (code, out, err) == (2, "", "error: jobs must be at least 1\n")
+    assert not agg.exists() and not per.exists()
+    code, out, err = run_cli(capsys, "simulate", *args)
+    assert (code, out, err) == (2, "", "error: jobs must be at least 1\n")
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

@@ -531,3 +531,29 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     reruns = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert reruns > 0 and loops == 1 + reruns
     assert searches == 4
+
+
+def test_verdict_reads_rosters_and_envy_once(monkeypatch):
+    # Once the DA context exists, a verdict on a matching that dominates DA
+    # builds one roster list and walks envy once; on DA itself it searches
+    # for no envy cycle, since the context already holds DA's.
+    problem = load_fixture("ex1")
+    da = da_context(problem)[0]
+    plus = run_sjbc_plus(problem)
+    assert plus != da
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr("matchlab.model.envied", counted("envied", envied))
+    monkeypatch.setattr(Matching, "rosters", counted("rosters", Matching.rosters))
+    monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
+    for matching, searches in ((plus, 1), (da, 0)):
+        calls.update(envied=0, rosters=0, cycle_members=0)
+        is_justifiable(problem, matching)
+        assert calls == {"envied": 1, "rosters": 1, "cycle_members": searches}

@@ -118,6 +118,13 @@ def test_run_experiment_parallel_matches_serial():
     assert serial.rows == parallel.rows
 
 
+def test_run_experiment_rejects_non_positive_jobs():
+    cfg = GenConfig(n=8, model="iid", replications=2, seed=32)
+    for jobs in (0, -3):
+        with pytest.raises(InputError, match="^jobs must be at least 1$"):
+            run_experiment(cfg, jobs=jobs)
+
+
 def test_per_instance_invariants():
     cfg = GenConfig(n=10, model="iid", replications=12, seed=33)
     stats = run_experiment(cfg)
@@ -195,6 +202,23 @@ def test_evaluate_instance_matches_reference():
         assert record.replication == rep
         assert record.values == reference_evaluate(problem, consent), (problem, consent)
         assert [list(v) for v in record.values.values()] == [list(simgen.METRICS)] * 4
+
+
+@pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
+def test_evaluate_instance_rejects_infeasible_before_wasteful(monkeypatch, outcome):
+    problem, consent = draw_instance_and_consent(GenConfig(n=8, model="iid", replications=1, seed=3), 0)
+    # two students at a unit-quota school, the rest unassigned and every seat
+    # elsewhere wasted
+    crowded = Matching((0, 0) + (NULL_SCHOOL,) * (problem.n_students - 2))
+    if outcome == "da":
+        digraph = da_context(problem)[1]
+        monkeypatch.setattr(simgen, "da_context", lambda p: (crowded, digraph))
+    elif outcome == "eada":
+        monkeypatch.setattr(eada, "run_eada", lambda p, c: (crowded, None))
+    else:
+        monkeypatch.setattr(sjbc_plus, "run_sjbc_plus", lambda p: crowded)
+    with pytest.raises(InputError, match="^school s1 over quota"):
+        evaluate_instance(problem, consent, 0)
 
 
 @pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
