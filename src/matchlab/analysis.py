@@ -20,11 +20,11 @@ from matchlab.model import (
     Problem,
     Violation,
     _blocking,
+    _check_ids,
+    _ranks,
     _seated,
     _wasteful,
     check_feasible,
-    priority_rank_of,
-    rank_of,
     violations,
 )
 from matchlab.envy import da_context, decompose_as_packing, on_envy_cycle, packing_label
@@ -49,25 +49,23 @@ class ChainResult:
     transcript: tuple[tuple[int, int], ...]
 
 
-def beneficiaries(problem: Problem, da_matching: Matching, matching: Matching) -> frozenset[int]:
+def beneficiaries(problem: Problem, matching: Matching) -> frozenset[int]:
     """Students strictly better off under ``matching`` than under DA.
 
     The matching must weakly dominate DA; anything else is outside the
     domain and raises ``InputError``.
     """
     check_feasible(problem, matching)
-    # Lazy, so each student's DA seat is checked and compared before the next one's.
-    ranks = (rank_of(problem, i, s) for i, s in enumerate(matching.assignment))
-    da_ranks = (rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students))
-    return _gainers(problem, zip(ranks, da_ranks))
+    return _gainers(problem, _ranks(problem, matching.assignment))
 
 
-def _gainers(problem: Problem, rank_pairs, improvement: bool = True) -> frozenset[int]:
-    """The students whose pair in ``rank_pairs`` (student order; rank of the
-    seat, rank of the DA seat) shows a gain over DA.  With ``improvement``,
-    a student worse off than under DA raises ``InputError``."""
+def _gainers(problem: Problem, ranks, improvement: bool = True) -> frozenset[int]:
+    """The students whose rank in ``ranks`` (student order) beats the rank
+    of their DA seat.  With ``improvement``, a student worse off than under
+    DA raises ``InputError``."""
+    da_ranks = _ranks(problem, da_context(problem)[1].seats)
     out = set()
-    for i, (r, r_da) in enumerate(rank_pairs):
+    for i, (r, r_da) in enumerate(zip(ranks, da_ranks)):
         if r < r_da:
             out.add(i)
         elif r > r_da and improvement:
@@ -97,9 +95,8 @@ def _judge(problem: Problem, matching: Matching, improvement: bool = True):
     rosters, envious = _seated(problem, matching)
     digraph = da_context(problem)[1]
     seats = matching.assignment
-    ranks = [table[s] for table, s in zip(problem._pref_rank, seats)]
-    da_ranks = [table[s] for table, s in zip(problem._pref_rank, digraph.seats)]
-    gainers = _gainers(problem, zip(ranks, da_ranks), improvement)
+    ranks = _ranks(problem, seats)
+    gainers = _gainers(problem, ranks, improvement)
     tagged = []
     for v in _blocking(problem, rosters, envious):
         if v.victim in gainers:
@@ -135,9 +132,8 @@ def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
 
 def is_strongly_justifiable(problem: Problem, matching: Matching) -> bool:
     """True iff the matching trades along cycles whose labels are all empty."""
-    da_matching, digraph = da_context(problem)
-    packing = decompose_as_packing(problem, da_matching, matching)
-    return packing is not None and not packing_label(digraph, packing)
+    packing = decompose_as_packing(problem, matching)
+    return packing is not None and not packing_label(problem, packing)
 
 
 def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
@@ -169,8 +165,11 @@ def reassignment_chain(
     can only involve equally-ranked unlisted schools, break toward the
     lowest school id); claiming the null school ends the chain.  The chain
     is vacuous when it circles back and evicts the original claimant from
-    the school she claimed.
+    the school she claimed.  A claimant or school that is not an int id in
+    range raises ``InputError``, as does a claim that is no violation.
     """
+    _check_ids("student", (claimant,), problem.n_students)
+    _check_ids("school", (school,), problem.n_schools)
     if not any(
         v.victim == claimant and v.school == school for v in violations(problem, matching)
     ):
@@ -191,32 +190,25 @@ def reassignment_chain(
         rosters[target].append(mover)
         if len(rosters[target]) <= problem.quotas[target]:
             return ChainResult(vacuous=False, transcript=tuple(transcript))
-        displaced = max(rosters[target], key=lambda i: priority_rank_of(problem, target, i))
+        displaced = max(rosters[target], key=problem._prio_rank[target].__getitem__)
         rosters[target].remove(displaced)
         assignment[displaced] = NULL_SCHOOL
         if displaced == claimant and target == school:
             return ChainResult(vacuous=True, transcript=tuple(transcript))
 
-        best = None
-        for cand in range(problem.n_schools):
-            if len(rosters[cand]) < problem.quotas[cand]:
-                claimable = True
-            else:
-                weakest = max(
-                    rosters[cand], key=lambda i: priority_rank_of(problem, cand, i)
-                )
-                claimable = priority_rank_of(problem, cand, displaced) < priority_rank_of(
-                    problem, cand, weakest
-                )
-            if not claimable:
-                continue
-            key = (rank_of(problem, displaced, cand), cand)
-            if best is None or key < best:
-                best = key
-                target = cand
-        if best is None or best[0] >= rank_of(problem, displaced, NULL_SCHOOL):
+        ranks = problem._pref_rank[displaced]
+        best = min(
+            (
+                (ranks[cand], cand)
+                for cand, prio in enumerate(problem._prio_rank)
+                if len(rosters[cand]) < problem.quotas[cand]
+                or prio[displaced] < max(map(prio.__getitem__, rosters[cand]))
+            ),
+            default=None,
+        )
+        if best is None or best[0] >= ranks[NULL_SCHOOL]:
             # Exiting to the null school; nobody else is displaced.
             return ChainResult(vacuous=False, transcript=tuple(transcript))
-        mover = displaced
+        mover, target = displaced, best[1]
         transcript.append((mover, target))
     raise RuntimeError("reassignment chain failed to terminate")

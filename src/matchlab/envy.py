@@ -42,7 +42,6 @@ from matchlab.model import (
     Problem,
     check_feasible,
     envied,
-    rank_of,
 )
 
 
@@ -221,9 +220,10 @@ def da_context(problem: Problem):
     return Matching(digraph.seats), digraph
 
 
-def packing_label(digraph: LabelledEnvyDigraph, packing: CyclePacking) -> frozenset[int]:
-    """Union of the labels of all traded edges: per entered school, the
-    contenders that outrank its lowest-priority entrant."""
+def packing_label(problem: Problem, packing: CyclePacking) -> frozenset[int]:
+    """Union of the labels of all traded edges of the DA envy digraph: per
+    entered school, the contenders that outrank its lowest-priority entrant."""
+    digraph = da_context(problem)[1]
     deepest: dict[int, int] = {}
     for cycle in packing.cycles:
         for pos, i in enumerate(cycle):
@@ -235,8 +235,8 @@ def packing_label(digraph: LabelledEnvyDigraph, packing: CyclePacking) -> frozen
     return frozenset(h for s, k in deepest.items() for h in digraph.contenders[s][:k])
 
 
-def decompose_as_packing(problem: Problem, da_matching: Matching, matching: Matching):
-    """Recover the cycle packing over ``da_matching`` that yields ``matching``.
+def decompose_as_packing(problem: Problem, matching: Matching):
+    """Recover the cycle packing over the DA matching that yields ``matching``.
 
     Returns the packing in canonical form (minimum student first in each
     cycle), or ``None`` when the matching does not arise from trading seats
@@ -246,21 +246,18 @@ def decompose_as_packing(problem: Problem, da_matching: Matching, matching: Matc
     paired in ascending id order, which never changes edge labels.
     """
     check_feasible(problem, matching)
-    movers = [
-        i
-        for i in range(problem.n_students)
-        if matching.assignment[i] != da_matching.assignment[i]
-    ]
+    before, after = da_context(problem)[1].seats, matching.assignment
+    movers = [i for i in range(problem.n_students) if after[i] != before[i]]
     if not movers:
         return CyclePacking(())
 
     entrants: dict[int, list[int]] = {}
     leavers: dict[int, list[int]] = {}
     for i in movers:
-        old, new = da_matching.assignment[i], matching.assignment[i]
+        old, new = before[i], after[i]
         if old == NULL_SCHOOL or new == NULL_SCHOOL:
             return None
-        if rank_of(problem, i, new) >= rank_of(problem, i, old):
+        if problem._pref_rank[i][new] >= problem._pref_rank[i][old]:
             return None
         entrants.setdefault(new, []).append(i)
         leavers.setdefault(old, []).append(i)

@@ -178,6 +178,21 @@ def priority_rank_of(problem: Problem, school: int, student: int) -> int:
     return problem._prio_rank[school][student]
 
 
+def _check_ids(kind: str, ids, count: int) -> None:
+    """Raise ``InputError`` unless each of ``ids`` is an int, not a bool, in
+    ``range(count)``: the entry check of a call that then reads the rank
+    tables directly."""
+    for value in ids:
+        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < count:
+            raise InputError(f"invalid {kind} id {value}")
+
+
+def _ranks(problem: Problem, seats) -> list[int]:
+    """Each student's rank of her seat in ``seats``, read straight off the
+    rank table; the seats must pass ``check_feasible``."""
+    return [table[s] for table, s in zip(problem._pref_rank, seats)]
+
+
 def check_feasible(problem: Problem, matching: Matching) -> None:
     """Raise ``InputError`` unless the matching is well-formed and respects quotas."""
     if len(matching.assignment) != problem.n_students:
@@ -268,14 +283,9 @@ def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
     """
     check_feasible(problem, a)
     check_feasible(problem, b)
-    a_better = b_better = False
-    for i in range(problem.n_students):
-        ra = rank_of(problem, i, a.assignment[i])
-        rb = rank_of(problem, i, b.assignment[i])
-        if ra < rb:
-            a_better = True
-        elif rb < ra:
-            b_better = True
+    pairs = list(zip(_ranks(problem, a.assignment), _ranks(problem, b.assignment)))
+    a_better = any(ra < rb for ra, rb in pairs)
+    b_better = any(rb < ra for ra, rb in pairs)
     if a_better and b_better:
         return INCOMPARABLE
     if a_better:

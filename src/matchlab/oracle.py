@@ -280,11 +280,11 @@ def oracle_report(
 
     label_equiv = True
     for m in dominating:
-        packing = envy.decompose_as_packing(problem, da_matching, m)
+        packing = envy.decompose_as_packing(problem, m)
         if packing is None:
             label_equiv = False
             break
-        label_ok = envy.packing_label(digraph, packing) <= beneficiaries_scan(
+        label_ok = envy.packing_label(problem, packing) <= beneficiaries_scan(
             problem, da_matching, m
         )
         if label_ok != justifiable(m):
@@ -390,7 +390,7 @@ def verify_theorem5_steps(problem: Problem, budget: int = 10_000_000) -> Theorem
     for m in dominating:
         if rank_scan(problem, i1, m.assignment[i1]) > bound:
             continue
-        packing = envy.decompose_as_packing(problem, da_matching, m)
+        packing = envy.decompose_as_packing(problem, m)
         if packing is None or len(packing.cycles) != 1:
             continue
         if i1 in packing.cycles[0]:

@@ -40,7 +40,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import admissible_adjacency, admitted, da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import Matching, Problem, envied, trade
+from matchlab.model import Matching, Problem, _check_ids, check_feasible, envied, trade
 
 
 @dataclass(frozen=True)
@@ -157,10 +157,13 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
 
     Cycles run among the fixed beneficiary set only, so the beneficiaries of
     the result equal ``b_star``; every executed cycle strictly improves each
-    of its members relative to her current seat.
+    of its members relative to her current seat.  An infeasible ``mu_star``
+    or an id in ``b_star`` that is not a student raises ``InputError``.
     """
-    _, digraph = da_context(problem)
+    check_feasible(problem, mu_star)
     b_star = frozenset(b_star)
+    _check_ids("student", b_star, problem.n_students)
+    _, digraph = da_context(problem)
     members = sorted(b_star)
     if not members:
         return mu_star

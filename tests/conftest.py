@@ -130,3 +130,28 @@ def mixed_markets(seed, count):
             config = GenConfig(n=n, model=model, rho=rho, replications=1, seed=seed + n)
             markets += [gen_instance(config, rep) for rep in range(3)]
     return markets
+
+
+def large_market(rng, surplus):
+    """n = 30-120 students, quotas 1-4, 60% of the preference lists complete
+    and the rest truncated.  With ``surplus`` there are n // 2 schools, about
+    1.25 n seats; without it n // 4 schools, about 0.62 n seats."""
+    n = rng.randint(30, 120)
+    m = n // 2 if surplus else n // 4
+    prefs = tuple(
+        tuple(rng.sample(range(m), m if rng.random() < 0.6 else rng.randint(1, m - 1)))
+        for _ in range(n)
+    )
+    return Problem(
+        students=tuple(f"i{k}" for k in range(n)),
+        schools=tuple(f"s{k}" for k in range(m)),
+        quotas=tuple(rng.randint(1, 4) for _ in range(m)),
+        prefs=prefs,
+        priorities=tuple(tuple(rng.sample(range(n), n)) for _ in range(m)),
+    )
+
+
+def large_markets():
+    """30 seeded ``large_market`` draws, alternately with and without surplus seats."""
+    rng = random.Random(5150)
+    return [large_market(rng, k % 2 == 0) for k in range(30)]

@@ -113,11 +113,10 @@ def test_golden_explus(explus):
 
 
 def test_golden_exd(exd):
-    da, _ = run_da(exd)
     jbc_matching, _ = run_jbc(exd)
     report(
         "exd: JBC beneficiaries are {i2,i3,i5,i6}",
-        names_of(exd, beneficiaries(exd, da, jbc_matching)) == ["i2", "i3", "i5", "i6"],
+        names_of(exd, beneficiaries(exd, jbc_matching)) == ["i2", "i3", "i5", "i6"],
     )
 
 
@@ -134,7 +133,7 @@ def test_golden_exd(exd):
 def test_golden_exe_tightness(exe):
     da, _ = run_da(exe)
     plus = run_sjbc_plus(exe)
-    got = names_of(exe, beneficiaries(exe, da, plus))
+    got = names_of(exe, beneficiaries(exe, plus))
     print(f"[FAIL] exe: SJBC+ beneficiaries {got} != ['i1','i2','i4'] (unreachable expectation)")
     assert got == ["i1", "i2", "i4"]
     rep = oracle.oracle_report(exe, include_pareto_family=False)
@@ -148,10 +147,9 @@ def test_golden_exe_tightness(exe):
 def test_golden_exe_resolved_behaviour(exe):
     # What actually holds on exe under the formal label semantics: the unique
     # five-beneficiary justifiable matching exists, and SJBC+ finds it.
-    da, _ = run_da(exe)
     plus = run_sjbc_plus(exe)
     verdict = is_justifiable(exe, plus)
-    five = names_of(exe, beneficiaries(exe, da, plus))
+    five = names_of(exe, beneficiaries(exe, plus))
     report(
         "exe: SJBC+ covers all five improvable students, justifiably and efficiently",
         five == ["i1", "i2", "i4", "i5", "i6"] and verdict.justifiable and verdict.pareto_efficient,

@@ -22,7 +22,7 @@ from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, violation
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import apply_packing, matching_by_name, mixed_markets, names_of
+from conftest import apply_packing, large_markets, matching_by_name, mixed_markets, names_of
 from test_envy import on_cycle, pairwise_edges, serial_dictatorship
 
 EADA_FULL_EX1 = {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
@@ -32,13 +32,13 @@ JBC_EX1 = {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6
 
 def test_beneficiaries_goldens(ex1):
     da, _ = run_da(ex1)
-    assert names_of(ex1, beneficiaries(ex1, da, matching_by_name(ex1, JBC_EX1))) == [
+    assert names_of(ex1, beneficiaries(ex1, matching_by_name(ex1, JBC_EX1))) == [
         "i1",
         "i4",
         "i5",
     ]
-    assert beneficiaries(ex1, da, da) == frozenset()
-    assert names_of(ex1, beneficiaries(ex1, da, matching_by_name(ex1, JPE_EX1))) == [
+    assert beneficiaries(ex1, da) == frozenset()
+    assert names_of(ex1, beneficiaries(ex1, matching_by_name(ex1, JPE_EX1))) == [
         "i1",
         "i2",
         "i3",
@@ -49,12 +49,11 @@ def test_beneficiaries_goldens(ex1):
 
 
 def test_beneficiaries_rejects_non_improvements(ex1):
-    da, _ = run_da(ex1)
     worse = matching_by_name(
         ex1, {"i1": "s1", "i2": "s2", "i3": "s3", "i4": "s4", "i5": "s5", "i6": "s6", "i7": "s4"}
     )
     with pytest.raises(InputError):
-        beneficiaries(ex1, da, worse)
+        beneficiaries(ex1, worse)
 
 
 def test_is_justifiable_eada_full_fails(ex1):
@@ -126,7 +125,7 @@ def test_label_containment_matches_definition():
                 continue
             m = apply_packing(problem, da, packing)
             verdict = is_justifiable(problem, m)
-            label_ok = packing_label(g, packing) <= verdict.beneficiaries
+            label_ok = packing_label(problem, packing) <= verdict.beneficiaries
             assert label_ok == verdict.justifiable
 
 
@@ -175,6 +174,24 @@ def test_reassignment_chain_requires_a_violation(ex1):
         reassignment_chain(ex1, da, ex1.student_id("i1"), ex1.school_id("s4"))
 
 
+def test_reassignment_chain_rejects_malformed_ids(ex1):
+    # Ids are checked at entry, with rank_of's texts; a negative claimant
+    # must not read as the last student.
+    plus = run_sjbc_plus(ex1)
+    claim = min((v.victim, v.school) for v in violations(ex1, plus))
+    cases = {
+        (99, claim[1]): "invalid student id 99",
+        (-1, claim[1]): "invalid student id -1",
+        (True, claim[1]): "invalid student id True",
+        (claim[0], 99): "invalid school id 99",
+        (claim[0], None): "invalid school id None",
+    }
+    for (claimant, school), text in cases.items():
+        with pytest.raises(InputError, match=f"^{text}$"):
+            reassignment_chain(ex1, plus, claimant, school)
+    assert reassignment_chain(ex1, plus, *claim).transcript[0] == claim
+
+
 def test_reassignment_chain_on_eada_full_outcome(ex1):
     # Claims against the full-consent outcome are expected to circle back on
     # the claimant (the outcome is essentially stable in the literature); we
@@ -221,8 +238,8 @@ def reference_is_justifiable(problem, matching):
     """``is_justifiable`` as first composed: ``beneficiaries``, then
     ``violations`` tagged by victim class, ``is_strongly_justifiable`` and
     ``is_pareto_efficient``, each with its own feasibility check."""
-    da_matching, digraph = da_context(problem)
-    benef = beneficiaries(problem, da_matching, matching)
+    digraph = da_context(problem)[1]
+    benef = beneficiaries(problem, matching)
     tagged = []
     justifiable = True
     for v in violations(problem, matching):
@@ -298,44 +315,36 @@ def test_is_justifiable_errors_match_reference():
     assert checked > 20
 
 
-def large_market(rng, surplus):
-    """n = 30-120 students, quotas 1-4, 60% of the preference lists complete
-    and the rest truncated.  With ``surplus`` there are n // 2 schools, about
-    1.25 n seats; without it n // 4 schools, about 0.62 n seats."""
-    n = rng.randint(30, 120)
-    m = n // 2 if surplus else n // 4
-    prefs = tuple(
-        tuple(rng.sample(range(m), m if rng.random() < 0.6 else rng.randint(1, m - 1)))
-        for _ in range(n)
-    )
-    return Problem(
-        students=tuple(f"i{k}" for k in range(n)),
-        schools=tuple(f"s{k}" for k in range(m)),
-        quotas=tuple(rng.randint(1, 4) for _ in range(m)),
-        prefs=prefs,
-        priorities=tuple(tuple(rng.sample(range(n), n)) for _ in range(m)),
-    )
-
-
 def test_verdicts_match_scans_beyond_oracle_sizes():
-    # Polynomial certificates on markets too large to enumerate: the verdict
-    # of SJBC+, JBC and full-consent EADA against exhaustive scans and a
-    # plain reachability search.  Seeds and counts are fixed.
-    rng = random.Random(5150)
-    surplus = [k % 2 == 0 for k in range(30)]
-    markets = [large_market(rng, more_seats) for more_seats in surplus]
-    assert [sum(p.quotas) > p.n_students for p in markets] == surplus
-    tags, efficient = set(), set()
+    # Polynomial certificates on markets too large to enumerate: DA's
+    # stability, the verdicts of DA, SJBC+, JBC and EADA at full and at a
+    # seeded half consent against exhaustive scans and a plain reachability
+    # search, and half-consent EADA's guarantees over DA.  Seeds and counts are fixed; consent is
+    # drawn apart from the markets, which stay those of ``large_markets``.
+    markets = large_markets()
+    assert [sum(p.quotas) > p.n_students for p in markets] == [k % 2 == 0 for k in range(30)]
+    consent_rng = random.Random(5151)
+    tags, efficient, strong = set(), set(), set()
     for problem in markets:
         da, _ = run_da(problem)
+        assert oracle.stable_scan(problem, da)
         improvable = on_cycle(pairwise_edges(problem, da))
+        consent = frozenset(i for i in range(problem.n_students) if consent_rng.random() < 0.5)
         outcomes = {
+            "da": da,
             "sjbc_plus": run_sjbc_plus(problem),
             "jbc": run_jbc(problem)[0],
             "eada_full": run_eada(problem, range(problem.n_students))[0],
+            "eada_half": run_eada(problem, consent)[0],
         }
+        half = outcomes["eada_half"]
+        assert oracle.dominates_weakly(problem, half, da)
+        assert oracle.respects_scan(problem, half, set(range(problem.n_students)) - consent)
         for name, matching in outcomes.items():
             verdict = is_justifiable(problem, matching)
+            strongly = oracle._strongly_justifiable_scan(problem, da, matching, improvable)
+            assert verdict.strongly_justifiable == strongly, name
+            strong.add(strongly)
             found = [(v.victim, v.occupant, v.school) for v, _ in verdict.violations]
             assert sorted(found) == sorted(oracle.violations_scan(problem, matching)), name
             gainers = oracle.beneficiaries_scan(problem, da, matching)
@@ -354,4 +363,4 @@ def test_verdicts_match_scans_beyond_oracle_sizes():
         assert is_justifiable(problem, outcomes["sjbc_plus"]).justifiable
         assert is_justifiable(problem, outcomes["jbc"]).strongly_justifiable
     assert tags >= {VICTIM_BENEFICIARY, VICTIM_UNIMPROVABLE}
-    assert efficient == {True, False}
+    assert efficient == strong == {True, False}

@@ -11,7 +11,14 @@ import matchlab
 from matchlab import cli, simgen
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
-from matchlab.model import load_problem, matching_from_dict
+from matchlab.analysis import is_justifiable
+from matchlab.da import run_da
+from matchlab.eada import run_eada
+from matchlab.jbc import run_jbc
+from matchlab.model import load_matching, load_problem, matching_from_dict, problem_to_dict
+from matchlab.sjbc_plus import run_sjbc_plus
+
+from conftest import large_markets
 
 EX1 = str(fixture_path("ex1"))
 EXNOEFF = str(fixture_path("exnoeff"))
@@ -99,6 +106,35 @@ def test_analyze_eada_full_outcome_exits_1(tmp_path, capsys):
     assert code == 1
     assert "justifiable: False" in out
     assert "improvable-non-beneficiary" in out
+
+
+def test_large_markets_round_trip_through_files(tmp_path, capsys):
+    # Quotas above one, truncated lists and both seat balances, through
+    # files: each solve loads back to the in-process outcome, and analyze
+    # exits by the in-process verdict, which holds for DA, JBC and SJBC+.
+    eada_codes = set()
+    for k, problem in enumerate(large_markets()[:6]):
+        instance = tmp_path / f"market{k}.json"
+        instance.write_text(json.dumps(problem_to_dict(problem)), encoding="utf-8")
+        outcomes = {
+            ("da",): run_da(problem)[0],
+            ("jbc",): run_jbc(problem)[0],
+            ("sjbc+",): run_sjbc_plus(problem),
+            ("eada", "--consent", "all"): run_eada(problem, range(problem.n_students))[0],
+        }
+        for flags, expected in outcomes.items():
+            out = tmp_path / f"market{k}-{flags[0]}.json"
+            args = ("solve", "--mechanism", *flags, str(instance), "--out", str(out))
+            assert run_cli(capsys, *args) == (0, "", "")
+            assert load_matching(problem, out) == expected, (k, flags)
+            code, _, err = run_cli(capsys, "analyze", str(instance), str(out))
+            justifiable = is_justifiable(problem, expected).justifiable
+            assert (code, err) == (0 if justifiable else 1, ""), (k, flags)
+            if flags[0] == "eada":
+                eada_codes.add(code)
+            else:
+                assert code == 0, (k, flags)
+    assert eada_codes == {0, 1}
 
 
 def test_solve_eada_named_consent(capsys):

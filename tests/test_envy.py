@@ -3,8 +3,14 @@ import random
 
 import pytest
 
+import matchlab
 from matchlab import oracle
-from matchlab.analysis import is_justifiable, is_pareto_efficient, is_strongly_justifiable
+from matchlab.analysis import (
+    beneficiaries,
+    is_justifiable,
+    is_pareto_efficient,
+    is_strongly_justifiable,
+)
 from matchlab.da import _propose, run_da
 from matchlab.eada import run_eada
 from matchlab.envy import (
@@ -20,7 +26,7 @@ from matchlab.envy import (
 )
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc, strongly_justifiable_family
-from matchlab.sjbc_plus import expansion_step, run_expansion, run_refinement, run_sjbc_plus
+from matchlab.sjbc_plus import expansion_step, run_sjbc_plus
 from matchlab.model import InputError, Matching, Problem, envied, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 
@@ -121,15 +127,13 @@ def test_apply_packing_rejects_bad_input(ex1):
 
 
 def test_packing_label_golden(ex1):
-    da, _ = run_da(ex1)
-    g = build_envy(ex1, da)
     S = ex1.student_id
-    assert packing_label(g, canonical_packing([(S("i1"), S("i4"), S("i5"))])) == frozenset()
+    assert packing_label(ex1, canonical_packing([(S("i1"), S("i4"), S("i5"))])) == frozenset()
     two = canonical_packing([(S("i1"), S("i2"))])
-    assert names_of(ex1, packing_label(g, two)) == ["i5"]
+    assert names_of(ex1, packing_label(ex1, two)) == ["i5"]
     last = canonical_packing([(S("i1"), S("i2")), (S("i3"), S("i6"), S("i4"), S("i5"))])
-    assert names_of(ex1, packing_label(g, last)) == ["i1", "i5"]
-    assert packing_label(g, CyclePacking(())) == frozenset()
+    assert names_of(ex1, packing_label(ex1, last)) == ["i1", "i5"]
+    assert packing_label(ex1, CyclePacking(())) == frozenset()
 
 
 def test_decompose_goldens(ex1):
@@ -138,16 +142,16 @@ def test_decompose_goldens(ex1):
     jbc = matching_by_name(
         ex1, {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
     )
-    assert decompose_as_packing(ex1, da, jbc) == canonical_packing(
+    assert decompose_as_packing(ex1, jbc) == canonical_packing(
         [(S("i1"), S("i4"), S("i5"))]
     )
-    assert decompose_as_packing(ex1, da, da) == CyclePacking(())
+    assert decompose_as_packing(ex1, da) == CyclePacking(())
     # i1 parked at s3 while its DA holder i3 keeps a seat elsewhere is not a
     # permutation of DA seats
     odd = matching_by_name(
         ex1, {"i1": "s3", "i2": "s2", "i3": "s1", "i4": "s4", "i5": "s5", "i6": "s6", "i7": "s7"}
     )
-    assert decompose_as_packing(ex1, da, odd) is None
+    assert decompose_as_packing(ex1, odd) is None
 
 
 def test_apply_then_decompose_round_trip():
@@ -161,7 +165,7 @@ def test_apply_then_decompose_round_trip():
             if packing is None:
                 continue
             matching = apply_packing(problem, da, packing)
-            assert decompose_as_packing(problem, da, matching) == packing
+            assert decompose_as_packing(problem, matching) == packing
 
 
 def random_packing(digraph, rng):
@@ -434,7 +438,7 @@ def test_packing_label_is_union_of_definitional_labels():
         g = build_envy(problem, da)
         labels = labels_by_definition(problem, da, g.edges, g.improvable)
         packings = [random_packing(g, rng) for _ in range(3)]
-        packings.append(decompose_as_packing(problem, da, run_jbc(problem)[0]))
+        packings.append(decompose_as_packing(problem, run_jbc(problem)[0]))
         traded = [(i, j) for i in sorted(g.improvable) for j in g.edges[i] if j in g.improvable]
         for i, j in rng.sample(traded, min(len(traded), 20)):
             cycle = cycle_through_edge(g, i, j)
@@ -449,18 +453,16 @@ def test_packing_label_is_union_of_definitional_labels():
                     for pos, i in enumerate(cycle)
                 )
             )
-            assert packing_label(g, packing) == expected
+            assert packing_label(problem, packing) == expected
             nonempty += bool(expected)
     assert nonempty > 100
 
 
 def test_packing_label_rejects_non_edges(ex1):
-    da, _ = run_da(ex1)
-    g = build_envy(ex1, da)
     S = ex1.student_id
     for cycle in ((S("i4"), S("i1")), (S("i1"), 99), (99, S("i1")), (S("i1"), -1)):
         with pytest.raises(InputError):
-            packing_label(g, CyclePacking((cycle,)))
+            packing_label(ex1, CyclePacking((cycle,)))
 
 
 def test_cycle_members_match_reachability():
@@ -496,6 +498,8 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     strongly_justifiable_family(problem)
     is_justifiable(problem, plus)
     is_strongly_justifiable(problem, plus)
+    beneficiaries(problem, plus)
+    packing_label(problem, decompose_as_packing(problem, plus))
     assert calls == {"run_da": 1, "build_envy": 1}
 
     again = load_fixture("ex1")
@@ -506,17 +510,14 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     fresh = load_fixture("ex1")
     assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
 
+    # No public function but the builder takes the DA context from its caller.
     assert list(inspect.signature(da_context).parameters) == ["problem"]
     assert list(inspect.signature(expansion_step).parameters) == ["problem", "state"]
-    for fn in (
-        run_jbc,
-        strongly_justifiable_family,
-        run_expansion,
-        run_refinement,
-        is_justifiable,
-        is_strongly_justifiable,
-    ):
-        assert "digraph" not in inspect.signature(fn).parameters, fn.__name__
+    public = [getattr(matchlab, name) for name in matchlab.__all__]
+    functions = [fn for fn in public if inspect.isfunction(fn) and fn is not build_envy]
+    assert len(functions) > 25 and packing_label in functions
+    for fn in functions:
+        assert not {"da_matching", "digraph"} & set(inspect.signature(fn).parameters), fn.__name__
 
     # EADA's peel starts from the context: one simulated instance runs DA's
     # proposal loop once for the context and once per EADA rerun, no more.

@@ -146,17 +146,15 @@ def test_per_instance_invariants():
 
 def test_sjbc_beneficiaries_dominate_jbc_per_instance():
     from matchlab.analysis import beneficiaries
-    from matchlab.da import run_da
     from matchlab.jbc import run_jbc
     from matchlab.sjbc_plus import run_sjbc_plus
 
     cfg = GenConfig(n=12, model="iid", replications=1, seed=34)
     for rep in range(10):
         problem = gen_instance(cfg, rep)
-        da, _ = run_da(problem)
         jbc_matching, _ = run_jbc(problem)
         plus = run_sjbc_plus(problem)
-        assert beneficiaries(problem, da, jbc_matching) <= beneficiaries(problem, da, plus)
+        assert beneficiaries(problem, jbc_matching) <= beneficiaries(problem, plus)
 
 
 def reference_evaluate(problem, consent):

@@ -1,8 +1,10 @@
+import pytest
+
 from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.envy import build_envy, decompose_as_packing
 from matchlab.jbc import run_jbc
-from matchlab.model import A_DOMINATES, pareto_compare
+from matchlab.model import A_DOMINATES, InputError, Matching, pareto_compare
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import (
     ExpansionState,
@@ -22,7 +24,7 @@ def bootstrap_state(problem):
     da, _ = run_da(problem)
     digraph = build_envy(problem, da)
     jbc_matching, _ = run_jbc(problem)
-    packing = decompose_as_packing(problem, da, jbc_matching)
+    packing = decompose_as_packing(problem, jbc_matching)
     perm = {i: i for i in digraph.improvable}
     for cycle in packing.cycles:
         for pos, i in enumerate(cycle):
@@ -100,6 +102,21 @@ def test_run_refinement_leaves_pe_matching_alone(ex1):
     assert run_refinement(ex1, mu_star, b_star) == mu_star
 
 
+def test_run_refinement_rejects_malformed_input(ex1):
+    # The seats pass check_feasible and the beneficiaries must be students,
+    # checked once at entry: nothing comes back unchanged or as an IndexError.
+    mu_star, b_star = run_expansion(ex1)
+    crowded = Matching((0,) * ex1.n_students)
+    cases = (
+        (crowded, b_star, "over quota"),
+        (Matching(mu_star.assignment[:-1]), b_star, "matching length"),
+        (mu_star, b_star | {99}, "invalid student id 99"),
+    )
+    for seats, members, text in cases:
+        with pytest.raises(InputError, match=text):
+            run_refinement(ex1, seats, members)
+
+
 def test_run_refinement_exnoeff_unchanged(exnoeff):
     # the i1/i5 exchange would need i6 (outside the beneficiary set) to give
     # way at s4, so no admissible cycle exists
@@ -118,11 +135,10 @@ def test_run_sjbc_plus_goldens(ex1, exnoeff, explus):
 
 
 def test_run_sjbc_plus_exd_extends_jbc(exd):
-    da, _ = run_da(exd)
     jbc_matching, _ = run_jbc(exd)
     plus = run_sjbc_plus(exd)
-    assert beneficiaries(exd, da, jbc_matching) <= beneficiaries(exd, da, plus)
-    assert names_of(exd, beneficiaries(exd, da, jbc_matching)) == ["i2", "i3", "i5", "i6"]
+    assert beneficiaries(exd, jbc_matching) <= beneficiaries(exd, plus)
+    assert names_of(exd, beneficiaries(exd, jbc_matching)) == ["i2", "i3", "i5", "i6"]
 
 
 def test_exe_behaviour_under_actual_label_semantics(exe):
@@ -130,9 +146,8 @@ def test_exe_behaviour_under_actual_label_semantics(exe):
     # the expansion escapes the initial set {i1, i2, i4} (first via i6, whose
     # entry at s1 can only wrong i2, then via i5) and ends at the unique
     # justifiable matching covering all five improvable students.
-    da, _ = run_da(exe)
     plus = run_sjbc_plus(exe)
-    assert names_of(exe, beneficiaries(exe, da, plus)) == ["i1", "i2", "i4", "i5", "i6"]
+    assert names_of(exe, beneficiaries(exe, plus)) == ["i1", "i2", "i4", "i5", "i6"]
     verdict = is_justifiable(exe, plus)
     assert verdict.justifiable
     assert verdict.pareto_efficient
@@ -150,7 +165,7 @@ def test_outcome_guarantees_random():
                 assert pareto_compare(problem, plus, da) == A_DOMINATES
                 verdict = is_justifiable(problem, plus)
                 assert verdict.justifiable
-                assert beneficiaries(problem, da, jbc_matching) <= verdict.beneficiaries
+                assert beneficiaries(problem, jbc_matching) <= verdict.beneficiaries
             else:
                 assert plus == da
 
