@@ -59,23 +59,23 @@ def beneficiaries(problem: Problem, matching: Matching) -> frozenset[int]:
     return _gainers(problem, _ranks(problem, matching.assignment))
 
 
-def _gainers(problem: Problem, ranks, improvement: bool = True) -> frozenset[int]:
+def _gainers(problem: Problem, ranks) -> frozenset[int]:
     """The students whose rank in ``ranks`` (student order) beats the rank
-    of their DA seat.  With ``improvement``, a student worse off than under
-    DA raises ``InputError``."""
+    of their DA seat; a student worse off than under DA raises
+    ``InputError``."""
     da_ranks = _ranks(problem, da_context(problem)[1].seats)
     out = set()
     for i, (r, r_da) in enumerate(zip(ranks, da_ranks)):
         if r < r_da:
             out.add(i)
-        elif r > r_da and improvement:
+        elif r > r_da:
             raise InputError(
                 f"matching is worse than DA for {problem.students[i]}; not a DA improvement"
             )
     return frozenset(out)
 
 
-def _judge(problem: Problem, matching: Matching, improvement: bool = True):
+def _judge(problem: Problem, matching: Matching):
     """One verdict pass over an outcome: one ``check_feasible``, one roster
     list and one ``envied`` walk.
 
@@ -87,16 +87,14 @@ def _judge(problem: Problem, matching: Matching, improvement: bool = True):
     no envy cycle at DA, so no improvement over DA can help her; an
     *improvable non-beneficiary* is anyone else.
 
-    Errors keep one order: an infeasible matching, then, when
-    ``improvement`` holds, a student worse off than under DA, then a
-    wasteful matching.  Without ``improvement`` such a student simply
-    gains nothing.
+    Errors keep one order: an infeasible matching, then a student worse
+    off than under DA, then a wasteful matching.
     """
     rosters, envious = _seated(problem, matching)
     digraph = da_context(problem)[1]
     seats = matching.assignment
     ranks = _ranks(problem, seats)
-    gainers = _gainers(problem, ranks, improvement)
+    gainers = _gainers(problem, ranks)
     tagged = []
     for v in _blocking(problem, rosters, envious):
         if v.victim in gainers:
@@ -165,11 +163,11 @@ def reassignment_chain(
     can only involve equally-ranked unlisted schools, break toward the
     lowest school id); claiming the null school ends the chain.  The chain
     is vacuous when it circles back and evicts the original claimant from
-    the school she claimed.  A claimant or school that is not an int id in
-    range raises ``InputError``, as does a claim that is no violation.
+    the school she claimed.  A claimant or school that is not a student or
+    school id raises ``InputError``, as does a claim that is no violation.
     """
-    _check_ids("student", (claimant,), problem.n_students)
-    _check_ids("school", (school,), problem.n_schools)
+    _check_ids("student", (claimant,), range(problem.n_students))
+    _check_ids("school", (school,), range(problem.n_schools))
     if not any(
         v.victim == claimant and v.school == school for v in violations(problem, matching)
     ):

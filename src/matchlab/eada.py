@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from matchlab import da as da_mod
 from matchlab.envy import da_context
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _check_ids
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -49,17 +49,6 @@ class EadaRun:
     final: Matching
 
 
-def _validated_consent(problem: Problem, consent) -> frozenset[int]:
-    try:
-        members = frozenset(consent)
-    except TypeError:
-        raise InputError("consent must be a collection of student ids") from None
-    for i in members:
-        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < problem.n_students:
-            raise InputError(f"invalid student id {i!r} in consent set")
-    return members
-
-
 def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     """Run the mechanism for the given consent set by layer peeling.
 
@@ -67,7 +56,11 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     priority of a non-consenting student.  Each entry of ``iterations`` is
     one DA rerun: the consenting pairs its layer cut, and its outcome.
     """
-    members = _validated_consent(problem, consent)
+    try:
+        members = frozenset(consent)
+    except TypeError:
+        raise InputError("consent must be a collection of student ids") from None
+    _check_ids("student", members, range(problem.n_students))
     prio_tables = problem._prio_rank
     prefs = [list(p) for p in problem.prefs]
     # Per school, the best priority rank of a non-consenter cut from it; only

@@ -40,6 +40,7 @@ from matchlab.model import (
     InputError,
     Matching,
     Problem,
+    _check_ids,
     check_feasible,
     envied,
 )
@@ -222,7 +223,10 @@ def da_context(problem: Problem):
 
 def packing_label(problem: Problem, packing: CyclePacking) -> frozenset[int]:
     """Union of the labels of all traded edges of the DA envy digraph: per
-    entered school, the contenders that outrank its lowest-priority entrant."""
+    entered school, the contenders that outrank its lowest-priority entrant.
+    A member that is not a student id raises ``InputError``."""
+    members = (i for cycle in packing.cycles for i in cycle)
+    _check_ids("student", members, range(problem.n_students))
     digraph = da_context(problem)[1]
     deepest: dict[int, int] = {}
     for cycle in packing.cycles:

@@ -17,6 +17,7 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 NULL_SCHOOL = -1
 
@@ -65,26 +66,31 @@ class Problem:
         if len(self.quotas) != m or len(self.prefs) != n or len(self.priorities) != m:
             raise InputError("field lengths do not match student/school counts")
         for q in self.quotas:
-            if q < 1:
+            if isinstance(q, bool) or not hasattr(q, "__index__") or q < 1:
                 raise InputError("quotas must be >= 1")
         ranks = list(range(1, max(n, m) + 1))  # one set of rank ints shared by every table
         pref_rank = []
         for i, plist in enumerate(self.prefs):
             unlisted = len(plist) + 2
             table = [unlisted] * m + [len(plist) + 1]  # the null rank sits at slot -1
-            with suppress(IndexError):  # an id past m stops the fill; it, an id of m or a repeat leaves extra unlisted slots
+            # An id past m or not an integer stops the fill; it, an id of m or a
+            # repeat leaves extra unlisted slots.
+            with suppress(IndexError, TypeError):
                 for s, pos in zip(plist, ranks):
                     table[s] = pos
-            if min(plist, default=0) < 0 or table.count(unlisted) != m - len(plist):
+            if table.count(unlisted) != m - len(plist) or min(plist, default=0) < 0:
                 if len(set(plist)) != len(plist):
                     raise InputError(f"duplicate school in preference list of {self.students[i]}")
-                s = next(s for s in plist if not 0 <= s < m)
-                raise InputError(f"invalid school id {s} in preferences of {self.students[i]}")
+                try:
+                    _check_ids("school", plist, range(m))
+                except InputError as exc:
+                    raise InputError(f"{exc} in preferences of {self.students[i]}") from None
             pref_rank.append(table)
         prio_rank = []  # filling a school's rank table completes its permutation check
         for s, plist in enumerate(self.priorities):
             table = [0] * n
-            with suppress(IndexError):  # an id past the last student stops the fill with a slot empty
+            # An id past the last student or not an integer stops the fill with a slot empty.
+            with suppress(IndexError, TypeError):
                 if len(plist) == n and min(plist, default=0) >= 0:
                     for i, pos in zip(plist, ranks):
                         table[i] = pos
@@ -162,29 +168,33 @@ def rank_of(problem: Problem, student: int, school: int) -> int:
     The null school ranks ``len(prefs) + 1``; unlisted schools rank
     ``len(prefs) + 2``, uniformly, so every comparison is total.
     """
-    if not 0 <= student < problem.n_students:
-        raise InputError(f"invalid student id {student}")
-    if not NULL_SCHOOL <= school < problem.n_schools:
-        raise InputError(f"invalid school id {school}")
+    _check_ids("student", (student,), range(problem.n_students))
+    _check_ids("school", (school,), range(NULL_SCHOOL, problem.n_schools))
     return problem._pref_rank[student][school]
 
 
 def priority_rank_of(problem: Problem, school: int, student: int) -> int:
     """1-based priority rank of ``student`` at ``school`` (1 = highest)."""
-    if not 0 <= school < problem.n_schools:
-        raise InputError(f"invalid school id {school}")
-    if not 0 <= student < problem.n_students:
-        raise InputError(f"invalid student id {student}")
+    _check_ids("school", (school,), range(problem.n_schools))
+    _check_ids("student", (student,), range(problem.n_students))
     return problem._prio_rank[school][student]
 
 
-def _check_ids(kind: str, ids, count: int) -> None:
-    """Raise ``InputError`` unless each of ``ids`` is an int, not a bool, in
-    ``range(count)``: the entry check of a call that then reads the rank
-    tables directly."""
+def _check_ids(kind: str, ids, valid: range) -> None:
+    """Raise ``InputError`` unless each of ``ids`` is an integer that
+    ``operator.index`` accepts (numpy integers do), not a bool, in ``valid``.
+
+    The library's one rule for an id from outside: each public entry applies
+    it once and then reads the rank tables directly.  A range that starts at
+    ``NULL_SCHOOL`` admits the null school.
+    """
     for value in ids:
-        if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < count:
-            raise InputError(f"invalid {kind} id {value}")
+        try:
+            if not isinstance(value, bool) and index(value) in valid:
+                continue
+        except TypeError:
+            pass
+        raise InputError(f"invalid {kind} id {value}")
 
 
 def _ranks(problem: Problem, seats) -> list[int]:
@@ -197,14 +207,11 @@ def check_feasible(problem: Problem, matching: Matching) -> None:
     """Raise ``InputError`` unless the matching is well-formed and respects quotas."""
     if len(matching.assignment) != problem.n_students:
         raise InputError("matching length does not match student count")
-    counts = [0] * problem.n_schools
+    _check_ids("school", matching.assignment, range(NULL_SCHOOL, problem.n_schools))
+    counts = [0] * (problem.n_schools + 1)  # the null school counts at slot -1
     for s in matching.assignment:
-        if s == NULL_SCHOOL:
-            continue
-        if not 0 <= s < problem.n_schools:
-            raise InputError(f"invalid school id {s} in matching")
         counts[s] += 1
-    for s, c in enumerate(counts):
+    for s, c in enumerate(counts[:-1]):
         if c > problem.quotas[s]:
             raise InputError(f"school {problem.schools[s]} over quota ({c} > {problem.quotas[s]})")
 

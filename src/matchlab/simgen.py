@@ -127,9 +127,9 @@ def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMe
       improvable), else 0.
 
     All four come from one ``analysis`` verdict pass per outcome, the one
-    ``analysis.is_justifiable`` runs, which also gives the seat ranks.  An
-    infeasible outcome raises ``InputError``, and so does a wasteful one,
-    as ``analysis.is_pareto_efficient`` does.
+    ``analysis.is_justifiable`` runs, which also gives the seat ranks.  As
+    there, an infeasible outcome raises ``InputError``, and so does one that
+    leaves some student worse off than DA, or a wasteful one.
     """
     outcomes = {
         "da": da_context(problem)[0],
@@ -139,9 +139,7 @@ def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMe
     }
     values = {}
     for name, matching in outcomes.items():
-        ranks, gainers, _, justifiable, efficient = analysis._judge(
-            problem, matching, improvement=False
-        )
+        ranks, gainers, _, justifiable, efficient = analysis._judge(problem, matching)
         values[name] = {
             "avg_rank": sum(ranks) / problem.n_students,
             "beneficiaries": float(len(gainers)),

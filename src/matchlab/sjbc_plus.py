@@ -162,7 +162,7 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
     """
     check_feasible(problem, mu_star)
     b_star = frozenset(b_star)
-    _check_ids("student", b_star, problem.n_students)
+    _check_ids("student", b_star, range(problem.n_students))
     _, digraph = da_context(problem)
     members = sorted(b_star)
     if not members:

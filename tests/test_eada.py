@@ -5,7 +5,7 @@ import pytest
 from matchlab import da as da_mod
 from matchlab.analysis import is_pareto_efficient
 from matchlab.da import DaTrace, run_da
-from matchlab.eada import EadaIteration, EadaRun, _validated_consent, eada_orbit, run_eada
+from matchlab.eada import EadaIteration, EadaRun, eada_orbit, run_eada
 from matchlab.fixtures import load_fixture
 from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
@@ -66,7 +66,7 @@ def kesten_eada(problem, consent):
     one mutable copy of the lists, the school of every consenting interrupter
     rejected in the latest round that has one, until no consenting student
     interrupts."""
-    members = _validated_consent(problem, consent)
+    members = frozenset(consent)
     prefs = [list(p) for p in problem.prefs]
 
     def rerun():

@@ -2,8 +2,12 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
+from matchlab.analysis import is_justifiable, reassignment_chain
+from matchlab.eada import run_eada
+from matchlab.envy import CyclePacking, packing_label
 from matchlab.model import (
     A_DOMINATES,
     B_DOMINATES,
@@ -20,6 +24,7 @@ from matchlab.model import (
     matching_to_dict,
     pareto_compare,
     problem_from_dict,
+    priority_rank_of,
     problem_to_dict,
     envied,
     rank_of,
@@ -28,6 +33,7 @@ from matchlab.model import (
 )
 from matchlab.da import run_da
 from matchlab.simgen import GenConfig, gen_instance
+from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 
 from conftest import matching_by_name, random_market
 
@@ -380,3 +386,58 @@ def test_star_import_binds_every_public_name():
     exec("from matchlab import *", namespace)
     assert len(set(matchlab.__all__)) == len(matchlab.__all__)
     assert all(name in namespace for name in matchlab.__all__)
+
+
+def _put(seq, k, x):
+    return tuple(seq[:k]) + (x,) + tuple(seq[k + 1 :])
+
+
+def _rebuilt(problem, **fields):
+    kept = {f: getattr(problem, f) for f in ("students", "schools", "quotas", "prefs", "priorities")}
+    return Problem(**{**kept, **fields})
+
+
+def _jbc_seat(problem, x):
+    # the JBC outcome of ex1 with i2's seat, s2, replaced by x
+    return Matching(_put(matching_by_name(problem, JBC_EX1).assignment, 1, x))
+
+
+# Per entry: the kind of the id slot it fills, the valid ids tried there and
+# the call.  True names id 1 in every slot; inside a Problem's lists, which
+# take bools, it repeats an id already listed there.
+ID_ENTRIES = {
+    "rank_of": ("school", (3, NULL_SCHOOL), lambda p, x: rank_of(p, 0, x)),
+    "priority_rank_of": ("student", (4,), lambda p, x: priority_rank_of(p, 0, x)),
+    "violations": ("school", (1, NULL_SCHOOL), lambda p, x: violations(p, _jbc_seat(p, x))),
+    "is_justifiable": ("school", (1,), lambda p, x: is_justifiable(p, _jbc_seat(p, x))),
+    "run_eada": ("student", (2,), lambda p, x: run_eada(p, {x, 5})),
+    "packing_label": ("student", (0,), lambda p, x: packing_label(p, CyclePacking(((x, 3, 4),)))),
+    "reassignment_chain": ("student", (0,), lambda p, x: reassignment_chain(p, run_sjbc_plus(p), x, 3)),
+    "run_refinement": (
+        "student",
+        (1,),
+        lambda p, x: run_refinement(p, *run_expansion(p)[:1], {0, 2, 3, 4, 5, x}),
+    ),
+    "Problem prefs": ("school", (6,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 0, p.prefs[0] + (x,)))),
+    "Problem priorities": (
+        "student",
+        (0,),
+        lambda p, x: _rebuilt(p, priorities=_put(p.priorities, 0, (x,) + p.priorities[0][1:])),
+    ),
+    "Problem quotas": ("quota", (1, 2), lambda p, x: _rebuilt(p, quotas=_put(p.quotas, 0, x))),
+}
+
+
+@pytest.mark.parametrize("entry", ID_ENTRIES, ids=ID_ENTRIES)
+def test_entries_take_ids_by_one_rule(ex1, entry):
+    # Every entry refuses a float, None, a bool, a negative id and one past
+    # the end with InputError, and answers a numpy integer as the plain int.
+    kind, valid, call = ID_ENTRIES[entry]
+    past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0}[kind]
+    for bad in (1.5, None, True, -2, past):
+        with pytest.raises(InputError) as exc:
+            call(ex1, bad)
+        if not entry.startswith("Problem"):
+            assert str(exc.value) == f"invalid {kind} id {bad}"
+    for good in valid:
+        assert call(ex1, np.int64(good)) == call(ex1, good)

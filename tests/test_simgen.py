@@ -230,5 +230,7 @@ def test_evaluate_instance_rejects_wasteful_outcome(monkeypatch, outcome):
         monkeypatch.setattr(eada, "run_eada", lambda p, c: (nobody, None))
     else:
         monkeypatch.setattr(sjbc_plus, "run_sjbc_plus", lambda p: nobody)
-    with pytest.raises(InputError, match="wasteful"):
+    # As in analyze, a wasteful outcome shows as a student worse off than
+    # under DA: one that weakly dominates DA fills every school as DA does.
+    with pytest.raises(InputError, match="^matching is worse than DA for "):
         evaluate_instance(problem, consent, 0)

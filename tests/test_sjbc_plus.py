@@ -1,5 +1,6 @@
 import pytest
 
+from matchlab import oracle
 from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.envy import build_envy, decompose_as_packing
@@ -14,7 +15,8 @@ from matchlab.sjbc_plus import (
     run_sjbc_plus,
 )
 
-from conftest import matching_by_name, names_of
+from conftest import large_markets, matching_by_name, names_of
+from test_envy import envies, on_cycle, pairwise_edges
 
 JPE_EX1 = {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4", "i7": "s7"}
 MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6": "s6"}
@@ -185,3 +187,38 @@ def test_expansion_permutation_always_cycle_structured():
                 assert {i for i, _ in non_loops} == {j for _, j in non_loops}
                 for i, j in non_loops:
                     assert digraph2.has_edge(i, j)
+
+
+def test_no_admissible_cycle_left_among_beneficiaries_beyond_oracle_sizes():
+    # On the fixed markets of ``large_markets``: at the SJBC+ outcome, the
+    # graph over its beneficiaries has no cycle.  Edge i -> j: i envies j's
+    # current seat, and i's DA label there, taken by definition (the
+    # improvable students who envy that school at DA and outrank i there),
+    # lies inside the beneficiaries.
+    admissible = blocked = 0
+    for problem in large_markets():
+        da, _ = run_da(problem)
+        improvable = on_cycle(pairwise_edges(problem, da))
+        plus = run_sjbc_plus(problem)
+        gainers = oracle.beneficiaries_scan(problem, da, plus)
+        edges = {}
+        for i in gainers:
+            edges[i] = []
+            for j in gainers:
+                school = plus.assignment[j]
+                if j == i or not envies(problem, plus, i, school):
+                    continue
+                label = {
+                    h
+                    for h in improvable
+                    if envies(problem, da, h, school)
+                    and oracle.priority_scan(problem, school, h)
+                    < oracle.priority_scan(problem, school, i)
+                }
+                if label <= gainers:
+                    edges[i].append(j)
+                    admissible += 1
+                else:
+                    blocked += 1
+        assert not on_cycle(edges), problem
+    assert admissible and blocked
