@@ -13,6 +13,7 @@ a problem validates; the null rank sits at slot -1 of a student's table.
 
 from __future__ import annotations
 
+import io
 import json
 from contextlib import suppress
 from dataclasses import dataclass
@@ -273,6 +274,7 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
 def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
     """True iff no blocking triple has its victim in ``protected``."""
     protected = set(protected)
+    _check_ids("student", protected, range(problem.n_students))
     return all(v.victim not in protected for v in violations(problem, matching))
 
 
@@ -387,12 +389,25 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
+def _decode(raw: bytes, path) -> str:
+    """The text a UTF-8 text-mode read of ``raw`` gives, newlines translated."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
+
+
+def _parse_json(text: str, path):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad syntax, too deep
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
+
+
 def _read_json(path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad syntax or bytes, too deep
-            raise InputError(f"invalid JSON in {path}: {exc}") from None
+    with open(path, "rb") as fh:
+        text = _decode(fh.read(), path)
+    return _parse_json(text, path)
 
 
 def load_problem(path) -> Problem:

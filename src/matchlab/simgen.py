@@ -3,8 +3,10 @@
 Reproducibility contract: every replication owns an independent stream of a
 Philox counter-based generator keyed by ``(seed, replication_index)``, and
 normal variates come from the inverse CDF applied to ``(k + 1/2) / 2**53``
-uniforms, so identical configurations give bit-identical statistics on any
-platform, regardless of how replications are scheduled.
+uniforms, so identical configurations give bit-identical statistics for a
+given scipy, regardless of how replications are scheduled.  The SJBC+
+statistics read scipy's tie-break among equally good trade plans (see
+``sjbc_plus``), so another scipy release may change them.
 
 Within a replication the draw order is fixed: school quality (correlated
 model only), preference noise, one priority permutation per school, then the

@@ -20,6 +20,13 @@ trade plan.  Minimising loops over perfect matchings of the loop-augmented
 graph is the formulation that is always feasible, and it is solved here as a
 0/1-cost assignment problem.
 
+Many permutations often share the fewest loops, and which one a step takes
+is scipy's ``linear_sum_assignment`` tie-break.  It decides the trade plan,
+the refinement's start and so the final matching, so outputs are
+byte-stable for a given scipy.  The CLI goldens in ``tests/test_cli.py``
+and the bench's reference digests are what catch a scipy release that
+breaks the ties differently.
+
 The refinement pass then fixes leftover inefficiency among the final
 beneficiaries: it repeatedly executes cycles of envy edges at the *current*
 matching whose execution cannot violate the priority of any improvable

@@ -15,7 +15,13 @@ from matchlab.analysis import is_justifiable
 from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.jbc import run_jbc
-from matchlab.model import load_matching, load_problem, matching_from_dict, problem_to_dict
+from matchlab.model import (
+    load_matching,
+    load_problem,
+    matching_from_dict,
+    problem_from_dict,
+    problem_to_dict,
+)
 from matchlab.sjbc_plus import run_sjbc_plus
 
 from conftest import large_markets
@@ -414,6 +420,61 @@ def assert_analyze_golden(tmp_path, capsys, fixture):
 @pytest.mark.parametrize("fixture", sorted(GOLDEN_ANALYZE))
 def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
     assert_analyze_golden(tmp_path, capsys, fixture)
+
+
+def test_solve_then_analyze_builds_the_problem_once(tmp_path, capsys, monkeypatch):
+    # analyze reuses the problem that solve built from the same instance
+    # bytes, and answers as it does from a problem of its own.
+    builds = []
+
+    def counted(data):
+        builds.append(data["students"])
+        return problem_from_dict(data)
+
+    monkeypatch.setattr(cli, "problem_from_dict", counted)
+    monkeypatch.setattr(cli, "_last_problem", None)
+    assert_solve_golden(tmp_path, capsys, "ex1", "sjbc+")
+    assert_analyze_golden(tmp_path, capsys, "ex1")
+    assert len(builds) == 1
+    monkeypatch.setattr(cli, "_last_problem", None)
+    assert_analyze_golden(tmp_path, capsys, "ex1")
+    assert len(builds) == 2
+
+
+def test_rewritten_instance_is_loaded_afresh(tmp_path, capsys, monkeypatch):
+    # The same path, rewritten with another market of the same byte length
+    # (i1 and i7 trade places at s4), answers for the market it now holds.
+    matching = tmp_path / "jbc.json"
+    assert run_cli(capsys, "solve", "--mechanism", "jbc", EX1, "--out", str(matching))[0] == 0
+    original = Path(EX1).read_text(encoding="utf-8")
+    swapped = original.replace('"i4", "i7", "i1"', '"i4", "i1", "i7"')
+    assert swapped != original and len(swapped.encode()) == len(original.encode())
+    instance = tmp_path / "market.json"
+    verdicts = []
+    for text in (original, swapped, original):
+        instance.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", str(instance), str(matching))
+        monkeypatch.setattr(cli, "_last_problem", None)
+        assert run_cli(capsys, "analyze", str(instance), str(matching)) == (code, out, err)
+        verdicts.append(out)
+    assert verdicts[0] == verdicts[2] != verdicts[1]
+    assert "victim i7 at s4" in verdicts[0] and "victim i7" not in verdicts[1]
+
+
+@pytest.mark.parametrize(
+    "content",
+    ['{"students": [', json.dumps({"students": ["a"], "schools": [{"name": "x", "quota": "z"}]})],
+    ids=["bad-json", "bad-market"],
+)
+def test_failed_load_leaves_the_last_problem_usable(tmp_path, capsys, content):
+    good = run_cli(capsys, "envy", EX1)
+    bad = tmp_path / "bad.json"
+    bad.write_text(content, encoding="utf-8")
+    for _ in range(2):  # a failed load is not kept, so it fails again alike
+        code, out, err = run_cli(capsys, "envy", str(bad))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    assert run_cli(capsys, "envy", EX1) == good
+    assert hashlib.sha256(good[1].encode()).hexdigest() == GOLDEN_STDOUT["ex1", "envy"]
 
 
 def assert_simulate_golden(tmp_path, capsys):

@@ -418,6 +418,11 @@ ID_ENTRIES = {
         (1,),
         lambda p, x: run_refinement(p, *run_expansion(p)[:1], {0, 2, 3, 4, 5, x}),
     ),
+    "respects_priorities_of": (
+        "student",
+        (6, 0),  # i7, the one victim, then a student no violation names
+        lambda p, x: respects_priorities_of(p, matching_by_name(p, JBC_EX1), {x}),
+    ),
     "Problem prefs": ("school", (6,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 0, p.prefs[0] + (x,)))),
     "Problem priorities": (
         "student",
