@@ -40,7 +40,7 @@ from matchlab.analysis import (
 from matchlab.jbc import SchoolGraph, run_jbc, strongly_justifiable_family
 from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 from matchlab.eada import EadaRun, eada_orbit, run_eada
-from matchlab.oracle import enumerate_matchings, oracle_report, verify_theorem5_steps
+from matchlab.oracle import enumerate_matchings, oracle_report
 from matchlab.simgen import GenConfig, gen_instance, run_experiment
 
 __all__ = [
@@ -86,6 +86,5 @@ __all__ = [
     "run_refinement",
     "run_sjbc_plus",
     "strongly_justifiable_family",
-    "verify_theorem5_steps",
     "violations",
 ]

@@ -8,9 +8,11 @@ Exit codes: 0 on success, 1 when a requested property check fails
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
+import logging
 import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
@@ -122,6 +124,21 @@ def _parse_consent(problem, spec):
     return frozenset(problem.student_id(name.strip()) for name in spec.split(","))
 
 
+@contextlib.contextmanager
+def _shown(module):
+    """Write ``module``'s INFO log records to stderr for the block, then give
+    its logger back the level and handlers it had."""
+    logger = logging.getLogger(module.__name__)
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.setLevel(level)
+        logger.removeHandler(handler)
+
+
 def _cmd_solve(args) -> int:
     problem = _load_problem(args.instance)
     if args.consent is not None and args.mechanism != "eada":
@@ -129,25 +146,11 @@ def _cmd_solve(args) -> int:
     if args.mechanism == "da":
         matching, _ = run_da(problem)
     elif args.mechanism == "jbc":
-        matching, graph = jbc.run_jbc(problem)
-        if args.graph:
-            for s in graph.nodes:
-                print(
-                    f"{problem.schools[s]} -> {problem.schools[graph.succ[s]]}"
-                    f"  (mover {problem.students[graph.jbc_student[s]]})",
-                    file=sys.stderr,
-                )
-            for cycle in graph.cycles:
-                print(
-                    "cycle: " + " -> ".join(problem.schools[s] for s in cycle),
-                    file=sys.stderr,
-                )
+        with _shown(jbc) if args.graph else contextlib.nullcontext():
+            matching, _ = jbc.run_jbc(problem)
     elif args.mechanism == "sjbc+":
-        log = [] if args.log_phases else None
-        matching = sjbc_plus.run_sjbc_plus(problem, log=log)
-        if log:
-            for line in log:
-                print(line, file=sys.stderr)
+        with _shown(sjbc_plus) if args.log_phases else contextlib.nullcontext():
+            matching = sjbc_plus.run_sjbc_plus(problem)
     else:
         matching, _ = eada.run_eada(problem, _parse_consent(problem, args.consent))
     _emit_matching(problem, matching, args.out)

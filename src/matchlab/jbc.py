@@ -14,14 +14,21 @@ schools that rejected an improvable student are exactly those with a
 contender.  DA is stable and non-wasteful, so everyone who envies a school
 at DA ranks below its cutoff, and the school's just-below-cutoff student is
 its first contender.
+
+``run_jbc`` logs the school graph to ``matchlab.jbc`` as INFO records, one
+``s -> t  (mover i)`` line per node and one ``cycle: …`` line per cycle;
+``solve --graph`` shows them.  Nothing is formatted while INFO is off.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 from matchlab.envy import LabelledEnvyDigraph, da_context, successor_cycles
 from matchlab.model import InputError, Problem, trade
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -59,6 +66,13 @@ def run_jbc(problem: Problem):
     if not digraph.improvable:
         return da_matching, SchoolGraph((), {}, {}, ())
     graph = _school_graph(digraph)
+    if _log.isEnabledFor(logging.INFO):
+        schools = problem.schools
+        for s in graph.nodes:
+            mover = problem.students[graph.jbc_student[s]]
+            _log.info("%s -> %s  (mover %s)", schools[s], schools[graph.succ[s]], mover)
+        for cycle in graph.cycles:
+            _log.info("cycle: %s", " -> ".join(schools[s] for s in cycle))
     return trade(da_matching, cycle_takes(graph, graph.cycles)), graph
 
 

@@ -314,115 +314,3 @@ def oracle_report(
         justifiable_and_efficient=tuple(justifiable_and_efficient),
         claims=claims,
     )
-
-
-@dataclass(frozen=True)
-class Theorem5Report:
-    checks: tuple[tuple[str, bool, str], ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-
-def verify_theorem5_steps(problem: Problem, budget: int = 10_000_000) -> Theorem5Report:
-    """Instance-level checks behind the consent-mechanism impossibility.
-
-    Expects an instance shaped like the bundled ``ex1`` fixture (students
-    i1..i7, schools s1..s7).  On a mutated instance the checks simply
-    report which steps no longer hold.
-    """
-    sid = problem.student_id
-    cid = problem.school_id
-    try:
-        i1, i3, i5, i7 = sid("i1"), sid("i3"), sid("i5"), sid("i7")
-        s1, s4 = cid("s1"), cid("s4")
-    except InputError:
-        raise InputError("the consent-impossibility checks need the ex1 student/school names") from None
-
-    da_matching, _ = run_da(problem)
-    everything = list(enumerate_matchings(problem, budget))
-    dominating = [m for m in everything if dominates_strictly(problem, m, da_matching)]
-    students = frozenset(range(problem.n_students))
-
-    def by_names(moves: dict[str, str]) -> Matching:
-        assignment = list(da_matching.assignment)
-        for sname, cname in moves.items():
-            assignment[sid(sname)] = cid(cname)
-        return Matching(tuple(assignment))
-
-    three_cycle = by_names({"i1": "s4", "i4": "s5", "i5": "s1"})
-    two_cycle = by_names(
-        {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4"}
-    )
-
-    checks = []
-
-    w1 = frozenset({i7})
-    found = [m for m in dominating if respects_scan(problem, m, students - w1)]
-    checks.append(
-        (
-            "w1_unique_respecting_improvement_is_three_cycle",
-            [m.assignment for m in found] == [three_cycle.assignment],
-            f"{len(found)} improvement(s) respect everyone outside {{i7}}",
-        )
-    )
-
-    w2 = frozenset({i5, i7})
-    bound = rank_scan(problem, i5, s1)
-    found = [
-        m
-        for m in dominating
-        if rank_scan(problem, i5, m.assignment[i5]) <= bound
-        and respects_scan(problem, m, students - w2)
-    ]
-    checks.append(
-        (
-            "w2_unique_improvement_serving_i5_is_three_cycle",
-            [m.assignment for m in found] == [three_cycle.assignment],
-            f"{len(found)} candidate(s) give i5 her consent-compatible gain",
-        )
-    )
-
-    w3 = frozenset({i1, i5, i7})
-    bound = rank_scan(problem, i1, s4)
-    singles = []
-    for m in dominating:
-        if rank_scan(problem, i1, m.assignment[i1]) > bound:
-            continue
-        packing = envy.decompose_as_packing(problem, m)
-        if packing is None or len(packing.cycles) != 1:
-            continue
-        if i1 in packing.cycles[0]:
-            singles.append(m)
-    violating = [
-        m
-        for m in singles
-        if any(v not in w3 for v, _, _ in violations_scan(problem, m))
-    ]
-    ok_w3 = (
-        len(singles) == 2
-        and len(violating) == 1
-        and any(v == i3 for v, _, _ in violations_scan(problem, violating[0]))
-    )
-    checks.append(
-        (
-            "w3_exactly_two_cycles_serve_i1_one_violating_i3",
-            ok_w3,
-            f"{len(singles)} single-cycle improvement(s) serve i1; {len(violating)} violate outsiders",
-        )
-    )
-
-    efficient = not any(dominates_strictly(problem, other, two_cycle) for other in everything)
-    checks.append(
-        (
-            "w3_two_cycle_packing_efficient_dominating_and_respecting",
-            efficient
-            and dominates_strictly(problem, two_cycle, da_matching)
-            and respects_scan(problem, two_cycle, students - w3),
-            "pairing the 2-cycle with the 4-cycle beats DA, is efficient, "
-            "and respects all non-consenters",
-        )
-    )
-
-    return Theorem5Report(tuple(checks))

@@ -36,10 +36,17 @@ matching.
 
 Both phases, and JBC under them, read the one DA envy digraph of the
 instance from ``envy.da_context``.
+
+Progress goes to this module's logger, ``matchlab.sjbc_plus``, as INFO
+records: ``expansion t=…: beneficiaries = {…}`` for the start and each
+expansion step, and ``refinement cycle: a -> b -> a`` for each executed
+cycle.  ``solve --log-phases`` shows them; JBC's records go to its own
+logger and are not among them.  Nothing is formatted while INFO is off.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +55,8 @@ from scipy.optimize import linear_sum_assignment
 from matchlab.envy import admissible_adjacency, admitted, da_context
 from matchlab.jbc import cycle_takes, run_jbc
 from matchlab.model import Matching, Problem, _check_ids, check_feasible, envied, trade
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     return ExpansionState(state.t + 1, covered, perm, adj)
 
 
-def run_expansion(problem: Problem, log=None):
+def run_expansion(problem: Problem):
     """Expand from the JBC matching; returns the matching and its beneficiaries."""
     da_matching, digraph = da_context(problem)
     if not digraph.improvable:
@@ -114,25 +123,16 @@ def run_expansion(problem: Problem, log=None):
     _, graph = run_jbc(problem)
     takes = cycle_takes(graph, graph.cycles)  # JBC's trades; everyone else stays
     perm = {i: takes.get(i, i) for i in digraph.improvable}
-    state = ExpansionState(0, frozenset(takes), perm, {})
-    if log is not None:
-        log.append(_expansion_line(problem, state))
-
-    for _ in range(problem.n_students):
-        nxt = expansion_step(problem, state)
-        if log is not None:
-            log.append(_expansion_line(problem, nxt))
-        if nxt.beneficiaries == state.beneficiaries:
-            state = nxt
+    state, previous = ExpansionState(0, frozenset(takes), perm, {}), None
+    for _ in range(problem.n_students + 1):  # the set grows at every step but the last
+        if _log.isEnabledFor(logging.INFO):
+            names = ", ".join(problem.students[i] for i in sorted(state.beneficiaries))
+            _log.info("expansion t=%d: beneficiaries = {%s}", state.t, names)
+        if state.beneficiaries == previous:
             break
-        state = nxt
+        previous, state = state.beneficiaries, expansion_step(problem, state)
 
     return trade(da_matching, state.permutation), state.beneficiaries
-
-
-def _expansion_line(problem, state) -> str:
-    names = ", ".join(problem.students[i] for i in sorted(state.beneficiaries))
-    return f"expansion t={state.t}: beneficiaries = {{{names}}}"
 
 
 def _find_cycle(nodes, adj):
@@ -159,7 +159,7 @@ def _find_cycle(nodes, adj):
     return None
 
 
-def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
+def run_refinement(problem: Problem, mu_star: Matching, b_star):
     """Trade along admissible cycles at the current matching until none remain.
 
     Cycles run among the fixed beneficiary set only, so the beneficiaries of
@@ -184,16 +184,13 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star, log=None):
         cycle = _find_cycle(members, adj)
         if cycle is None:
             return current
-        if log is not None:
-            log.append(
-                "refinement cycle: "
-                + " -> ".join(problem.students[i] for i in cycle + [cycle[0]])
-            )
+        if _log.isEnabledFor(logging.INFO):
+            names = " -> ".join(problem.students[i] for i in cycle + [cycle[0]])
+            _log.info("refinement cycle: %s", names)
         current = trade(current, dict(zip(cycle, cycle[1:] + cycle[:1])))
     raise RuntimeError("refinement exceeded its iteration bound")
 
 
-def run_sjbc_plus(problem: Problem, log=None) -> Matching:
+def run_sjbc_plus(problem: Problem) -> Matching:
     """Full pipeline: deferred acceptance, JBC, expansion, refinement."""
-    mu_star, b_star = run_expansion(problem, log=log)
-    return run_refinement(problem, mu_star, b_star, log=log)
+    return run_refinement(problem, *run_expansion(problem))

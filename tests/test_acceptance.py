@@ -32,7 +32,13 @@ from matchlab.analysis import reassignment_chain
 from matchlab.simgen import GenConfig, gen_instance, run_experiment
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import many_to_one_market, matching_by_name, names_of, stats_value
+from conftest import (
+    many_to_one_market,
+    matching_by_name,
+    names_of,
+    stats_value,
+    verify_theorem5_steps,
+)
 
 
 def report(name, ok):
@@ -166,7 +172,7 @@ def test_golden_ex1_orbit_and_consent_checks(ex1):
         len(orbit) == 128
         and all(m.assignment != target.assignment for m in orbit.values()),
     )
-    t5 = oracle.verify_theorem5_steps(ex1)
+    t5 = verify_theorem5_steps(ex1)
     for name, ok, detail in t5.checks:
         print(f"  consent-steps {name}: {'ok' if ok else 'FAILED'} ({detail})")
     report("ex1: all consent-impossibility steps verified", t5.all_passed)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import matchlab
-from matchlab import cli, simgen
+from matchlab import cli, jbc, simgen, sjbc_plus
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
 from matchlab.analysis import is_justifiable
@@ -151,11 +152,28 @@ def test_solve_eada_named_consent(capsys):
     assert json.loads(out)["assignment"]["i1"] == "s4"
 
 
+EX1_GRAPH = [
+    "s1 -> s5  (mover i5)",
+    "s2 -> s1  (mover i1)",
+    "s3 -> s5  (mover i5)",
+    "s4 -> s1  (mover i1)",
+    "s5 -> s4  (mover i4)",
+    "s6 -> s3  (mover i3)",
+    "cycle: s1 -> s5 -> s4",
+]
+EX1_PHASES = [
+    "expansion t=0: beneficiaries = {i1, i4, i5}",
+    "expansion t=1: beneficiaries = {i1, i2, i3, i4, i5, i6}",
+    "expansion t=2: beneficiaries = {i1, i2, i3, i4, i5, i6}",
+]
+
+
 def test_solve_jbc_graph_flag(capsys):
     code, out, err = run_cli(capsys, "solve", "--mechanism", "jbc", EX1, "--graph")
     assert code == 0
     assert "s1 -> s5" in err
     assert "cycle: s1 -> s5 -> s4" in err
+    assert err == "".join(line + "\n" for line in EX1_GRAPH)
     assert json.loads(out)["assignment"]["i1"] == "s4"
 
 
@@ -164,6 +182,63 @@ def test_solve_sjbc_log_phases_flag(capsys):
     assert code == 0
     assert "expansion t=0: beneficiaries = {i1, i4, i5}" in err
     assert "expansion t=1" in err
+    assert err == "".join(line + "\n" for line in EX1_PHASES)  # no line of JBC's run
+
+
+def test_module_loggers_carry_the_flag_lines(caplog, ex1, explus):
+    # The flags only show these records: a library caller at INFO gets the
+    # same lines, and SJBC+ shows none of the JBC run inside its expansion.
+    caplog.set_level(logging.INFO, logger="matchlab.sjbc_plus")
+    run_sjbc_plus(ex1)
+    assert caplog.messages == EX1_PHASES
+    caplog.clear()
+    run_sjbc_plus(explus)
+    assert caplog.messages[-1] == "refinement cycle: i2 -> i3 -> i2"
+    caplog.clear()
+    caplog.set_level(logging.INFO, logger="matchlab.jbc")
+    run_jbc(ex1)
+    assert caplog.messages == EX1_GRAPH
+    assert {(r.name, r.levelno) for r in caplog.records} == {("matchlab.jbc", logging.INFO)}
+
+
+def test_flags_leave_the_module_loggers_as_found(capsys, monkeypatch):
+    # Each flag raises its own module's logger to INFO with a stderr handler
+    # for the call only, also when the mechanism raises.
+    loggers = [logging.getLogger(name) for name in ("matchlab.jbc", "matchlab.sjbc_plus")]
+    before = [(logger.level, list(logger.handlers)) for logger in loggers]
+    kept, during = logging.NullHandler(), []
+
+    def state():
+        return [(logger.level, list(logger.handlers)) for logger in loggers]
+
+    def failing(*args):
+        during.append(state())
+        raise RuntimeError("mechanism failed")
+
+    try:
+        for logger in loggers:
+            logger.addHandler(kept)
+            logger.setLevel(logging.ERROR)
+        found = state()
+        run_cli(capsys, "solve", "--mechanism", "jbc", EX1, "--graph")
+        run_cli(capsys, "solve", "--mechanism", "sjbc+", EX1, "--log-phases")
+        assert state() == found
+        monkeypatch.setattr(jbc, "run_jbc", failing)
+        monkeypatch.setattr(sjbc_plus, "run_sjbc_plus", failing)
+        for flags in (["jbc", "--graph"], ["sjbc+", "--log-phases"]):
+            with pytest.raises(RuntimeError, match="mechanism failed"):
+                main(["solve", "--mechanism", *flags, EX1])
+            assert state() == found
+        (jbc_on, sjbc_off), (jbc_off, sjbc_on) = during
+        assert (jbc_off, sjbc_off) == tuple(found)
+        for (level, handlers), name in ((jbc_on, "jbc"), (sjbc_on, "sjbc+")):
+            assert level == logging.INFO and handlers[0] is kept, name
+            assert [type(h) for h in handlers[1:]] == [logging.StreamHandler], name
+    finally:
+        for logger, (level, _) in zip(loggers, before):
+            logger.removeHandler(kept)
+            logger.setLevel(level)
+    assert state() == before
 
 
 def test_consent_with_other_mechanism_is_an_error(capsys):

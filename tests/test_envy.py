@@ -510,14 +510,18 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     fresh = load_fixture("ex1")
     assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
 
-    # No public function but the builder takes the DA context from its caller.
+    # No public function but the builder takes the DA context from its caller,
+    # and none takes a log: what a run reports goes to its module's logger.
     assert list(inspect.signature(da_context).parameters) == ["problem"]
     assert list(inspect.signature(expansion_step).parameters) == ["problem", "state"]
     public = [getattr(matchlab, name) for name in matchlab.__all__]
-    functions = [fn for fn in public if inspect.isfunction(fn) and fn is not build_envy]
-    assert len(functions) > 25 and packing_label in functions
+    functions = [fn for fn in public if inspect.isfunction(fn)]
+    assert len(functions) > 25 and {packing_label, run_sjbc_plus} <= set(functions)
     for fn in functions:
-        assert not {"da_matching", "digraph"} & set(inspect.signature(fn).parameters), fn.__name__
+        taken = set(inspect.signature(fn).parameters)
+        assert "log" not in taken, fn.__name__
+        if fn is not build_envy:
+            assert not {"da_matching", "digraph"} & taken, fn.__name__
 
     # EADA's peel starts from the context: one simulated instance runs DA's
     # proposal loop once for the context and once per EADA rerun, no more.

@@ -7,7 +7,13 @@ from matchlab.da import run_da
 from matchlab.model import InputError, Problem
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import flag_completed, matching_by_name, names_of, random_market
+from conftest import (
+    flag_completed,
+    matching_by_name,
+    names_of,
+    random_market,
+    verify_theorem5_steps,
+)
 
 
 def test_enumerate_three_by_three_full_lists():
@@ -96,7 +102,7 @@ def test_oracle_report_aligned_instance():
 
 
 def test_verify_theorem5_steps_pass(ex1):
-    report = oracle.verify_theorem5_steps(ex1)
+    report = verify_theorem5_steps(ex1)
     assert report.all_passed
     assert [name for name, _, _ in report.checks] == [
         "w1_unique_respecting_improvement_is_three_cycle",
@@ -117,7 +123,7 @@ def test_verify_theorem5_steps_mutated_reports_failures(ex1):
     from dataclasses import replace
 
     mutated = replace(ex1, priorities=tuple(prios))
-    report = oracle.verify_theorem5_steps(mutated)
+    report = verify_theorem5_steps(mutated)
     assert len(report.checks) == 4
     failed = [name for name, ok, _ in report.checks if not ok]
     assert not report.all_passed
