@@ -89,7 +89,7 @@ def _parser() -> argparse.ArgumentParser:
 
     oracle_cmd = sub.add_parser("oracle", help="brute-force report for a small instance")
     oracle_cmd.add_argument("instance")
-    oracle_cmd.add_argument("--budget", type=int, default=10_000_000)
+    oracle_cmd.add_argument("--budget", type=int, default=oracle.BUDGET)
 
     orbit = sub.add_parser("eada-orbit", help="EADA outcome for every consent set")
     orbit.add_argument("instance")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from matchlab import da as da_mod
 from matchlab.envy import da_context
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _check_ids
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _student_set
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -56,11 +56,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     priority of a non-consenting student.  Each entry of ``iterations`` is
     one DA rerun: the consenting pairs its layer cut, and its outcome.
     """
-    try:
-        members = frozenset(consent)
-    except TypeError:
-        raise InputError("consent must be a collection of student ids") from None
-    _check_ids("student", members, range(problem.n_students))
+    members = _student_set(problem, consent, "consent")
     prio_tables = problem._prio_rank
     prefs = [list(p) for p in problem.prefs]
     # Per school, the best priority rank of a non-consenter cut from it; only

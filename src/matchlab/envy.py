@@ -147,11 +147,11 @@ def on_envy_cycle(seats, envious) -> frozenset[int]:
     return frozenset(v for v in cycle_members(n + len(envious), edges) if v < n)
 
 
-def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
-    """Build the labelled envy digraph of a (deferred-acceptance) matching."""
-    check_feasible(problem, da_matching)
-    envious = envied(problem, da_matching.assignment)
-    improvable = on_envy_cycle(da_matching.assignment, envious)
+def build_envy(problem: Problem) -> LabelledEnvyDigraph:
+    """Build the labelled envy digraph of the problem's deferred-acceptance outcome."""
+    seats = run_da(problem)[0].assignment
+    envious = envied(problem, seats)
+    improvable = on_envy_cycle(seats, envious)
     contenders, ahead = [], []
     for school, students in enumerate(envious):
         leading: list[int] = []
@@ -164,7 +164,7 @@ def build_envy(problem: Problem, da_matching: Matching) -> LabelledEnvyDigraph:
         ahead.append(count)
     return LabelledEnvyDigraph(
         improvable=improvable,
-        seats=da_matching.assignment,
+        seats=seats,
         contenders=tuple(contenders),
         ahead=tuple(ahead),
     )
@@ -217,7 +217,7 @@ def da_context(problem: Problem):
     """
     digraph = vars(problem).get("_da_digraph")
     if digraph is None:
-        digraph = vars(problem)["_da_digraph"] = build_envy(problem, run_da(problem)[0])
+        digraph = vars(problem)["_da_digraph"] = build_envy(problem)
     return Matching(digraph.seats), digraph
 
 

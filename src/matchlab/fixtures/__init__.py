@@ -1,26 +1,12 @@
-"""Bundled instance files: the worked examples used throughout the tests.
+"""Bundled instance files: the worked examples used throughout the tests."""
 
-``MATCHLAB_FIXTURES`` may point at an alternative directory holding files
-with the same names.
-"""
-
-import os
 from pathlib import Path
 
 from matchlab.model import Problem, load_problem
 
-NAMES = ("ex1", "exnoeff", "explus", "exd", "exe")
-
-
-def fixture_dir() -> Path:
-    override = os.environ.get("MATCHLAB_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).parent
-
 
 def fixture_path(name: str) -> Path:
-    return fixture_dir() / f"{name}.json"
+    return Path(__file__).parent / f"{name}.json"
 
 
 def load_fixture(name: str) -> Problem:

@@ -59,12 +59,10 @@ def cycle_takes(graph: SchoolGraph, cycles) -> dict[int, int]:
 def run_jbc(problem: Problem):
     """Run the mechanism; returns the matching and the school graph.
 
-    When deferred acceptance is already efficient there is nothing to trade
-    and DA comes back unchanged with an empty graph.
+    When deferred acceptance is already efficient no school has a contender,
+    so the graph is empty and DA comes back unchanged.
     """
     da_matching, digraph = da_context(problem)
-    if not digraph.improvable:
-        return da_matching, SchoolGraph((), {}, {}, ())
     graph = _school_graph(digraph)
     if _log.isEnabledFor(logging.INFO):
         schools = problem.schools
@@ -83,8 +81,6 @@ def strongly_justifiable_family(problem: Problem):
     exactly the strongly justifiable matchings of the instance.
     """
     da_matching, digraph = da_context(problem)
-    if not digraph.improvable:
-        return [da_matching]
     graph = _school_graph(digraph)
     k = len(graph.cycles)
     if k > 20:

@@ -198,6 +198,18 @@ def _check_ids(kind: str, ids, valid: range) -> None:
         raise InputError(f"invalid {kind} id {value}")
 
 
+def _student_set(problem: Problem, ids, name: str) -> frozenset[int]:
+    """The student ids of the collection ``ids`` as a frozenset, checked by
+    ``_check_ids``; anything that is no collection raises ``InputError``
+    naming the argument ``name``."""
+    try:
+        members = frozenset(ids)
+    except TypeError:
+        raise InputError(f"{name} must be a collection of student ids") from None
+    _check_ids("student", members, range(problem.n_students))
+    return members
+
+
 def _ranks(problem: Problem, seats) -> list[int]:
     """Each student's rank of her seat in ``seats``, read straight off the
     rank table; the seats must pass ``check_feasible``."""
@@ -273,8 +285,7 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
 
 def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
     """True iff no blocking triple has its victim in ``protected``."""
-    protected = set(protected)
-    _check_ids("student", protected, range(problem.n_students))
+    protected = _student_set(problem, protected, "protected")
     return all(v.victim not in protected for v in violations(problem, matching))
 
 

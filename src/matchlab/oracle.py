@@ -11,6 +11,7 @@ the two code paths is meaningful evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from matchlab import envy, jbc, sjbc_plus
 from matchlab.da import run_da
@@ -20,6 +21,8 @@ from matchlab.model import (
     Matching,
     Problem,
 )
+
+BUDGET = 10_000_000  # partial assignments ``enumerate_matchings`` explores by default
 
 
 def rank_scan(problem: Problem, student: int, school: int) -> int:
@@ -115,7 +118,7 @@ def beneficiaries_scan(problem: Problem, da_matching: Matching, matching: Matchi
     )
 
 
-def enumerate_matchings(problem: Problem, budget: int = 10_000_000):
+def enumerate_matchings(problem: Problem, budget: int = BUDGET):
     """Yield every feasible, non-wasteful matching exactly once.
 
     Students take listed schools with spare capacity or the null school; a
@@ -204,13 +207,14 @@ def _strongly_justifiable_scan(problem, da_matching, matching, improvable) -> bo
 
 @dataclass(frozen=True)
 class OracleReport:
+    problem: Problem
+    matchings: tuple[Matching, ...]  # every feasible, non-wasteful matching
     da: Matching
     dominating: tuple[Matching, ...]
     unimprovable: frozenset[int]
     improvable: frozenset[int]
     justifiable_family: tuple[Matching, ...]
     strongly_justifiable_family: tuple[Matching, ...]
-    pareto_family: tuple[Matching, ...]
     justifiable_and_efficient: tuple[Matching, ...]
     claims: dict[str, bool]
 
@@ -218,17 +222,18 @@ class OracleReport:
     def all_claims_hold(self) -> bool:
         return all(self.claims.values())
 
+    @cached_property
+    def pareto_family(self) -> tuple[Matching, ...]:
+        """The efficient matchings, found on the first read: the costliest
+        family, which no claim needs."""
+        return tuple(pareto_frontier(self.problem, self.matchings))
 
-def oracle_report(
-    problem: Problem, budget: int = 10_000_000, include_pareto_family: bool = True
-) -> OracleReport:
+
+def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
     """Compute every family by definition and cross-check the fast paths.
 
     The claims dict records, per named statement, whether the fast-path
     result matched this module's definition-level result on the instance.
-    ``include_pareto_family=False`` skips the full efficient-matching family
-    (the costliest part) for batch use; members of the justifiable family
-    are still tested for efficiency individually.
     """
     da_matching, _ = run_da(problem)
     everything = list(enumerate_matchings(problem, budget))
@@ -254,7 +259,6 @@ def oracle_report(
         for m in [da_matching] + dominating
         if _strongly_justifiable_scan(problem, da_matching, m, improvable)
     ]
-    pareto_family = pareto_frontier(problem, everything) if include_pareto_family else []
     justifiable_and_efficient = [
         m
         for m in justifiable_family
@@ -268,7 +272,7 @@ def oracle_report(
         m.assignment == da_matching.assignment for m in stable
     ) and all(dominates_weakly(problem, da_matching, m) for m in stable)
 
-    digraph = envy.build_envy(problem, da_matching)
+    digraph = envy.build_envy(problem)
     claims["improvable_set_matches_cycle_membership"] = digraph.improvable == improvable
 
     fast_family = {
@@ -304,13 +308,14 @@ def oracle_report(
     )
 
     return OracleReport(
+        problem=problem,
+        matchings=tuple(everything),
         da=da_matching,
         dominating=tuple(dominating),
         unimprovable=unimprovable,
         improvable=improvable,
         justifiable_family=tuple(justifiable_family),
         strongly_justifiable_family=tuple(sj_family),
-        pareto_family=tuple(pareto_family),
         justifiable_and_efficient=tuple(justifiable_and_efficient),
         claims=claims,
     )

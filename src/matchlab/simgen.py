@@ -19,13 +19,14 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import InputError, Problem
+from matchlab.model import InputError, Problem, _check_ids
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -41,6 +42,8 @@ class GenConfig:
     consent_fraction: float = 0.5
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__"):
+            raise InputError("seed must be an integer")
         if self.model not in ("iid", "correlated"):
             raise InputError(f"unknown preference model {self.model!r}")
         if (self.rho is None) == (self.model == "correlated"):
@@ -70,7 +73,8 @@ class AggregateStats:
 
 
 def _stream(seed: int, replication: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
+    _check_ids("replication", (replication,), range(2**64))
+    key = np.array([index(seed) & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

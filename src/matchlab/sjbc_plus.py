@@ -54,7 +54,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import admissible_adjacency, admitted, da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import Matching, Problem, _check_ids, check_feasible, envied, trade
+from matchlab.model import Matching, Problem, _student_set, check_feasible, envied, trade
 
 _log = logging.getLogger(__name__)
 
@@ -168,12 +168,9 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
     or an id in ``b_star`` that is not a student raises ``InputError``.
     """
     check_feasible(problem, mu_star)
-    b_star = frozenset(b_star)
-    _check_ids("student", b_star, range(problem.n_students))
+    b_star = _student_set(problem, b_star, "b_star")
     _, digraph = da_context(problem)
     members = sorted(b_star)
-    if not members:
-        return mu_star
     allowed = admitted(digraph, b_star, b_star)  # b_star is fixed, so the rule is too
 
     current = mu_star

@@ -124,7 +124,7 @@ def mixed_markets(seed, count):
     improvable = 0
     while improvable < count // 4:
         problem = many_to_one_market(rng)
-        if build_envy(problem, run_da(problem)[0]).improvable:
+        if build_envy(problem).improvable:
             markets.append(problem)
             improvable += 1
     for n in (8, 20, 40):
@@ -168,7 +168,7 @@ class Theorem5Report:
         return all(ok for _, ok, _ in self.checks)
 
 
-def verify_theorem5_steps(problem: Problem, budget: int = 10_000_000) -> Theorem5Report:
+def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theorem5Report:
     """Instance-level checks behind the consent-mechanism impossibility.
 
     Expects an instance shaped like the bundled ``ex1`` fixture (students

@@ -142,7 +142,7 @@ def test_golden_exe_tightness(exe):
     got = names_of(exe, beneficiaries(exe, plus))
     print(f"[FAIL] exe: SJBC+ beneficiaries {got} != ['i1','i2','i4'] (unreachable expectation)")
     assert got == ["i1", "i2", "i4"]
-    rep = oracle.oracle_report(exe, include_pareto_family=False)
+    rep = oracle.oracle_report(exe)
     assert any(
         len(oracle.beneficiaries_scan(exe, da, m)) == 5
         and oracle.dominates_strictly(exe, m, plus)
@@ -220,8 +220,8 @@ def test_property_battery_against_oracle():
         for rep in range(BATTERY_PER_SIZE):
             problem = gen_instance(config, rep)
             da, _ = run_da(problem)
-            digraph = build_envy(problem, da)
-            rep_report = oracle.oracle_report(problem, include_pareto_family=False)
+            digraph = build_envy(problem)
+            rep_report = oracle.oracle_report(problem)
 
             if not rep_report.claims["da_student_optimal_stable"]:
                 failures["da student-optimal stable"] += 1
@@ -284,7 +284,7 @@ def test_many_to_one_battery_against_oracle():
         problem = many_to_one_market(rng)
         drawn += 1
         da, _ = run_da(problem)
-        digraph = build_envy(problem, da)
+        digraph = build_envy(problem)
         if not digraph.improvable:
             continue
         kept += 1
@@ -295,7 +295,7 @@ def test_many_to_one_battery_against_oracle():
                 any(len(p) < problem.n_schools for p in problem.prefs),
             )
         )
-        rep_report = oracle.oracle_report(problem, include_pareto_family=False)
+        rep_report = oracle.oracle_report(problem)
         for name, ok in rep_report.claims.items():
             failures[name] = failures.get(name, 0) + (not ok)
         if not _lattice_matches_subset_order(problem, digraph):

@@ -98,7 +98,7 @@ def test_strongly_justifiable_implies_justifiable():
         for rep in range(20):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=90 + n), rep)
             da, _ = run_da(problem)
-            g = build_envy(problem, da)
+            g = build_envy(problem)
             from test_envy import random_packing
             import random
 
@@ -116,7 +116,7 @@ def test_label_containment_matches_definition():
         for rep in range(20):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=110 + n), rep)
             da, _ = run_da(problem)
-            g = build_envy(problem, da)
+            g = build_envy(problem)
             from test_envy import random_packing
             import random
 
@@ -214,7 +214,7 @@ def test_verdict_consistency_random():
     for n in (4, 5, 6):
         problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=150 + n), 0)
         da, _ = run_da(problem)
-        g = build_envy(problem, da)
+        g = build_envy(problem)
         from test_envy import random_packing
         import random
 

@@ -10,7 +10,6 @@ import importlib
 import types
 from pathlib import Path
 
-from matchlab.da import run_da
 from matchlab.envy import build_envy
 from matchlab.model import Problem
 from matchlab.sjbc_plus import ExpansionState
@@ -36,12 +35,11 @@ def test_traced_functions_exist():
 
 def test_count_extractors_accept_live_results(ex1):
     tracing = load_tracing()
-    da, _ = run_da(ex1)
-    digraph = build_envy(ex1, da)
+    digraph = build_envy(ex1)
     start = ExpansionState(0, frozenset(), {i: i for i in digraph.improvable}, {})
     args = {
         "da.run_da": (ex1,),
-        "envy.build_envy": (ex1, da),
+        "envy.build_envy": (ex1,),
         "jbc.run_jbc": (ex1,),
         "sjbc_plus.run_expansion": (ex1,),
         "sjbc_plus.expansion_step": (ex1, start),

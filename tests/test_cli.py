@@ -336,14 +336,6 @@ def test_help_lists_subcommands(capsys):
         assert sub in out
 
 
-def test_fixture_dir_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MATCHLAB_FIXTURES", str(tmp_path))
-    from matchlab.fixtures import fixture_path as fp
-
-    assert str(fp("ex1")).startswith(str(tmp_path))
-    monkeypatch.delenv("MATCHLAB_FIXTURES")
-
-
 # SHA-256 of the stdout of `envy`, `eada-orbit` and `trace` on every fixture.
 GOLDEN_STDOUT = {
     ("ex1", "envy"): "5886047c35b33d48f9e99e0e2f7420ba9e7ef031e0feb0c73030d6e14638e2cb",

@@ -11,6 +11,7 @@ from matchlab.envy import LabelledEnvyDigraph, build_envy
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc
 from matchlab.model import (
+    NULL_SCHOOL,
     Matching,
     Problem,
     envied,
@@ -22,7 +23,7 @@ from matchlab.model import (
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import matching_by_name, random_market
+from conftest import large_markets, matching_by_name, mixed_markets, random_market
 
 
 def held_by_round(trace, n_schools):
@@ -272,7 +273,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
     for _ in range(1500):
         problem = random_market(rng)
         da, trace = run_da(problem)
-        digraph = build_envy(problem, da)
+        digraph = build_envy(problem)
         expected = rejecting_by_replay(trace, digraph.improvable)
         assert set(run_jbc(problem)[1].nodes) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
@@ -295,7 +296,7 @@ def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(LabelledEnvyDigraph, "labels", property(refuse))
     ex1 = load_fixture("ex1")
     trace = run_da(ex1)[1]
-    digraph = build_envy(ex1, trace.final)
+    digraph = build_envy(ex1)
     for read in (lambda: trace.rounds, lambda: digraph.edges, lambda: digraph.labels):
         with pytest.raises(AssertionError):
             read()  # the guards are live
@@ -318,3 +319,37 @@ def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
         cfg = GenConfig(n=15, model=model, rho=rho, replications=2, seed=42)
         for rep in range(2):
             evaluate_instance(*draw_instance_and_consent(cfg, rep), rep)
+
+
+def sequential_da(problem):
+    """McVitie-Wilson deferred acceptance: one free student at a time
+    proposes to the next school on her list; a school over quota rejects
+    its lowest-priority holder, who becomes the next to propose."""
+    seat = [NULL_SCHOOL] * problem.n_students
+    tried = [0] * problem.n_students
+    held = [[] for _ in range(problem.n_schools)]
+    free = list(range(problem.n_students))
+    while free:
+        i = free.pop()
+        if tried[i] == len(problem.prefs[i]):
+            continue  # every listed school rejected her: she stays unassigned
+        school = problem.prefs[i][tried[i]]
+        tried[i] += 1
+        seat[i] = school
+        held[school].append(i)
+        if len(held[school]) > problem.quotas[school]:
+            worst = max(held[school], key=problem.priorities[school].index)
+            held[school].remove(worst)
+            seat[worst] = NULL_SCHOOL
+            free.append(worst)
+    return Matching(tuple(seat))
+
+
+def test_sequential_proposals_give_the_same_matching():
+    # The student-optimal stable matching does not depend on the proposal
+    # order, so a second, naive DA that proposes one student at a time
+    # certifies run_da's round-by-round loop beyond oracle sizes.
+    markets = large_markets() + mixed_markets(1971, 200)
+    for problem in markets:
+        assert sequential_da(problem) == run_da(problem)[0]
+    assert len(markets) == 30 + 200 + 50 + 18

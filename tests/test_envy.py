@@ -44,8 +44,7 @@ def test_scc_basic():
 
 
 def test_ex1_labels_and_improvable(ex1):
-    da, _ = run_da(ex1)
-    g = build_envy(ex1, da)
+    g = build_envy(ex1)
     assert label_names(ex1, g, "i1", "i6") == ["i3", "i5"]
     assert label_names(ex1, g, "i1", "i4") == []
     assert label_names(ex1, g, "i5", "i4") == ["i1", "i6"]
@@ -60,8 +59,7 @@ def test_ex1_labels_and_improvable(ex1):
 
 
 def test_exnoeff_labels(exnoeff):
-    da, _ = run_da(exnoeff)
-    g = build_envy(exnoeff, da)
+    g = build_envy(exnoeff)
     assert label_names(exnoeff, g, "i6", "i2") == ["i4"]
     assert label_names(exnoeff, g, "i6", "i4") == ["i1"]
     assert label_names(exnoeff, g, "i5", "i4") == ["i1", "i6"]
@@ -76,8 +74,7 @@ def test_no_envy_when_everyone_gets_top_choice():
         prefs=((0, 1), (1, 0), (2, 1)),
         priorities=((0, 1, 2), (0, 1, 2), (0, 1, 2)),
     )
-    da, _ = run_da(problem)
-    g = build_envy(problem, da)
+    g = build_envy(problem)
     assert all(not targets for targets in g.edges.values())
     assert g.improvable == frozenset()
 
@@ -91,8 +88,7 @@ def test_efficient_da_with_envy_edges_has_no_cycles():
         prefs=((0, 1, 2),) * 3,
         priorities=((0, 1, 2),) * 3,
     )
-    da, _ = run_da(problem)
-    g = build_envy(problem, da)
+    g = build_envy(problem)
     assert any(targets for targets in g.edges.values())
     assert g.improvable == frozenset()
 
@@ -160,7 +156,7 @@ def test_apply_then_decompose_round_trip():
         for rep in range(25):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=40 + n), rep)
             da, _ = run_da(problem)
-            g = build_envy(problem, da)
+            g = build_envy(problem)
             packing = random_packing(g, rng)
             if packing is None:
                 continue
@@ -208,7 +204,7 @@ def test_label_members_become_victims_when_left_behind():
         for rep in range(80):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=80 + n), rep)
             da, _ = run_da(problem)
-            g = build_envy(problem, da)
+            g = build_envy(problem)
             for (i, j), lab in g.labels.items():
                 if not lab or i not in g.improvable:
                     continue
@@ -250,7 +246,7 @@ def test_improvable_matches_oracle_on_smalls():
         for rep in range(15):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=60 + n), rep)
             da, _ = run_da(problem)
-            g = build_envy(problem, da)
+            g = build_envy(problem)
             dominating = [
                 m
                 for m in oracle.enumerate_matchings(problem)
@@ -272,8 +268,7 @@ def test_quota_two_edges_target_students():
         prefs=((0,), (0,), (0, 1)),
         priorities=((0, 1, 2), (0, 1, 2)),
     )
-    da, _ = run_da(problem)  # a, b at x; c at y
-    g = build_envy(problem, da)
+    g = build_envy(problem)  # DA seats a, b at x and c at y
     c = 2
     assert set(g.edges[c]) == {0, 1}  # c envies each occupant of x separately
     assert g.improvable == frozenset()
@@ -360,7 +355,7 @@ def test_envy_scans_match_pairwise_definitions_many_to_one():
         problem = random_market(rng)
         quotas_seen.update(problem.quotas)
         da, _ = run_da(problem)
-        g = build_envy(problem, da)
+        g = build_envy(problem)
         edges = pairwise_edges(problem, da)
         improvable = on_cycle(edges)
         assert g.edges == edges
@@ -395,7 +390,7 @@ def test_admissible_adjacency_matches_label_containment():
     checked = 0
     for problem in mixed_markets(2031, 400):
         da, _ = run_da(problem)
-        g = build_envy(problem, da)
+        g = build_envy(problem)
         labels = labels_by_definition(problem, da, g.edges, g.improvable)
         nodes = sorted(g.improvable)
         everyone = frozenset(range(problem.n_students))
@@ -435,7 +430,7 @@ def test_packing_label_is_union_of_definitional_labels():
     nonempty = 0
     for problem in mixed_markets(2032, 600):
         da, _ = run_da(problem)
-        g = build_envy(problem, da)
+        g = build_envy(problem)
         labels = labels_by_definition(problem, da, g.edges, g.improvable)
         packings = [random_packing(g, rng) for _ in range(3)]
         packings.append(decompose_as_packing(problem, run_jbc(problem)[0]))
@@ -510,8 +505,9 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     fresh = load_fixture("ex1")
     assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
 
-    # No public function but the builder takes the DA context from its caller,
-    # and none takes a log: what a run reports goes to its module's logger.
+    # No public function takes the DA context or a DA matching from its
+    # caller, and none takes a log: what a run reports goes to its module's
+    # logger.
     assert list(inspect.signature(da_context).parameters) == ["problem"]
     assert list(inspect.signature(expansion_step).parameters) == ["problem", "state"]
     public = [getattr(matchlab, name) for name in matchlab.__all__]
@@ -520,8 +516,8 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     for fn in functions:
         taken = set(inspect.signature(fn).parameters)
         assert "log" not in taken, fn.__name__
-        if fn is not build_envy:
-            assert not {"da_matching", "digraph"} & taken, fn.__name__
+        assert not {"da_matching", "digraph"} & taken, fn.__name__
+    assert list(inspect.signature(build_envy).parameters) == ["problem"]
 
     # EADA's peel starts from the context: one simulated instance runs DA's
     # proposal loop once for the context and once per EADA rerun, no more.

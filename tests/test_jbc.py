@@ -73,7 +73,7 @@ def test_cutoff_student_empty_school_is_an_error():
 
 def test_below_cutoff_sets(ex1):
     da, _ = run_da(ex1)
-    improvable = build_envy(ex1, da).improvable
+    improvable = build_envy(ex1).improvable
     assert names_of(ex1, below_cutoff_set(ex1, da, improvable, ex1.school_id("s4"))) == [
         "i1",
         "i5",
@@ -163,7 +163,7 @@ def test_jbc_outcome_properties_random():
         for rep in range(25):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=170 + n), rep)
             da, _ = run_da(problem)
-            digraph = build_envy(problem, da)
+            digraph = build_envy(problem)
             matching, graph = run_jbc(problem)
             if not digraph.improvable or not graph.cycles:
                 assert matching == da
@@ -180,7 +180,7 @@ def test_family_lattice_is_subset_order():
         for rep in range(10):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=190 + n), rep)
             da, _ = run_da(problem)
-            digraph = build_envy(problem, da)
+            digraph = build_envy(problem)
             if not digraph.improvable:
                 continue
             graph = _school_graph(digraph)
@@ -207,7 +207,7 @@ def test_jbc_entrant_is_best_below_cutoff_student():
     entered = 0
     for problem in mixed_markets(2034, 600):
         da, _ = run_da(problem)
-        digraph = build_envy(problem, da)
+        digraph = build_envy(problem)
         _, graph = run_jbc(problem)
         for s in range(problem.n_schools):
             if s not in graph.nodes:

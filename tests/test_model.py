@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import random
@@ -5,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from matchlab.analysis import is_justifiable, reassignment_chain
+import matchlab
+from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
 from matchlab.envy import CyclePacking, packing_label
 from matchlab.model import (
@@ -397,32 +399,38 @@ def _rebuilt(problem, **fields):
     return Problem(**{**kept, **fields})
 
 
-def _jbc_seat(problem, x):
-    # the JBC outcome of ex1 with i2's seat, s2, replaced by x
-    return Matching(_put(matching_by_name(problem, JBC_EX1).assignment, 1, x))
+# The slot each parameter of a public entry fills, by parameter name, and the
+# parameters that take no id.  A parameter in neither fails the test below
+# until it is listed.
+ID_SLOTS = {
+    "student": "student",
+    "claimant": "student",
+    "school": "school",
+    "consent": "students",
+    "protected": "students",
+    "b_star": "students",
+    "packing": "cycles",
+    "matching": "matching",
+    "mu_star": "matching",
+    "a": "matching",
+    "b": "matching",
+    "replication_index": "replication",
+}
+NOT_IDS = {"problem", "trace", "state", "config", "budget", "jobs"}
+ID_KIND = {"students": "student", "cycles": "student", "matching": "school"}  # else the slot
 
+# Every public function, and priority_rank_of, the checked accessor that the
+# package root does not export.
+ENTRIES = {
+    name: getattr(matchlab, name)
+    for name in matchlab.__all__
+    if inspect.isfunction(getattr(matchlab, name))
+}
+ENTRIES["priority_rank_of"] = priority_rank_of
 
-# Per entry: the kind of the id slot it fills, the valid ids tried there and
-# the call.  True names id 1 in every slot; inside a Problem's lists, which
-# take bools, it repeats an id already listed there.
-ID_ENTRIES = {
-    "rank_of": ("school", (3, NULL_SCHOOL), lambda p, x: rank_of(p, 0, x)),
-    "priority_rank_of": ("student", (4,), lambda p, x: priority_rank_of(p, 0, x)),
-    "violations": ("school", (1, NULL_SCHOOL), lambda p, x: violations(p, _jbc_seat(p, x))),
-    "is_justifiable": ("school", (1,), lambda p, x: is_justifiable(p, _jbc_seat(p, x))),
-    "run_eada": ("student", (2,), lambda p, x: run_eada(p, {x, 5})),
-    "packing_label": ("student", (0,), lambda p, x: packing_label(p, CyclePacking(((x, 3, 4),)))),
-    "reassignment_chain": ("student", (0,), lambda p, x: reassignment_chain(p, run_sjbc_plus(p), x, 3)),
-    "run_refinement": (
-        "student",
-        (1,),
-        lambda p, x: run_refinement(p, *run_expansion(p)[:1], {0, 2, 3, 4, 5, x}),
-    ),
-    "respects_priorities_of": (
-        "student",
-        (6, 0),  # i7, the one victim, then a student no violation names
-        lambda p, x: respects_priorities_of(p, matching_by_name(p, JBC_EX1), {x}),
-    ),
+# Per Problem field: the kind of its ids, the valid ids tried there and the
+# construction.  True repeats id 1, which the lists already hold.
+PROBLEM_ROWS = {
     "Problem prefs": ("school", (6,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 0, p.prefs[0] + (x,)))),
     "Problem priorities": (
         "student",
@@ -433,16 +441,87 @@ ID_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("entry", ID_ENTRIES, ids=ID_ENTRIES)
+def _valid_arguments(p):
+    """One valid argument on ex1 per parameter name, which every entry
+    answers: i1 (id 0) has a priority claim at s4 (id 3) under SJBC+."""
+    plus = run_sjbc_plus(p)
+    return {
+        "problem": p,
+        "student": 0,
+        "claimant": 0,
+        "school": 3,
+        "consent": frozenset({2, 5}),
+        "protected": frozenset({6, 0}),
+        "b_star": beneficiaries(p, plus),
+        "packing": CyclePacking(((0, 3, 4),)),
+        "matching": plus,
+        "mu_star": plus,
+        "a": plus,
+        "b": run_da(p)[0],
+        "config": GenConfig(n=5, model="iid", replications=2, seed=3),
+        "replication_index": 1,
+    }
+
+
+def _with_id(slot, value, x):
+    """``value`` with one of its ids replaced by ``x``, or joined by it.  A
+    set keeps an equal member it already holds, so that member goes first:
+    True would otherwise join a set that holds 1 as 1."""
+    if slot == "students":
+        return {v for v in value if v != x} | {x}
+    if slot == "cycles":
+        return CyclePacking(((x,) + value.cycles[0][1:],) + value.cycles[1:])
+    if slot == "matching":
+        return Matching(_put(value.assignment, 1, x))
+    return x
+
+
+def _numpy_ids(slot, value):
+    """``value`` with each of its ids a numpy integer."""
+    if slot == "students":
+        return frozenset(map(np.int64, value))
+    if slot == "cycles":
+        return CyclePacking(tuple(tuple(map(np.int64, c)) for c in value.cycles))
+    if slot == "matching":
+        return Matching(tuple(map(np.int64, value.assignment)))
+    return np.int64(value)
+
+
+@pytest.mark.parametrize("entry", [*ENTRIES, *PROBLEM_ROWS])
 def test_entries_take_ids_by_one_rule(ex1, entry):
-    # Every entry refuses a float, None, a bool, a negative id and one past
-    # the end with InputError, and answers a numpy integer as the plain int.
-    kind, valid, call = ID_ENTRIES[entry]
-    past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0}[kind]
-    for bad in (1.5, None, True, -2, past):
-        with pytest.raises(InputError) as exc:
-            call(ex1, bad)
-        if not entry.startswith("Problem"):
-            assert str(exc.value) == f"invalid {kind} id {bad}"
-    for good in valid:
-        assert call(ex1, np.int64(good)) == call(ex1, good)
+    # Every id slot of every entry refuses a float, None, a bool, a negative
+    # id and one past the end with InputError, a collection slot refuses a
+    # non-collection, and each entry answers numpy integers as plain ints.
+    past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0, "replication": 2**64}
+    if entry in PROBLEM_ROWS:
+        kind, valid, build = PROBLEM_ROWS[entry]
+        for bad in (1.5, None, True, -2, past[kind]):
+            with pytest.raises(InputError):
+                build(ex1, bad)
+        for good in valid:
+            assert build(ex1, np.int64(good)) == build(ex1, good)
+        return
+    fn = ENTRIES[entry]
+    names = list(inspect.signature(fn).parameters)
+    assert set(names) <= ID_SLOTS.keys() | NOT_IDS, f"list each parameter of {entry}"
+    slots = [name for name in names if name in ID_SLOTS]
+    if not slots:
+        return
+    valid = _valid_arguments(ex1)
+    args = {name: valid[name] for name in names}
+
+    def call(name, value):
+        return fn(*{**args, name: value}.values())
+
+    for name in slots:
+        slot = ID_SLOTS[name]
+        kind = ID_KIND.get(slot, slot)
+        for bad in (1.5, None, True, -2, past[kind]):
+            with pytest.raises(InputError) as exc:
+                call(name, _with_id(slot, args[name], bad))
+            assert str(exc.value) == f"invalid {kind} id {bad}", name
+        if slot == "students":
+            with pytest.raises(InputError) as exc:
+                call(name, 5)
+            assert str(exc.value) == f"{name} must be a collection of student ids"
+        assert call(name, _numpy_ids(slot, args[name])) == call(name, args[name]), name

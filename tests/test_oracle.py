@@ -136,7 +136,7 @@ def test_oracle_families_are_consistent_random():
     for n in (4, 5, 6):
         for rep in range(10):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=310 + n), rep)
-            report = oracle.oracle_report(problem, include_pareto_family=False)
+            report = oracle.oracle_report(problem)
             da = report.da
             keys = {m.assignment for m in report.justifiable_family}
             for m in report.dominating:

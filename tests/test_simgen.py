@@ -25,8 +25,14 @@ def test_config_validation():
         GenConfig(n=5, model="correlated", replications=1, seed=1)  # rho missing
     with pytest.raises(InputError):
         GenConfig(n=5, model="iid", rho=0.5, replications=1, seed=1)  # rho forbidden
+    for seed in (1.5, True, "1", None):
+        with pytest.raises(InputError, match="^seed must be an integer$"):
+            GenConfig(n=5, model="iid", replications=1, seed=seed)
     cfg = GenConfig(n=5, model="correlated", rho=0.3, replications=2, seed=1)
     assert cfg.consent_size == 2
+    # a numpy integer seeds the same streams as the plain int
+    numpy_seeded = GenConfig(n=5, model="correlated", rho=0.3, replications=2, seed=np.int64(1))
+    assert gen_instance(numpy_seeded, 1) == gen_instance(cfg, 1)
 
 
 def test_gen_instance_deterministic():

@@ -26,7 +26,7 @@ MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6"
 
 def bootstrap_state(problem):
     da, _ = run_da(problem)
-    digraph = build_envy(problem, da)
+    digraph = build_envy(problem)
     jbc_matching, _ = run_jbc(problem)
     packing = decompose_as_packing(problem, jbc_matching)
     perm = {i: i for i in digraph.improvable}
@@ -162,7 +162,7 @@ def test_outcome_guarantees_random():
         for rep in range(25):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=210 + n), rep)
             da, _ = run_da(problem)
-            digraph = build_envy(problem, da)
+            digraph = build_envy(problem)
             jbc_matching, _ = run_jbc(problem)
             plus = run_sjbc_plus(problem)
             if digraph.improvable:
@@ -178,8 +178,7 @@ def test_expansion_permutation_always_cycle_structured():
     for n in (5, 6, 7):
         for rep in range(15):
             problem = gen_instance(GenConfig(n=n, model="iid", replications=1, seed=230 + n), rep)
-            da, trace = run_da(problem)
-            digraph = build_envy(problem, da)
+            digraph = build_envy(problem)
             if not digraph.improvable:
                 continue
             _, digraph2, state = bootstrap_state(problem)
@@ -285,7 +284,7 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
             if run_sjbc_plus(problem) == pick:
                 continue
             rng.seed(k)
-            claims = oracle.oracle_report(problem, include_pareto_family=False).claims
+            claims = oracle.oracle_report(problem).claims
             assert claims["sjbc_plus_outcome_justifiable"], problem
             assert claims["sjbc_plus_undominated_without_more_beneficiaries"], problem
             judged += 1
