@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from matchlab import envy, jbc, sjbc_plus
-from matchlab.da import run_da
 from matchlab.model import (
     NULL_SCHOOL,
     InputError,
@@ -235,7 +234,7 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
     The claims dict records, per named statement, whether the fast-path
     result matched this module's definition-level result on the instance.
     """
-    da_matching, _ = run_da(problem)
+    da_matching, digraph = envy.da_context(problem)
     everything = list(enumerate_matchings(problem, budget))
     dominating = [m for m in everything if dominates_strictly(problem, m, da_matching)]
 
@@ -272,7 +271,6 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
         m.assignment == da_matching.assignment for m in stable
     ) and all(dominates_weakly(problem, da_matching, m) for m in stable)
 
-    digraph = envy.build_envy(problem)
     claims["improvable_set_matches_cycle_membership"] = digraph.improvable == improvable
 
     fast_family = {

@@ -42,8 +42,12 @@ class GenConfig:
     consent_fraction: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.seed, bool) or not hasattr(self.seed, "__index__"):
-            raise InputError("seed must be an integer")
+        try:
+            if isinstance(self.seed, bool):
+                raise TypeError
+            object.__setattr__(self, "seed", index(self.seed))
+        except TypeError:
+            raise InputError("seed must be an integer") from None
         if self.model not in ("iid", "correlated"):
             raise InputError(f"unknown preference model {self.model!r}")
         if (self.rho is None) == (self.model == "correlated"):
@@ -74,7 +78,7 @@ class AggregateStats:
 
 def _stream(seed: int, replication: int) -> np.random.Generator:
     _check_ids("replication", (replication,), range(2**64))
-    key = np.array([index(seed) & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -495,6 +495,7 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     is_strongly_justifiable(problem, plus)
     beneficiaries(problem, plus)
     packing_label(problem, decompose_as_packing(problem, plus))
+    oracle.oracle_report(problem)
     assert calls == {"run_da": 1, "build_envy": 1}
 
     again = load_fixture("ex1")

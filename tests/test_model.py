@@ -487,6 +487,14 @@ def _numpy_ids(slot, value):
     return np.int64(value)
 
 
+def _answer(call, name, value):
+    """``call(name, value)``'s result, or the text of the ``InputError`` it raises."""
+    try:
+        return call(name, value)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
 @pytest.mark.parametrize("entry", [*ENTRIES, *PROBLEM_ROWS])
 def test_entries_take_ids_by_one_rule(ex1, entry):
     # Every id slot of every entry refuses a float, None, a bool, a negative
@@ -525,3 +533,10 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
                 call(name, 5)
             assert str(exc.value) == f"{name} must be a collection of student ids"
         assert call(name, _numpy_ids(slot, args[name])) == call(name, args[name]), name
+        # the null school, as a numpy integer, is answered like the plain one
+        if slot == "school":
+            assert _answer(call, name, np.int64(NULL_SCHOOL)) == _answer(call, name, NULL_SCHOOL), name
+        if slot == "matching":
+            unseated = _with_id(slot, args[name], NULL_SCHOOL)
+            numpy_unseated = _numpy_ids(slot, unseated)
+            assert _answer(call, name, numpy_unseated) == _answer(call, name, unseated), name
