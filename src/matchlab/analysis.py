@@ -21,6 +21,7 @@ from matchlab.model import (
     Violation,
     _blocking,
     _check_ids,
+    _instance_digest,
     _ranks,
     _seated,
     _wasteful,
@@ -209,4 +210,4 @@ def reassignment_chain(
             return ChainResult(vacuous=False, transcript=tuple(transcript))
         mover, target = displaced, best[1]
         transcript.append((mover, target))
-    raise RuntimeError("reassignment chain failed to terminate")
+    raise RuntimeError(f"reassignment chain failed to terminate, instance {_instance_digest(problem)}")

@@ -11,46 +11,13 @@ import argparse
 import contextlib
 import csv
 import functools
-import hashlib
 import logging
 import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
 from matchlab.da import run_da
 from matchlab.envy import da_context
-from matchlab.model import (
-    InputError,
-    Problem,
-    _decode,
-    _parse_json,
-    dump_matching,
-    load_matching,
-    problem_from_dict,
-)
-
-# The last instance loaded, as (SHA-256 of its bytes, problem).  A command
-# handed the same bytes again reuses the problem, and with it the DA context
-# kept on it, instead of parsing and building it a second time.
-_last_problem: tuple[bytes, Problem] | None = None
-
-
-def _load_problem(path) -> Problem:
-    global _last_problem
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).digest()
-    if _last_problem is not None and _last_problem[0] == digest:
-        return _last_problem[1]
-    # Free the old problem before the text is decoded, and the bytes and the
-    # text as soon as they are used: held longer, each raises peak memory.
-    _last_problem = None
-    text = _decode(raw, path)
-    del raw
-    data = _parse_json(text, path)
-    del text
-    problem = problem_from_dict(data)
-    _last_problem = (digest, problem)
-    return problem
+from matchlab.model import InputError, dump_matching, load_matching, load_problem
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -140,9 +107,11 @@ def _shown(module):
 
 
 def _cmd_solve(args) -> int:
-    problem = _load_problem(args.instance)
-    if args.consent is not None and args.mechanism != "eada":
-        raise InputError("--consent only applies to --mechanism eada")
+    problem = load_problem(args.instance)
+    for flag, mechanism in (("--consent", "eada"), ("--graph", "jbc"), ("--log-phases", "sjbc+")):
+        given = getattr(args, flag[2:].replace("-", "_")) not in (None, False)
+        if given and args.mechanism != mechanism:
+            raise InputError(f"{flag} only applies to --mechanism {mechanism}")
     if args.mechanism == "da":
         matching, _ = run_da(problem)
     elif args.mechanism == "jbc":
@@ -158,7 +127,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = load_problem(args.instance)
     matching = load_matching(problem, args.matching)
     verdict = analysis.is_justifiable(problem, matching)
     print(f"beneficiaries: {sorted(problem.students[i] for i in verdict.beneficiaries)}")
@@ -178,7 +147,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = load_problem(args.instance)
     _, trace = run_da(problem)
     header = ["round"] + list(problem.schools)
     widths = [max(5, len(h)) for h in header]
@@ -207,7 +176,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_envy(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = load_problem(args.instance)
     da_matching, digraph = da_context(problem)
     for i in range(problem.n_students):
         for j in digraph.edges[i]:
@@ -219,7 +188,7 @@ def _cmd_envy(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = load_problem(args.instance)
     if problem.completed_priorities:
         names = sorted(problem.schools[s] for s in problem.completed_priorities)
         print(f"note: priority lists completed by appending unlisted students: {names}")
@@ -236,7 +205,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
-    problem = _load_problem(args.instance)
+    problem = load_problem(args.instance)
     orbit = eada.eada_orbit(problem)
     for consent in sorted(orbit, key=lambda c: (len(c), sorted(c))):
         names = ",".join(problem.students[i] for i in sorted(consent)) or "-"

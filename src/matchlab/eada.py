@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from matchlab import da as da_mod
 from matchlab.envy import da_context
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _student_set
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _student_set
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -75,7 +75,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
                 demanded.add(s)
         fixed = {i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in demanded}
         if not fixed:
-            raise RuntimeError("EADA peel: a layer fixed no student")
+            raise RuntimeError(f"EADA peel: a layer fixed no student, instance {_instance_digest(problem)}")
         deleted = []
         lowered = False
         for i in fixed:

@@ -2,8 +2,9 @@
 
 A problem holds students and schools (dense integer ids, stable external
 names), strict preference lists, strict priority lists and quotas.  All types
-are immutable after construction and every operation here is a pure function,
-so values can be shared freely across threads.
+are immutable after construction, so values can be shared freely across
+threads.  The operations are pure functions, apart from ``load_problem``,
+which keeps the last problem it built.
 
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
@@ -13,7 +14,7 @@ a problem validates; the null rank sits at slot -1 of a student's table.
 
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 from contextlib import suppress
 from dataclasses import dataclass
@@ -400,12 +401,21 @@ def problem_to_dict(problem: Problem) -> dict:
     }
 
 
-def _decode(raw: bytes, path) -> str:
-    """The text a UTF-8 text-mode read of ``raw`` gives, newlines translated."""
-    try:
-        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-    except ValueError as exc:  # bytes that are not UTF-8
-        raise InputError(f"invalid JSON in {path}: {exc}") from None
+def _instance_digest(problem: Problem) -> str:
+    """The first 16 hex digits of the SHA-256 of the problem's sorted-key
+    JSON: it names the instance in the message of an error that should not
+    happen, and is computed only when one is raised."""
+    text = json.dumps(problem_to_dict(problem), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _read_text(path) -> str:
+    """The file's text, read once in UTF-8 text mode (newlines translated)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
 def _parse_json(text: str, path):
@@ -415,14 +425,29 @@ def _parse_json(text: str, path):
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
-def _read_json(path):
-    with open(path, "rb") as fh:
-        text = _decode(fh.read(), path)
-    return _parse_json(text, path)
+# The last problem loaded, as (SHA-256 of its text, problem).
+_last_problem: tuple[bytes, Problem] | None = None
 
 
 def load_problem(path) -> Problem:
-    return problem_from_dict(_read_json(path))
+    """The problem in the instance file at ``path``.
+
+    The problem built last is kept: a file whose text hashes the same gets
+    that problem back, with the DA context kept on it, instead of a parse
+    and a build.  A failed load keeps nothing.
+    """
+    global _last_problem
+    text = _read_text(path)
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    kept = _last_problem  # read once: another thread may replace it meanwhile
+    if kept is None or kept[0] != digest:
+        # Free the old problem before the parse, and the text once it is
+        # parsed: held longer, each raises peak memory.
+        _last_problem = kept = None
+        data = _parse_json(text, path)
+        del text
+        kept = _last_problem = (digest, problem_from_dict(data))
+    return kept[1]
 
 
 def matching_from_dict(problem: Problem, data: dict) -> Matching:
@@ -450,7 +475,7 @@ def matching_to_dict(problem: Problem, matching: Matching) -> dict:
 
 
 def load_matching(problem: Problem, path) -> Matching:
-    return matching_from_dict(problem, _read_json(path))
+    return matching_from_dict(problem, _parse_json(_read_text(path), path))
 
 
 def dump_matching(problem: Problem, matching: Matching) -> str:

@@ -42,12 +42,17 @@ class GenConfig:
     consent_fraction: float = 0.5
 
     def __post_init__(self):
-        try:
-            if isinstance(self.seed, bool):
-                raise TypeError
-            object.__setattr__(self, "seed", index(self.seed))
-        except TypeError:
-            raise InputError("seed must be an integer") from None
+        for name in ("n", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(value, "__index__"):
+                raise InputError(f"{name} must be an integer")
+            object.__setattr__(self, name, index(value))
+        for name in ("rho", "consent_fraction"):
+            value = getattr(self, name)
+            if name == "rho" and value is None:
+                continue  # rho's presence is checked with the model below
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"{name} must be a number")
         if self.model not in ("iid", "correlated"):
             raise InputError(f"unknown preference model {self.model!r}")
         if (self.rho is None) == (self.model == "correlated"):

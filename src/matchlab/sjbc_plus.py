@@ -54,7 +54,8 @@ from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import admissible_adjacency, admitted, da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import Matching, Problem, _student_set, check_feasible, envied, trade
+from matchlab.model import Matching, Problem, _instance_digest, _student_set, check_feasible
+from matchlab.model import envied, trade
 
 _log = logging.getLogger(__name__)
 
@@ -74,7 +75,8 @@ def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], kee
 
     Students in ``keep_trading`` may not take a loop.  Always feasible as
     long as the caller guarantees some loop-free cover for them (here: the
-    previous iteration's permutation stays admissible).
+    previous iteration's permutation stays admissible); None when there is
+    none.
     """
     k = len(nodes)
     if k == 0:
@@ -91,7 +93,7 @@ def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], kee
     rows, cols = linear_sum_assignment(cost)
     total = int(cost[rows, cols].sum())
     if total >= big:
-        raise RuntimeError("no feasible trade permutation; beneficiary set corrupted")
+        return None
     return {nodes[r]: nodes[c] for r, c in zip(rows, cols)}
 
 
@@ -108,6 +110,9 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     allowed = admitted(digraph, state.beneficiaries, digraph.improvable)
     adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)  # keys: DA enviers
     perm = _min_loop_permutation(nodes, adj, state.beneficiaries)
+    if perm is None:
+        message = "no feasible trade permutation; beneficiary set corrupted"
+        raise RuntimeError(f"{message}, instance {_instance_digest(problem)}")
     covered = frozenset(i for i in nodes if perm[i] != i)
     if covered == state.beneficiaries:
         perm = dict(state.permutation)  # no growth: keep the previous plan
@@ -185,7 +190,7 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
             names = " -> ".join(problem.students[i] for i in cycle + [cycle[0]])
             _log.info("refinement cycle: %s", names)
         current = trade(current, dict(zip(cycle, cycle[1:] + cycle[:1])))
-    raise RuntimeError("refinement exceeded its iteration bound")
+    raise RuntimeError(f"refinement exceeded its iteration bound, instance {_instance_digest(problem)}")
 
 
 def run_sjbc_plus(problem: Problem) -> Matching:

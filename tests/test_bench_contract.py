@@ -10,7 +10,9 @@ import importlib
 import types
 from pathlib import Path
 
+from matchlab import cli
 from matchlab.envy import build_envy
+from matchlab.fixtures import fixture_path
 from matchlab.model import Problem
 from matchlab.sjbc_plus import ExpansionState
 
@@ -60,3 +62,19 @@ def test_count_extractors_accept_live_results(ex1):
     assert counts["da.run_da"]["rounds"] == 13
     assert counts["da.run_da"]["proposals"] > 0
     assert counts["eada.run_eada"]["deleted_pairs"] > 0
+
+
+def test_tracer_sees_the_cli_loads(tmp_path, capsys, monkeypatch):
+    # The CLI loads instances through model.load_problem, so both loads are
+    # spans; analyze gets back the problem solve built, so one build.
+    tracing = load_tracing()
+    monkeypatch.setattr("matchlab.model._last_problem", None)
+    instance, out = str(fixture_path("ex1")), str(tmp_path / "m.json")
+    with tracing.Tracer().installed() as tracer:
+        assert cli.main(["solve", "--mechanism", "sjbc+", instance, "--out", out]) == 0
+        assert cli.main(["analyze", instance, out]) == 0
+    capsys.readouterr()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("model.load_problem") == 2
+    assert names.count(tracing.PROBLEM_BUILD) == 1
+    assert names.count("model.load_matching") == 1

@@ -498,12 +498,12 @@ def test_solve_then_analyze_builds_the_problem_once(tmp_path, capsys, monkeypatc
         builds.append(data["students"])
         return problem_from_dict(data)
 
-    monkeypatch.setattr(cli, "problem_from_dict", counted)
-    monkeypatch.setattr(cli, "_last_problem", None)
+    monkeypatch.setattr("matchlab.model.problem_from_dict", counted)
+    monkeypatch.setattr("matchlab.model._last_problem", None)
     assert_solve_golden(tmp_path, capsys, "ex1", "sjbc+")
     assert_analyze_golden(tmp_path, capsys, "ex1")
     assert len(builds) == 1
-    monkeypatch.setattr(cli, "_last_problem", None)
+    monkeypatch.setattr("matchlab.model._last_problem", None)
     assert_analyze_golden(tmp_path, capsys, "ex1")
     assert len(builds) == 2
 
@@ -521,7 +521,7 @@ def test_rewritten_instance_is_loaded_afresh(tmp_path, capsys, monkeypatch):
     for text in (original, swapped, original):
         instance.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "analyze", str(instance), str(matching))
-        monkeypatch.setattr(cli, "_last_problem", None)
+        monkeypatch.setattr("matchlab.model._last_problem", None)
         assert run_cli(capsys, "analyze", str(instance), str(matching)) == (code, out, err)
         verdicts.append(out)
     assert verdicts[0] == verdicts[2] != verdicts[1]
@@ -578,9 +578,14 @@ def test_main_is_reentrant_with_one_parser(tmp_path, capsys):
         main(["simulate", "--n", "6", "--model", "iid", "--reps", "2"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
-    code, out, err = run_cli(capsys, "solve", "--mechanism", "da", "--consent", "all", EX1)
-    assert (code, out) == (2, "")
-    assert err == "error: --consent only applies to --mechanism eada\n"
+    # each mechanism's own flag is refused with every other mechanism
+    for owner, flags in SOLVE_FLAGS.items():
+        if not flags:
+            continue
+        for mechanism in sorted(set(SOLVE_FLAGS) - {owner}):
+            code, out, err = run_cli(capsys, "solve", "--mechanism", mechanism, *flags, EX1)
+            assert (code, out) == (2, "")
+            assert err == f"error: {flags[0]} only applies to --mechanism {owner}\n"
     for fixture, mechanism in sorted(GOLDEN_SOLVE):
         assert_solve_golden(tmp_path, capsys, fixture, mechanism)
     for fixture in sorted(GOLDEN_ANALYZE):

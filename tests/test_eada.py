@@ -10,7 +10,7 @@ from matchlab.fixtures import load_fixture
 from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import matching_by_name, random_market
+from conftest import large_markets, matching_by_name, random_market
 
 
 def naive_da(prefs, priorities, quotas):
@@ -168,6 +168,14 @@ def test_peel_matches_kesten_eada():
         assert matching == run.final == kesten_eada(problem, consent)[0], (problem, consent)
         if not consent:
             assert run.iterations == ()
+
+
+def test_peel_matches_kesten_eada_at_certificate_sizes():
+    # Full consent on every third of the fixed ``large_markets`` (10 markets,
+    # n = 43-118).
+    for problem in large_markets()[::3]:
+        everyone = range(problem.n_students)
+        assert run_eada(problem, everyone)[0] == kesten_eada(problem, everyone)[0]
 
 
 def test_eada_orbit_ex1(ex1):

@@ -487,6 +487,7 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
 
     monkeypatch.setattr("matchlab.envy.run_da", counted("run_da", run_da))
     monkeypatch.setattr("matchlab.envy.build_envy", counted("build_envy", build_envy))
+    monkeypatch.setattr("matchlab.model._last_problem", None)
     problem = load_fixture("ex1")
     plus = run_sjbc_plus(problem)
     run_jbc(problem)
@@ -498,11 +499,13 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     oracle.oracle_report(problem)
     assert calls == {"run_da": 1, "build_envy": 1}
 
+    monkeypatch.setattr("matchlab.model._last_problem", None)
     again = load_fixture("ex1")
     assert da_context(again)[1] is not da_context(problem)[1]
     assert da_context(again)[1] == da_context(problem)[1]
     assert calls == {"run_da": 2, "build_envy": 2}
 
+    monkeypatch.setattr("matchlab.model._last_problem", None)
     fresh = load_fixture("ex1")
     assert problem == fresh and hash(problem) == hash(fresh) and repr(problem) == repr(fresh)
 

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import matchlab
+from matchlab import analysis, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
 from matchlab.envy import CyclePacking, packing_label
@@ -19,6 +21,7 @@ from matchlab.model import (
     InputError,
     Matching,
     Problem,
+    _instance_digest,
     dump_matching,
     is_nonwasteful,
     load_problem,
@@ -34,6 +37,7 @@ from matchlab.model import (
     violations,
 )
 from matchlab.da import run_da
+from matchlab.jbc import run_jbc
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 
@@ -540,3 +544,34 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
             unseated = _with_id(slot, args[name], NULL_SCHOOL)
             numpy_unseated = _numpy_ids(slot, unseated)
             assert _answer(call, name, numpy_unseated) == _answer(call, name, unseated), name
+
+
+def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):
+    # Each guard is reached by breaking what it relies on; its message ends
+    # with the first 16 hex digits of the SHA-256 of the instance's JSON.
+    text = json.dumps(problem_to_dict(ex1), sort_keys=True)
+    assert _instance_digest(ex1) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    crossed = Problem(("a", "b"), ("x", "y"), (1, 1), ((0, 1), (1, 0)), ((0, 1), (0, 1)))
+    i7, s4 = ex1.student_id("i7"), ex1.school_id("s4")
+    jbc_matching = run_jbc(ex1)[0]
+    sites = [
+        # a solver that keeps everyone home leaves JBC's traders without a cover
+        (sjbc_plus, "linear_sum_assignment", lambda cost: (np.arange(len(cost)),) * 2,
+         ex1, lambda: run_sjbc_plus(ex1), "no feasible trade permutation"),
+        # a cycle search that always answers trades two members back and forth
+        (sjbc_plus, "_find_cycle", lambda nodes, adj: nodes[:2],
+         ex1, lambda: run_sjbc_plus(ex1), "refinement exceeded its iteration bound"),
+        # each displaced student claims the contested school again
+        (analysis, "min", lambda candidates, default: (0, s4),
+         ex1, lambda: reassignment_chain(ex1, jbc_matching, i7, s4), "chain failed to terminate"),
+        # a DA outcome in which each student sits where the other wants to be
+        (eada, "da_context", lambda problem: (Matching((1, 0)), None),
+         crossed, lambda: run_eada(crossed, {0, 1}), "a layer fixed no student"),
+    ]
+    for module, name, broken, problem, run, message in sites:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, broken, raising=False)  # min is a builtin
+            with pytest.raises(RuntimeError) as exc:
+                run()
+        assert message in str(exc.value)
+        assert str(exc.value).endswith(f", instance {_instance_digest(problem)}"), message

@@ -28,6 +28,18 @@ def test_config_validation():
     for seed in (1.5, True, "1", None):
         with pytest.raises(InputError, match="^seed must be an integer$"):
             GenConfig(n=5, model="iid", replications=1, seed=seed)
+    valid = {"n": 5, "model": "correlated", "rho": 0.5, "replications": 1, "seed": 1}
+    for field, value, message in [
+        ("n", 2.5, "n must be an integer"),
+        ("n", "3", "n must be an integer"),
+        ("n", True, "n must be an integer"),
+        ("replications", 1.5, "replications must be an integer"),
+        ("rho", "0.5", "rho must be a number"),
+        ("rho", True, "rho must be a number"),
+        ("consent_fraction", None, "consent_fraction must be a number"),
+    ]:
+        with pytest.raises(InputError, match=f"^{message}$"):
+            GenConfig(**{**valid, field: value})
     cfg = GenConfig(n=5, model="correlated", rho=0.3, replications=2, seed=1)
     assert cfg.consent_size == 2
     # a numpy integer seeds the same streams as the plain int
