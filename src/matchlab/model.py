@@ -9,12 +9,14 @@ which keeps the last problem it built.
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
 schools all rank one past the null school.  Both rank tables are built while
-a problem validates; the null rank sits at slot -1 of a student's table.
+a problem validates and kept as tuples; the null rank sits at slot -1 of a
+student's table.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from contextlib import suppress
 from dataclasses import dataclass
@@ -50,8 +52,9 @@ class Problem:
             partially given in the source file and was completed by appending
             the missing students in declaration order.
 
-    Validating the lists fills both flat rank tables, indexed by id; a
-    student's table keeps the null rank at slot -1, where NULL_SCHOOL reads it.
+    Validating the lists fills both flat rank tables, indexed by id and
+    kept as tuples; a student's table keeps the null rank at slot -1, where
+    NULL_SCHOOL reads it.
     """
 
     students: tuple[str, ...]
@@ -74,7 +77,8 @@ class Problem:
         pref_rank = []
         for i, plist in enumerate(self.prefs):
             unlisted = len(plist) + 2
-            table = [unlisted] * m + [len(plist) + 1]  # the null rank sits at slot -1
+            table = [unlisted] * (m + 1)
+            table[-1] = len(plist) + 1  # the null rank sits at slot -1
             # An id past m or not an integer stops the fill; it, an id of m or a
             # repeat leaves extra unlisted slots.
             with suppress(IndexError, TypeError):
@@ -99,7 +103,9 @@ class Problem:
             if len(plist) != n or 0 in table:  # a repeated id leaves a slot empty
                 raise InputError(f"priority list of {self.schools[s]} is not a permutation of all students")
             prio_rank.append(table)
-        self.__dict__.update(_pref_rank=pref_rank, _prio_rank=prio_rank)
+        self.__dict__.update(
+            _pref_rank=tuple(map(tuple, pref_rank)), _prio_rank=tuple(map(tuple, prio_rank))
+        )
 
     @property
     def n_students(self) -> int:
@@ -409,13 +415,21 @@ def _instance_digest(problem: Problem) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def _read_text(path) -> str:
-    """The file's text, read once in UTF-8 text mode (newlines translated)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+def _read_bytes(path) -> bytes:
+    """The file's bytes, read once in binary: the one reader of instance
+    and matching files."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _decode(raw: bytes, path) -> str:
+    """The bytes as UTF-8 text mode reads them: newlines translated, and a
+    decode error with text mode's message."""
+    try:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
             return fh.read()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"invalid JSON in {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
 def _parse_json(text: str, path):
@@ -425,25 +439,29 @@ def _parse_json(text: str, path):
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
-# The last problem loaded, as (SHA-256 of its text, problem).
+# The last problem loaded, as (SHA-256 of its file's bytes, problem).
 _last_problem: tuple[bytes, Problem] | None = None
 
 
 def load_problem(path) -> Problem:
     """The problem in the instance file at ``path``.
 
-    The problem built last is kept: a file whose text hashes the same gets
-    that problem back, with the DA context kept on it, instead of a parse
-    and a build.  A failed load keeps nothing.
+    The file is read once, in binary.  The problem built last is kept: a
+    file whose bytes hash the same gets that problem back, with the DA
+    context kept on it, and nothing is decoded, parsed or built.  Copies of
+    one instance whose bytes differ (LF and CRLF line ends, say) are loaded
+    apart.  A failed load keeps nothing.
     """
     global _last_problem
-    text = _read_text(path)
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    raw = _read_bytes(path)
+    digest = hashlib.sha256(raw).digest()
     kept = _last_problem  # read once: another thread may replace it meanwhile
     if kept is None or kept[0] != digest:
-        # Free the old problem before the parse, and the text once it is
-        # parsed: held longer, each raises peak memory.
+        # Free the old problem before the decode, the bytes before the parse
+        # and the text once it is parsed: held longer, each raises peak memory.
         _last_problem = kept = None
+        text = _decode(raw, path)
+        del raw
         data = _parse_json(text, path)
         del text
         kept = _last_problem = (digest, problem_from_dict(data))
@@ -475,7 +493,7 @@ def matching_to_dict(problem: Problem, matching: Matching) -> dict:
 
 
 def load_matching(problem: Problem, path) -> Matching:
-    return matching_from_dict(problem, _parse_json(_read_text(path), path))
+    return matching_from_dict(problem, _parse_json(_decode(_read_bytes(path), path), path))
 
 
 def dump_matching(problem: Problem, matching: Matching) -> str:

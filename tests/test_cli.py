@@ -2,6 +2,7 @@ import hashlib
 import json
 import logging
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -542,6 +543,35 @@ def test_failed_load_leaves_the_last_problem_usable(tmp_path, capsys, content):
         assert (code, out) == (2, "") and err.startswith("error: ")
     assert run_cli(capsys, "envy", EX1) == good
     assert hashlib.sha256(good[1].encode()).hexdigest() == GOLDEN_STDOUT["ex1", "envy"]
+
+
+def test_reordered_instance_gives_the_same_files_and_verdicts(tmp_path, capsys):
+    # ex1 with its students, schools and name-keyed maps listed in another
+    # order is the same market.  Its priority lists are written out whole
+    # first, since completing a partial list follows the declaration order.
+    data = problem_to_dict(load_problem(EX1))
+    rng = random.Random(77)
+    for key in ("students", "schools"):
+        rng.shuffle(data[key])
+    for key in ("prefs", "priorities"):
+        rows = list(data[key].items())
+        rng.shuffle(rows)
+        data[key] = dict(rows)
+    assert data["students"] != sorted(data["students"])
+    reordered = tmp_path / "reordered.json"
+    reordered.write_text(json.dumps(data), encoding="utf-8")
+    runs = (["da"], ["jbc"], ["eada", "--consent", "all"], ["eada", "--consent", "i2,i4,i6"])
+    for mechanism, *consent in runs:
+        files, verdicts = [], []
+        for k, instance in enumerate((EX1, str(reordered))):
+            out = tmp_path / f"{mechanism}-{k}.json"
+            solve = ["solve", "--mechanism", mechanism, *consent, instance, "--out", str(out)]
+            assert run_cli(capsys, *solve)[0] == 0
+            files.append(out.read_bytes())
+            code, stdout, err = run_cli(capsys, "analyze", instance, str(out))
+            verdicts.append((code, set(stdout.splitlines()), err))
+        assert files[0] == files[1], mechanism
+        assert verdicts[0] == verdicts[1], mechanism
 
 
 def assert_simulate_golden(tmp_path, capsys):

@@ -12,6 +12,7 @@ from matchlab import analysis, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
 from matchlab.envy import CyclePacking, packing_label
+from matchlab.fixtures import fixture_path
 from matchlab.model import (
     A_DOMINATES,
     B_DOMINATES,
@@ -203,6 +204,80 @@ def test_instance_file_round_trip(tmp_path, ex1):
     assert again.prefs == ex1.prefs
     assert again.priorities == ex1.priorities
     assert again.completed_priorities == frozenset()
+
+
+EX1_RAW = fixture_path("ex1").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (
+            EX1_RAW[:380] + b"\xff" + EX1_RAW[380:],
+            "'utf-8' codec can't decode byte 0xff in position 380: invalid start byte",
+        ),
+        (
+            EX1_RAW.replace(b"{", b"{" + b" " * 9000 + b"\xff", 1),
+            "'utf-8' codec can't decode byte 0xff in position 9001: invalid start byte",
+        ),
+        (
+            EX1_RAW + "é".encode()[:1],
+            "'utf-8' codec can't decode byte 0xc3 in position 759: unexpected end of data",
+        ),
+        (
+            EX1_RAW.replace(b'"i1"', '"i1é"'.encode("latin-1"), 1),
+            "'utf-8' codec can't decode byte 0xe9 in position 20: invalid continuation byte",
+        ),
+        (
+            b"\xef\xbb\xbf" + EX1_RAW,
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        # the CR becomes a newline, as text mode reads it
+        (
+            EX1_RAW.replace(b'"i1"', b'"i\r1"', 1),
+            "Invalid control character at: line 2 column 18 (char 19)",
+        ),
+        # positions count one character per CRLF
+        (
+            EX1_RAW.replace(b"\n", b"\r\n")[:400],
+            "Expecting property name enclosed in double quotes: line 14 column 24 (char 387)",
+        ),
+    ],
+    ids=["ff-middle", "ff-past-8KiB", "cut-multibyte", "latin-1", "bom", "empty", "raw-cr", "cut-crlf"],
+)
+def test_loader_error_text_for_each_byte_fault(tmp_path, raw, message):
+    path = tmp_path / "inst.json"
+    path.write_bytes(raw)
+    with pytest.raises(InputError) as info:
+        load_problem(path)
+    assert str(info.value) == f"invalid JSON in {path}: {message}"
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_load_the_same_problem(tmp_path, newline):
+    lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+    lf.write_bytes(EX1_RAW)
+    other.write_bytes(EX1_RAW.replace(b"\n", newline))
+    assert load_problem(other) == load_problem(lf)
+
+
+def test_kept_problem_is_keyed_by_the_file_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr("matchlab.model._last_problem", None)
+    first, again, crlf = tmp_path / "first.json", tmp_path / "again.json", tmp_path / "crlf.json"
+    first.write_bytes(EX1_RAW)
+    again.write_bytes(EX1_RAW)
+    crlf.write_bytes(EX1_RAW.replace(b"\n", b"\r\n"))
+    problem = load_problem(first)
+    assert load_problem(again) is problem
+    # the same text in other bytes is another key, so it builds a problem of its own
+    other = load_problem(crlf)
+    assert other is not problem and other == problem
+    # the rank tables are as immutable as the problem that owns them
+    with pytest.raises(TypeError):
+        problem._pref_rank[0][0] = 1
+    with pytest.raises(TypeError):
+        problem._prio_rank[0][0] = 1
 
 
 def test_partial_priorities_are_completed(ex1, exd):

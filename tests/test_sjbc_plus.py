@@ -5,9 +5,17 @@ import pytest
 from matchlab import oracle, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
+from matchlab.eada import run_eada
 from matchlab.envy import build_envy, decompose_as_packing
 from matchlab.jbc import run_jbc
-from matchlab.model import A_DOMINATES, InputError, Matching, pareto_compare
+from matchlab.model import (
+    A_DOMINATES,
+    InputError,
+    Matching,
+    Problem,
+    matching_to_dict,
+    pareto_compare,
+)
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import (
     ExpansionState,
@@ -233,6 +241,24 @@ def test_no_admissible_cycle_left_among_beneficiaries_beyond_oracle_sizes():
     assert admissible and blocked
 
 
+def assert_guarantees(problem, outcomes):
+    """SJBC+'s guarantees, checked by scans, on each of ``outcomes``: it
+    weakly dominates DA and is justifiable, every victim gains or is not
+    improvable, JBC's beneficiaries gain, and no admissible cycle is left
+    among the beneficiaries."""
+    da, _ = run_da(problem)
+    improvable = on_cycle(pairwise_edges(problem, da))
+    jbc_gainers = oracle.beneficiaries_scan(problem, da, run_jbc(problem)[0])
+    for plus in outcomes:
+        assert oracle.dominates_weakly(problem, plus, da)
+        assert is_justifiable(problem, plus).justifiable
+        gainers = oracle.beneficiaries_scan(problem, da, plus)
+        victims = {v for v, _, _ in oracle.violations_scan(problem, plus)}
+        assert victims <= gainers | (set(range(problem.n_students)) - improvable)
+        assert jbc_gainers <= gainers
+        assert not on_cycle(admissible_edges(problem, da, improvable, plus, gainers)[0])
+
+
 def test_guarantees_hold_under_every_tie_break(monkeypatch):
     # Expansion takes the fewest-loop permutation that scipy returns, and
     # several are often optimal.  The same nodes in another order pose an
@@ -259,20 +285,12 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
 
     changed = 0
     for problem, pick in zip(large, picks):
-        da, _ = run_da(problem)
-        improvable = on_cycle(pairwise_edges(problem, da))
-        jbc_gainers = oracle.beneficiaries_scan(problem, da, run_jbc(problem)[0])
+        plans = []
         for k in range(3):
             rng.seed(k)
-            plus = run_sjbc_plus(problem)
-            changed += plus != pick
-            assert oracle.dominates_weakly(problem, plus, da)
-            assert is_justifiable(problem, plus).justifiable
-            gainers = oracle.beneficiaries_scan(problem, da, plus)
-            victims = {v for v, _, _ in oracle.violations_scan(problem, plus)}
-            assert victims <= gainers | (set(range(problem.n_students)) - improvable)
-            assert jbc_gainers <= gainers
-            assert not on_cycle(admissible_edges(problem, da, improvable, plus, gainers)[0])
+            plans.append(run_sjbc_plus(problem))
+        changed += sum(plus != pick for plus in plans)
+        assert_guarantees(problem, plans)
 
     # At oracle sizes a shuffle rarely changes the outcome; the oracle judges
     # each one that does (the property battery judges scipy's pick).  Seeding
@@ -294,3 +312,71 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
         f"shuffled tie-breaks changed {changed} of {3 * len(large)} SJBC+ outcomes "
         f"beyond oracle sizes and {judged} of {3 * len(small)} at oracle sizes"
     )
+
+
+def relabelled(problem, rng):
+    """The same market with its student and school ids permuted by ``rng``
+    and the names kept, as a file listing them in another order gives."""
+    students, schools = list(range(problem.n_students)), list(range(problem.n_schools))
+    rng.shuffle(students)
+    rng.shuffle(schools)
+    student_id = {old: new for new, old in enumerate(students)}
+    school_id = {old: new for new, old in enumerate(schools)}
+    return Problem(
+        students=tuple(problem.students[i] for i in students),
+        schools=tuple(problem.schools[s] for s in schools),
+        quotas=tuple(problem.quotas[s] for s in schools),
+        prefs=tuple(tuple(school_id[s] for s in problem.prefs[i]) for i in students),
+        priorities=tuple(tuple(student_id[i] for i in problem.priorities[s]) for s in schools),
+        completed_priorities=frozenset(school_id[s] for s in problem.completed_priorities),
+    )
+
+
+def outcomes_by_name(problem):
+    """Per mechanism, its outcome by name and the verdict on it by name."""
+    half = [problem.student_id(name) for name in sorted(problem.students)[::2]]
+    found = {
+        "da": run_da(problem)[0],
+        "jbc": run_jbc(problem)[0],
+        "eada, full consent": run_eada(problem, range(problem.n_students))[0],
+        "eada, every second name consents": run_eada(problem, half)[0],
+        "sjbc+": run_sjbc_plus(problem),
+    }
+    students, schools = problem.students, problem.schools
+    named = {}
+    for mechanism, matching in found.items():
+        verdict = is_justifiable(problem, matching)
+        named[mechanism] = (
+            matching_to_dict(problem, matching)["assignment"],
+            sorted(students[i] for i in verdict.beneficiaries),
+            sorted(
+                (students[v.victim], schools[v.school], students[v.occupant], tag)
+                for v, tag in verdict.violations
+            ),
+            verdict.justifiable,
+            verdict.strongly_justifiable,
+            verdict.pareto_efficient,
+        )
+    return found["sjbc+"], named
+
+
+def test_outcomes_do_not_depend_on_the_file_order():
+    # Listing the students and schools of a market in another order permutes
+    # their ids and keeps their names.  DA, JBC and EADA give the same
+    # outcome by name, and each verdict is the same wherever the outcomes
+    # are.  The order is part of SJBC+'s tie-break, since expansion's
+    # assignment problem lists its nodes by id, so SJBC+ may differ, but each
+    # of its outcomes keeps SJBC+'s guarantees.
+    rng = random.Random(77)
+    markets = mixed_markets(2024, 120) + large_markets()
+    changed = 0
+    for problem in markets:
+        other = relabelled(problem, rng)
+        _, named = outcomes_by_name(problem)
+        plus, renamed = outcomes_by_name(other)
+        assert_guarantees(other, [plus])
+        if named["sjbc+"][0] != renamed["sjbc+"][0]:
+            changed += 1
+            del named["sjbc+"], renamed["sjbc+"]
+        assert named == renamed, problem
+    print(f"relabelling changed {changed} of {len(markets)} SJBC+ outcomes")
