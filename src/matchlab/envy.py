@@ -251,14 +251,11 @@ def decompose_as_packing(problem: Problem, matching: Matching):
     """
     check_feasible(problem, matching)
     before, after = da_context(problem)[1].seats, matching.assignment
-    movers = [i for i in range(problem.n_students) if after[i] != before[i]]
-    if not movers:
-        return CyclePacking(())
-
     entrants: dict[int, list[int]] = {}
     leavers: dict[int, list[int]] = {}
-    for i in movers:
-        old, new = before[i], after[i]
+    for i, (old, new) in enumerate(zip(before, after)):
+        if old == new:
+            continue
         if old == NULL_SCHOOL or new == NULL_SCHOOL:
             return None
         if problem._pref_rank[i][new] >= problem._pref_rank[i][old]:

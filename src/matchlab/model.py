@@ -47,14 +47,19 @@ class Problem:
             ids (best first).  Schools missing from the tuple rank below the
             null school.
         priorities: per school, a permutation of all student ids (highest
-            priority first).
+            priority first): n ids that fill every slot of the school's rank
+            table and sum to n(n-1)/2, since a negative id aliases a slot
+            from the end and lowers the sum.
         completed_priorities: ids of schools whose priority list was only
             partially given in the source file and was completed by appending
             the missing students in declaration order.
 
     Validating the lists fills both flat rank tables, indexed by id and
     kept as tuples; a student's table keeps the null rank at slot -1, where
-    NULL_SCHOOL reads it.
+    NULL_SCHOOL reads it.  The ids and quotas follow ``_check_ids``: a bool
+    is refused, and an id of another integer type counts by its
+    ``operator.index`` value.  The quotas, and each row that passes only
+    when judged id by id, are kept as those values.
     """
 
     students: tuple[str, ...]
@@ -71,40 +76,61 @@ class Problem:
         if len(self.quotas) != m or len(self.prefs) != n or len(self.priorities) != m:
             raise InputError("field lengths do not match student/school counts")
         for q in self.quotas:
-            if isinstance(q, bool) or not hasattr(q, "__index__") or q < 1:
+            if isinstance(q, bool) or not hasattr(q, "__index__") or index(q) < 1:
                 raise InputError("quotas must be >= 1")
         ranks = list(range(1, max(n, m) + 1))  # one set of rank ints shared by every table
+        prefs, priorities = list(self.prefs), list(self.priorities)  # a row judged id by id is kept as ints
         pref_rank = []
         for i, plist in enumerate(self.prefs):
             unlisted = len(plist) + 2
             table = [unlisted] * (m + 1)
             table[-1] = len(plist) + 1  # the null rank sits at slot -1
+            checked = False
             # An id past m or not an integer stops the fill; it, an id of m or a
-            # repeat leaves extra unlisted slots.
+            # repeat leaves extra unlisted slots.  Ids that min cannot order
+            # fail the check too, and are judged one by one below.
             with suppress(IndexError, TypeError):
                 for s, pos in zip(plist, ranks):
                     table[s] = pos
-            if table.count(unlisted) != m - len(plist) or min(plist, default=0) < 0:
-                if len(set(plist)) != len(plist):
-                    raise InputError(f"duplicate school in preference list of {self.students[i]}")
+                checked = (
+                    table.count(unlisted) == m - len(plist)
+                    and min(plist, default=0) >= 0
+                    and not _bool_filled(plist, table)
+                )
+            if not checked:
+                with suppress(TypeError):  # an unhashable id is left to _check_ids
+                    if len(set(map(_id_value, plist))) != len(plist):
+                        raise InputError(f"duplicate school in preference list of {self.students[i]}")
                 try:
                     _check_ids("school", plist, range(m))
                 except InputError as exc:
                     raise InputError(f"{exc} in preferences of {self.students[i]}") from None
+                prefs[i] = tuple(map(index, plist))
             pref_rank.append(table)
         prio_rank = []  # filling a school's rank table completes its permutation check
         for s, plist in enumerate(self.priorities):
             table = [0] * n
-            # An id past the last student or not an integer stops the fill with a slot empty.
+            checked = False
+            # An id past the last student or not an integer stops the fill with a
+            # slot empty; a negative id aliases a slot from the end and lowers the sum.
             with suppress(IndexError, TypeError):
-                if len(plist) == n and min(plist, default=0) >= 0:
+                if len(plist) == n:
                     for i, pos in zip(plist, ranks):
                         table[i] = pos
-            if len(plist) != n or 0 in table:  # a repeated id leaves a slot empty
+                    checked = sum(plist) == n * (n - 1) // 2 and not _bool_filled(plist, table)
+            if not checked:  # judge the ids one by one, by value
+                with suppress(InputError):
+                    _check_ids("student", plist, range(n))
+                    priorities[s], checked = tuple(map(index, plist)), True
+            if not checked or len(plist) != n or 0 in table:  # a repeat leaves a slot empty
                 raise InputError(f"priority list of {self.schools[s]} is not a permutation of all students")
             prio_rank.append(table)
         self.__dict__.update(
-            _pref_rank=tuple(map(tuple, pref_rank)), _prio_rank=tuple(map(tuple, prio_rank))
+            quotas=tuple(map(index, self.quotas)),
+            prefs=tuple(prefs),
+            priorities=tuple(priorities),
+            _pref_rank=tuple(map(tuple, pref_rank)),
+            _prio_rank=tuple(map(tuple, prio_rank)),
         )
 
     @property
@@ -203,6 +229,24 @@ def _check_ids(kind: str, ids, valid: range) -> None:
         except TypeError:
             pass
         raise InputError(f"invalid {kind} id {value}")
+
+
+def _id_value(value):
+    """``operator.index(value)``, or ``value`` itself where that fails: how
+    ``Problem`` compares the ids of a row it refuses."""
+    try:
+        return index(value)
+    except TypeError:
+        return value
+
+
+def _bool_filled(plist, table) -> bool:
+    """Whether a bool in ``plist`` filled slot 0 or 1 of its rank ``table``,
+    which must have both.  Only False aliases slot 0 and only True slot 1,
+    so two looks suffice; a slot that no position of ``plist`` filled holds
+    a rank outside ``1..len(plist)``."""
+    first, second, k = table[0], table[1], len(plist)
+    return 0 < first <= k and plist[first - 1] is False or 0 < second <= k and plist[second - 1] is True
 
 
 def _student_set(problem: Problem, ids, name: str) -> frozenset[int]:
@@ -381,9 +425,9 @@ def problem_from_dict(data: dict) -> Problem:
             completed_priorities=frozenset(completed),
         )
     except InputError:
-        # Name the first priority row with an unknown name or a repeat, in file order.
-        for name in school_names:
-            listed = _row_ids(prio_raw, name, sid, "student", "priorities")
+        # Name the first repeat among the rows mapped so far, in file order;
+        # else the error stands, an unknown name in the next row included.
+        for name, listed in zip(school_names, priorities):
             if len(set(listed)) != len(listed):
                 raise InputError(f"duplicate student in priorities of {name}") from None
         raise

@@ -315,52 +315,63 @@ def test_is_justifiable_errors_match_reference():
     assert checked > 20
 
 
+def scan_certificates(problem, consent, tags, efficient, strong):
+    """Check DA's stability, the verdicts of DA, SJBC+, JBC and EADA at full
+    consent and at ``consent`` against exhaustive scans and a plain
+    reachability search, and ``consent``-EADA's guarantees over DA.  The
+    tags, Pareto verdicts and strong verdicts seen join the three sets."""
+    da, _ = run_da(problem)
+    assert oracle.stable_scan(problem, da)
+    improvable = on_cycle(pairwise_edges(problem, da))
+    outcomes = {
+        "da": da,
+        "sjbc_plus": run_sjbc_plus(problem),
+        "jbc": run_jbc(problem)[0],
+        "eada_full": run_eada(problem, range(problem.n_students))[0],
+        "eada_half": run_eada(problem, consent)[0],
+    }
+    half = outcomes["eada_half"]
+    assert oracle.dominates_weakly(problem, half, da)
+    assert oracle.respects_scan(problem, half, set(range(problem.n_students)) - consent)
+    for name, matching in outcomes.items():
+        verdict = is_justifiable(problem, matching)
+        strongly = oracle._strongly_justifiable_scan(problem, da, matching, improvable)
+        assert verdict.strongly_justifiable == strongly, name
+        strong.add(strongly)
+        found = [(v.victim, v.occupant, v.school) for v, _ in verdict.violations]
+        assert sorted(found) == sorted(oracle.violations_scan(problem, matching)), name
+        gainers = oracle.beneficiaries_scan(problem, da, matching)
+        assert verdict.beneficiaries == gainers, name
+        for v, tag in verdict.violations:
+            if v.victim in gainers:
+                assert tag == VICTIM_BENEFICIARY
+            elif v.victim not in improvable:
+                assert tag == VICTIM_UNIMPROVABLE
+            else:
+                assert tag == VICTIM_IMPROVABLE_NON_BENEFICIARY
+            tags.add(tag)
+        acyclic = not on_cycle(pairwise_edges(problem, matching))
+        assert verdict.pareto_efficient == acyclic, name
+        efficient.add(acyclic)
+    assert is_justifiable(problem, outcomes["sjbc_plus"]).justifiable
+    assert is_justifiable(problem, outcomes["jbc"]).strongly_justifiable
+
+
 def test_verdicts_match_scans_beyond_oracle_sizes():
-    # Polynomial certificates on markets too large to enumerate: DA's
-    # stability, the verdicts of DA, SJBC+, JBC and EADA at full and at a
-    # seeded half consent against exhaustive scans and a plain reachability
-    # search, and half-consent EADA's guarantees over DA.  Seeds and counts are fixed; consent is
-    # drawn apart from the markets, which stay those of ``large_markets``.
+    # Polynomial certificates on markets too large to enumerate, at a seeded
+    # half consent: the 30 of ``large_markets``, then two n = 200 markets of
+    # the simulation in their own loop.  Seeds and counts are fixed; consent
+    # is drawn apart from the markets.
     markets = large_markets()
     assert [sum(p.quotas) > p.n_students for p in markets] == [k % 2 == 0 for k in range(30)]
     consent_rng = random.Random(5151)
     tags, efficient, strong = set(), set(), set()
     for problem in markets:
-        da, _ = run_da(problem)
-        assert oracle.stable_scan(problem, da)
-        improvable = on_cycle(pairwise_edges(problem, da))
         consent = frozenset(i for i in range(problem.n_students) if consent_rng.random() < 0.5)
-        outcomes = {
-            "da": da,
-            "sjbc_plus": run_sjbc_plus(problem),
-            "jbc": run_jbc(problem)[0],
-            "eada_full": run_eada(problem, range(problem.n_students))[0],
-            "eada_half": run_eada(problem, consent)[0],
-        }
-        half = outcomes["eada_half"]
-        assert oracle.dominates_weakly(problem, half, da)
-        assert oracle.respects_scan(problem, half, set(range(problem.n_students)) - consent)
-        for name, matching in outcomes.items():
-            verdict = is_justifiable(problem, matching)
-            strongly = oracle._strongly_justifiable_scan(problem, da, matching, improvable)
-            assert verdict.strongly_justifiable == strongly, name
-            strong.add(strongly)
-            found = [(v.victim, v.occupant, v.school) for v, _ in verdict.violations]
-            assert sorted(found) == sorted(oracle.violations_scan(problem, matching)), name
-            gainers = oracle.beneficiaries_scan(problem, da, matching)
-            assert verdict.beneficiaries == gainers, name
-            for v, tag in verdict.violations:
-                if v.victim in gainers:
-                    assert tag == VICTIM_BENEFICIARY
-                elif v.victim not in improvable:
-                    assert tag == VICTIM_UNIMPROVABLE
-                else:
-                    assert tag == VICTIM_IMPROVABLE_NON_BENEFICIARY
-                tags.add(tag)
-            acyclic = not on_cycle(pairwise_edges(problem, matching))
-            assert verdict.pareto_efficient == acyclic, name
-            efficient.add(acyclic)
-        assert is_justifiable(problem, outcomes["sjbc_plus"]).justifiable
-        assert is_justifiable(problem, outcomes["jbc"]).strongly_justifiable
+        scan_certificates(problem, consent, tags, efficient, strong)
     assert tags >= {VICTIM_BENEFICIARY, VICTIM_UNIMPROVABLE}
     assert efficient == strong == {True, False}
+    for model, rho in (("iid", None), ("correlated", 0.5)):
+        problem = gen_instance(GenConfig(n=200, model=model, rho=rho, replications=1, seed=4242), 0)
+        consent = frozenset(i for i in range(200) if consent_rng.random() < 0.5)
+        scan_certificates(problem, consent, set(), set(), set())

@@ -361,6 +361,9 @@ def test_name_lookup_and_unknown_names():
         (((0, 1, -1), (2, 1, 0)), "priority list of x is not a permutation of all students"),
         (((0, 1, 2, 0), (2, 1, 0)), "priority list of x is not a permutation of all students"),
         (((0, 1, 2), (2, 2, 0)), "priority list of y is not a permutation of all students"),
+        (((-3, 1, 2), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((False, 1, 2), (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 2), (2, True, 0)), "priority list of y is not a permutation of all students"),
     ],
 )
 def test_priority_lists_must_be_permutations(priorities, message):
@@ -386,6 +389,9 @@ def test_priority_lists_must_be_permutations(priorities, message):
         (((0, 1), (7,), ()), "invalid school id 7 in preferences of b"),
         (((3, 3, -5), (1,), ()), "duplicate school in preference list of a"),
         (((0, 1, 0, 1, 0), (1,), ()), "duplicate school in preference list of a"),
+        (((False, 1), (1,), ()), "invalid school id False in preferences of a"),
+        (((0, 1), (True,), ()), "invalid school id True in preferences of b"),
+        (((0, [1]), (1,), ()), "invalid school id [1] in preferences of a"),
     ],
 )
 def test_preference_lists_must_list_known_schools_once(prefs, message):
@@ -508,7 +514,9 @@ ENTRIES = {
 ENTRIES["priority_rank_of"] = priority_rank_of
 
 # Per Problem field: the kind of its ids, the valid ids tried there and the
-# construction.  True repeats id 1, which the lists already hold.
+# construction.  In the first two, True repeats id 1, which the rows already
+# hold; the "in place" rows put a bool where the id it equals would go, so
+# nothing collides: i2 lists (s1, s2), and s1 ranks i2 third.
 PROBLEM_ROWS = {
     "Problem prefs": ("school", (6,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 0, p.prefs[0] + (x,)))),
     "Problem priorities": (
@@ -516,8 +524,25 @@ PROBLEM_ROWS = {
         (0,),
         lambda p, x: _rebuilt(p, priorities=_put(p.priorities, 0, (x,) + p.priorities[0][1:])),
     ),
+    "Problem prefs in place, slot 0": ("school", (0,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 1, (x, 1)))),
+    "Problem prefs in place, slot 1": ("school", (1,), lambda p, x: _rebuilt(p, prefs=_put(p.prefs, 1, (0, x)))),
+    "Problem priorities in place": (
+        "student",
+        (1,),
+        lambda p, x: _rebuilt(p, priorities=_put(p.priorities, 0, _put(p.priorities[0], 2, x))),
+    ),
     "Problem quotas": ("quota", (1, 2), lambda p, x: _rebuilt(p, quotas=_put(p.quotas, 0, x))),
 }
+
+
+class IndexOnly:
+    """An integer id that only ``__index__`` reads: no arithmetic, no order."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def _valid_arguments(p):
@@ -582,11 +607,17 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
     past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0, "replication": 2**64}
     if entry in PROBLEM_ROWS:
         kind, valid, build = PROBLEM_ROWS[entry]
-        for bad in (1.5, None, True, -2, past[kind]):
+        for bad in (1.5, None, True, False, -2, past[kind], IndexOnly(-2), IndexOnly(past[kind])):
             with pytest.raises(InputError):
                 build(ex1, bad)
         for good in valid:
-            assert build(ex1, np.int64(good)) == build(ex1, good)
+            plain = build(ex1, good)
+            assert build(ex1, np.int64(good)) == plain
+            # an id that only __index__ reads is taken, and kept, by its value
+            other = build(ex1, IndexOnly(good))
+            assert other == plain
+            assert (other._pref_rank, other._prio_rank) == (plain._pref_rank, plain._prio_rank)
+            assert run_eada(other, range(other.n_students)) == run_eada(plain, range(plain.n_students))
         return
     fn = ENTRIES[entry]
     names = list(inspect.signature(fn).parameters)
