@@ -5,11 +5,12 @@ same round.  The final outcome is order-independent, but the *round numbers*
 recorded in the trace are not, and the interrupting pairs depend on them, so
 this convention is part of the contract.
 
-One proposal loop, ``_propose``, serves ``run_da`` and every EADA rerun.  Each
-school's tentative roster is a sorted list of priority ranks, so admitting a
-proposal is one plain ``insort``.  The loop logs only each round's proposers;
-a ``DaTrace`` replays that log into its round table, and the interrupting
-pairs off that, only when read, so callers that never read them never pay.
+``run_da`` holds the library's one proposal loop; every other mechanism
+starts from its outcome.  Each school's tentative roster is a sorted list of
+priority ranks, so admitting a proposal is one plain ``insort``.  The loop
+logs only each round's proposers; a ``DaTrace`` replays that log into its
+round table, and the interrupting pairs off that, only when read, so callers
+that never read them never pay.
 """
 
 from __future__ import annotations
@@ -105,18 +106,20 @@ class InterruptPair:
     rejection_round: int
 
 
-def _propose(problem: Problem, prefs):
-    """Run the proposal loop with ``prefs`` in place of ``problem.prefs``.
+def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
+    """Run deferred acceptance; returns the student-optimal stable matching
+    and its execution trace.
 
-    Returns the matching and each round's proposers, unordered.
+    A student who exhausts her list is assigned the null school and stops
+    proposing.  Total proposals are bounded by ``n_students * n_schools``.
     """
     n = problem.n_students
     prio_tables, priorities = problem._prio_rank, problem.priorities
     quotas = problem.quotas
-    choices = [iter(p) for p in prefs]  # the schools each student has yet to try
+    choices = [iter(p) for p in problem.prefs]  # the schools each student has yet to try
     held: list[list[int]] = [[] for _ in range(problem.n_schools)]  # priority ranks, best first
     active = list(range(n))
-    log = []
+    log = []  # each round's proposers, unordered
     while active:
         # Taking a round's proposals one at a time ends it as if all came at once.
         log.append(active)
@@ -135,17 +138,7 @@ def _propose(problem: Problem, prefs):
     for s, roster in enumerate(held):
         for rank in roster:
             assignment[priorities[s][rank - 1]] = s
-    return Matching(tuple(assignment)), log
-
-
-def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
-    """Run deferred acceptance; returns the student-optimal stable matching
-    and its execution trace.
-
-    A student who exhausts her list is assigned the null school and stops
-    proposing.  Total proposals are bounded by ``n_students * n_schools``.
-    """
-    matching, log = _propose(problem, problem.prefs)
+    matching = Matching(tuple(assignment))
     return matching, DaTrace(matching, problem.prefs, log)
 
 

@@ -4,45 +4,58 @@ Kesten's EADA reruns deferred acceptance after deleting, batch by batch, the
 schools of consenting interrupters.  For full consent, Tang and Yu (JET 2014)
 show the outcome equals a peel over underdemanded schools: a school that no
 student still in play ranks above her DA seat keeps its students, so they are
-fixed and leave the market.  This module runs that peel for every consent set.
-It starts from the problem's DA outcome, ``envy.da_context``, and reruns
-``da._propose`` on one mutable copy of the preference lists:
+fixed and leave the market.  This module runs that peel for every consent set,
+starting from the problem's DA outcome, ``envy.da_context``.
 
-1. From the current DA outcome, a live (not yet fixed) student is fixed when
-   she is unassigned, or sits at a school no live student ranks above her own
-   seat.
-2. Each fixed student's list is cut to her seat, or to nothing.  A consenting
-   student's cut pairs are deleted.  A non-consenting student waives nothing:
-   at each school she loses, the school's priority cap falls to her priority
-   rank, so no student of lower priority may take that school any more.
-3. When a cap fell, each live student loses, above her seat, every school
-   whose cap her priority falls below.
-4. DA reruns only when consenting pairs were deleted; cuts of non-consenters
-   alone leave the outcome as it is.
+A student *desires* a school when she is live (not yet fixed), ranks it
+above her seat, and her priority there is above the school's *cap*.  A cap
+falls to the priority of each non-consenter fixed below the school; no
+student of lower priority may take the school any more.  Each layer:
 
-Underdemanded schools stay on the other lists: they lie below every live seat.
+1. fixes every live student who is unassigned or whose seat no one desires;
+2. has each fixed student give up the schools she desired: a consenter's
+   pairs with them are deleted, while a non-consenter waives nothing and
+   lowers their caps to her priority instead;
+3. when pairs were deleted, climbs to the DA outcome of the cut market.
+
+The climb reaches that outcome without running DA.  Every school with a
+desirer points at the seat of its top desirer, the desirer of best
+priority, and every cycle of that school graph trades, as in JBC, until no
+cycle is left.  The matching a layer starts from is stable in the cut
+market: lists only shrink, and each fixed student keeps her seat on her
+list.  Trading along such cycles keeps it stable and improves the traders,
+and a stable matching that no such cycle improves is the student-optimal
+one (Erdil and Ergin, AER 2008).  That matching is unique, so whichever
+cycles trade, the climb ends where a DA rerun would.  A layer that only
+lowered caps needs no climb: each school keeps its top desirer or is left
+with none, because a top desirer leaves only as a fixed non-consenter,
+whose priority becomes the cap, or under a cap, which shuts out everyone
+ranked below her too.  So the school graph gains no cycle.
+
+Desirers only leave: seats improve, students are fixed and caps fall.  Each
+school therefore keeps one cursor into its DA enviers, best priority first,
+that only moves forward.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from matchlab import da as da_mod
-from matchlab.envy import da_context
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _student_set
+from matchlab.envy import da_context, successor_cycles
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _student_set, trade
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
 
 @dataclass(frozen=True)
 class EadaIteration:
-    deleted: tuple[tuple[int, int], ...]  # consenting (student, school) pairs cut before the rerun
-    matching: Matching  # the rerun's outcome
+    deleted: tuple[tuple[int, int], ...]  # consenting (student, school) pairs cut before the climb
+    matching: Matching  # the DA outcome of the cut market, where the climb ends
 
 
 @dataclass(frozen=True)
 class EadaRun:
-    """One DA rerun per peel layer that deleted consenting pairs, in order;
+    """One climb per peel layer that deleted consenting pairs, in order;
     empty when no consenting student gives anything up."""
 
     iterations: tuple[EadaIteration, ...]
@@ -54,49 +67,51 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
 
     The outcome weakly dominates deferred acceptance and never violates the
     priority of a non-consenting student.  Each entry of ``iterations`` is
-    one DA rerun: the consenting pairs its layer cut, and its outcome.
+    one climb: the consenting pairs its layer cut, and the matching where
+    it ends.
     """
     members = _student_set(problem, consent, "consent")
-    prio_tables = problem._prio_rank
-    prefs = [list(p) for p in problem.prefs]
-    # Per school, the best priority rank of a non-consenter cut from it; only
-    # students ranked above it may still take it.
+    pref_rank, prio_tables = problem._pref_rank, problem._prio_rank
+    matching, digraph = da_context(problem)
+    # Per school, the cursor: its DA enviers who may still desire it, best priority last.
+    waiting = [list(reversed(ahead)) for ahead in digraph.ahead]
     cap = [problem.n_students + 1] * problem.n_schools
-    matching = da_context(problem)[0]
-    live = list(range(problem.n_students))
-    iterations = []
-    while live:
-        seat = matching.assignment
-        demanded = set()
-        for i in live:
-            for s in prefs[i]:
-                if s == seat[i]:
+    live = set(range(problem.n_students))
+
+    def top_desirers(seat) -> dict[int, int]:
+        top = {}
+        for s, queue in enumerate(waiting):
+            while queue:
+                i = queue[-1]
+                if i in live and prio_tables[s][i] < cap[s] and pref_rank[i][s] < pref_rank[i][seat[i]]:
+                    top[s] = i
                     break
-                demanded.add(s)
-        fixed = {i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in demanded}
+                queue.pop()
+        return top
+
+    iterations = []
+    seat = matching.assignment
+    top = top_desirers(seat)
+    while live:
+        fixed = [i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in top]
         if not fixed:
             raise RuntimeError(f"EADA peel: a layer fixed no student, instance {_instance_digest(problem)}")
-        deleted = []
-        lowered = False
+        live.difference_update(fixed)
+        deleted, capped = [], []
         for i in fixed:
-            plist = prefs[i]
-            k = len(plist) if seat[i] == NULL_SCHOOL else plist.index(seat[i])
-            cut, prefs[i] = plist[:k], plist[k : k + 1]
-            if i in members:
-                deleted += [(i, s) for s in cut]
-            else:
-                for s in cut:
-                    if prio_tables[s][i] < cap[s]:
-                        cap[s] = prio_tables[s][i]
-                        lowered = True
-        live = [i for i in live if i not in fixed]
-        if lowered:
-            for i in live:
-                plist = prefs[i]
-                k = plist.index(seat[i])
-                plist[:k] = [s for s in plist[:k] if prio_tables[s][i] < cap[s]]
+            # She gives up the schools she desired: above her seat, under their caps.
+            for s in problem.prefs[i][: pref_rank[i][seat[i]] - 1]:
+                if prio_tables[s][i] < cap[s]:
+                    (deleted if i in members else capped).append((i, s))
+        for i, s in capped:  # the caps fall once every cut of the layer is known
+            cap[s] = min(cap[s], prio_tables[s][i])
+        top = top_desirers(seat)
         if deleted:
-            matching = da_mod._propose(problem, prefs)[0]
+            while cycles := successor_cycles({s: seat[i] for s, i in top.items()}):
+                # each school's top desirer takes the seat of the previous school's, which lies there
+                matching = trade(matching, {top[s]: top[c[k - 1]] for c in cycles for k, s in enumerate(c)})
+                seat = matching.assignment
+                top = top_desirers(seat)
             iterations.append(EadaIteration(tuple(sorted(deleted)), matching))
     return matching, EadaRun(tuple(iterations), matching)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -245,12 +246,13 @@ def decompose_as_packing(problem: Problem, matching: Matching):
     Returns the packing in canonical form (minimum student first in each
     cycle), or ``None`` when the matching does not arise from trading seats
     along envy edges: some mover fails to strictly improve, or the movers do
-    not permute the occupied seats school by school.  Which occupant a mover
-    displaces is ambiguous for quotas above one; entrants and leavers are
-    paired in ascending id order, which never changes edge labels.
+    not permute the occupied seats school by school.  Seats are compared by
+    their ``operator.index`` values.  Which occupant a mover displaces is
+    ambiguous for quotas above one; entrants and leavers are paired in
+    ascending id order, which never changes edge labels.
     """
     check_feasible(problem, matching)
-    before, after = da_context(problem)[1].seats, matching.assignment
+    before, after = da_context(problem)[1].seats, map(index, matching.assignment)
     entrants: dict[int, list[int]] = {}
     leavers: dict[int, list[int]] = {}
     for i, (old, new) in enumerate(zip(before, after)):

@@ -250,15 +250,15 @@ def _bool_filled(plist, table) -> bool:
 
 
 def _student_set(problem: Problem, ids, name: str) -> frozenset[int]:
-    """The student ids of the collection ``ids`` as a frozenset, checked by
-    ``_check_ids``; anything that is no collection raises ``InputError``
-    naming the argument ``name``."""
+    """The student ids of the collection ``ids`` as a frozenset of their
+    ``operator.index`` values, checked by ``_check_ids``; anything that is
+    no collection raises ``InputError`` naming the argument ``name``."""
     try:
         members = frozenset(ids)
     except TypeError:
         raise InputError(f"{name} must be a collection of student ids") from None
     _check_ids("student", members, range(problem.n_students))
-    return members
+    return frozenset(map(index, members))
 
 
 def _ranks(problem: Problem, seats) -> list[int]:

@@ -1,16 +1,17 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from matchlab import da as da_mod
 from matchlab.analysis import is_pareto_efficient
-from matchlab.da import DaTrace, run_da
+from matchlab.da import run_da
 from matchlab.eada import EadaIteration, EadaRun, eada_orbit, run_eada
+from matchlab.envy import da_context
 from matchlab.fixtures import load_fixture
-from matchlab.model import InputError, Problem, rank_of, respects_priorities_of
+from matchlab.model import NULL_SCHOOL, InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import large_markets, matching_by_name, random_market
+from conftest import large_markets, matching_by_name, mixed_markets, random_market
 
 
 def naive_da(prefs, priorities, quotas):
@@ -61,6 +62,11 @@ def simplified_eada(problem):
     return tuple(final)
 
 
+def rerun_da(problem, prefs):
+    """DA on ``problem`` with the lists ``prefs`` in place of its own."""
+    return run_da(replace(problem, prefs=tuple(map(tuple, prefs))))
+
+
 def kesten_eada(problem, consent):
     """Kesten's EADA, the reference for the peel: rerun DA after deleting, from
     one mutable copy of the lists, the school of every consenting interrupter
@@ -70,9 +76,8 @@ def kesten_eada(problem, consent):
     prefs = [list(p) for p in problem.prefs]
 
     def rerun():
-        matching, log = da_mod._propose(problem, prefs)
-        # The trace replays lazily, so it gets a frozen copy of the lists.
-        return matching, DaTrace(matching, tuple(map(tuple, prefs)), log).pairs
+        matching, trace = rerun_da(problem, prefs)
+        return matching, trace.pairs
 
     matching, pairs = rerun()
     iterations = []
@@ -86,6 +91,53 @@ def kesten_eada(problem, consent):
             prefs[student].remove(school)
         matching, pairs = rerun()
         iterations.append(EadaIteration(tuple(batch), matching))
+    return matching, EadaRun(tuple(iterations), matching)
+
+
+def rerun_peel(problem, consent):
+    """The peel by DA reruns, the reference for its climbs: cut each layer's
+    fixed students' lists to their seats, filter the live lists by the caps
+    that fixed non-consenters set, and rerun DA on the cut lists whenever a
+    consenting student gave up a school."""
+    members = frozenset(consent)
+    prio_tables = problem._prio_rank
+    prefs = [list(p) for p in problem.prefs]
+    cap = [problem.n_students + 1] * problem.n_schools
+    matching = run_da(problem)[0]
+    live = list(range(problem.n_students))
+    iterations = []
+    while live:
+        seat = matching.assignment
+        demanded = set()
+        for i in live:
+            for s in prefs[i]:
+                if s == seat[i]:
+                    break
+                demanded.add(s)
+        fixed = {i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in demanded}
+        assert fixed, "every DA outcome has an underdemanded school"
+        deleted = []
+        lowered = False
+        for i in fixed:
+            plist = prefs[i]
+            k = len(plist) if seat[i] == NULL_SCHOOL else plist.index(seat[i])
+            cut, prefs[i] = plist[:k], plist[k : k + 1]
+            if i in members:
+                deleted += [(i, s) for s in cut]
+            else:
+                for s in cut:
+                    if prio_tables[s][i] < cap[s]:
+                        cap[s] = prio_tables[s][i]
+                        lowered = True
+        live = [i for i in live if i not in fixed]
+        if lowered:
+            for i in live:
+                plist = prefs[i]
+                k = plist.index(seat[i])
+                plist[:k] = [s for s in plist[:k] if prio_tables[s][i] < cap[s]]
+        if deleted:
+            matching = rerun_da(problem, prefs)[0]
+            iterations.append(EadaIteration(tuple(sorted(deleted)), matching))
     return matching, EadaRun(tuple(iterations), matching)
 
 
@@ -171,11 +223,34 @@ def test_peel_matches_kesten_eada():
 
 
 def test_peel_matches_kesten_eada_at_certificate_sizes():
-    # Full consent on every third of the fixed ``large_markets`` (10 markets,
-    # n = 43-118).
+    # Full consent and one seeded half of the students on every third of the
+    # fixed ``large_markets`` (10 markets, n = 43-118, quotas 1-4, truncated
+    # lists): the half leaves non-consenters whose caps meet quotas above one.
+    rng = random.Random(2718)
     for problem in large_markets()[::3]:
-        everyone = range(problem.n_students)
-        assert run_eada(problem, everyone)[0] == kesten_eada(problem, everyone)[0]
+        n = problem.n_students
+        for consent in (range(n), rng.sample(range(n), n // 2)):
+            assert run_eada(problem, consent)[0] == kesten_eada(problem, consent)[0], consent
+
+
+def test_climbs_match_the_rerun_peel_layer_by_layer(monkeypatch):
+    # Every layer's deleted pairs and matching equal those of the peel that
+    # reruns DA, at full, seeded-half and empty consent, and ``run_eada``
+    # runs no DA proposal loop once the problem's DA context exists.
+    config = GenConfig(n=50, model="correlated", rho=0.5, replications=1, seed=2719)
+    markets = mixed_markets(2720, 200) + large_markets() + [gen_instance(config, rep) for rep in range(10)]
+    rng = random.Random(2721)
+    climbed = 0
+    for problem in markets:
+        n = problem.n_students
+        da_context(problem)
+        for consent in (range(n), rng.sample(range(n), n // 2), ()):
+            with monkeypatch.context() as patch:
+                patch.setattr("matchlab.da.insort", None)  # a proposal would fail
+                got = run_eada(problem, consent)
+            assert got == rerun_peel(problem, consent), (problem, consent)
+            climbed += len(got[1].iterations)
+    assert climbed > 1000
 
 
 def test_eada_orbit_ex1(ex1):

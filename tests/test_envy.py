@@ -11,7 +11,7 @@ from matchlab.analysis import (
     is_pareto_efficient,
     is_strongly_justifiable,
 )
-from matchlab.da import _propose, run_da
+from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.envy import (
     CyclePacking,
@@ -523,18 +523,18 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
         assert not {"da_matching", "digraph"} & taken, fn.__name__
     assert list(inspect.signature(build_envy).parameters) == ["problem"]
 
-    # EADA's peel starts from the context: one simulated instance runs DA's
-    # proposal loop once for the context and once per EADA rerun, no more.
-    # It searches for envy cycles once for the context and once per other
-    # outcome's Pareto verdict; DA's verdict reads the context's improvable set.
-    calls["_propose"] = calls["cycle_members"] = 0
-    monkeypatch.setattr("matchlab.da._propose", counted("_propose", _propose))
+    # EADA's peel starts from the context and climbs from it: one simulated
+    # instance runs DA's proposal loop once, for the context, although its
+    # EADA runs climb after deleting pairs.  It searches for envy cycles once
+    # for the context and once per other outcome's Pareto verdict; DA's
+    # verdict reads the context's improvable set.
+    calls["run_da"] = calls["cycle_members"] = 0
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
     evaluate_instance(sim, consent, 0)
-    loops, searches = calls["_propose"], calls["cycle_members"]
-    reruns = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
-    assert reruns > 0 and loops == 1 + reruns
+    loops, searches = calls["run_da"], calls["cycle_members"]
+    climbs = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
+    assert climbs > 0 and loops == 1
     assert searches == 4
 
 

@@ -11,7 +11,7 @@ import matchlab
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
-from matchlab.envy import CyclePacking, packing_label
+from matchlab.envy import CyclePacking, LabelledEnvyDigraph, packing_label
 from matchlab.fixtures import fixture_path
 from matchlab.model import (
     A_DOMINATES,
@@ -504,6 +504,15 @@ ID_SLOTS = {
 NOT_IDS = {"problem", "trace", "state", "config", "budget", "jobs"}
 ID_KIND = {"students": "student", "cycles": "student", "matching": "school"}  # else the slot
 
+# The id slots whose answer is pinned for ids that only ``__index__`` reads,
+# each with the values tried there beside its valid argument on ex1.
+INDEX_ONLY = {
+    ("run_eada", "consent"): lambda p: [range(p.n_students)],
+    ("decompose_as_packing", "matching"): lambda p: [run_da(p)[0]],
+    ("respects_priorities_of", "protected"): lambda p: [],
+    ("run_refinement", "b_star"): lambda p: [],
+}
+
 # Every public function, and priority_rank_of, the checked accessor that the
 # package root does not export.
 ENTRIES = {
@@ -580,15 +589,15 @@ def _with_id(slot, value, x):
     return x
 
 
-def _numpy_ids(slot, value):
-    """``value`` with each of its ids a numpy integer."""
+def _ids_as(slot, value, spell):
+    """``value`` with each of its ids spelled as ``spell(id)``."""
     if slot == "students":
-        return frozenset(map(np.int64, value))
+        return frozenset(map(spell, value))
     if slot == "cycles":
-        return CyclePacking(tuple(tuple(map(np.int64, c)) for c in value.cycles))
+        return CyclePacking(tuple(tuple(map(spell, c)) for c in value.cycles))
     if slot == "matching":
-        return Matching(tuple(map(np.int64, value.assignment)))
-    return np.int64(value)
+        return Matching(tuple(map(spell, value.assignment)))
+    return spell(value)
 
 
 def _answer(call, name, value):
@@ -603,7 +612,8 @@ def _answer(call, name, value):
 def test_entries_take_ids_by_one_rule(ex1, entry):
     # Every id slot of every entry refuses a float, None, a bool, a negative
     # id and one past the end with InputError, a collection slot refuses a
-    # non-collection, and each entry answers numpy integers as plain ints.
+    # non-collection, and each entry answers numpy integers as plain ints;
+    # the slots in INDEX_ONLY answer ids that only __index__ reads so too.
     past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0, "replication": 2**64}
     if entry in PROBLEM_ROWS:
         kind, valid, build = PROBLEM_ROWS[entry]
@@ -642,13 +652,16 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
             with pytest.raises(InputError) as exc:
                 call(name, 5)
             assert str(exc.value) == f"{name} must be a collection of student ids"
-        assert call(name, _numpy_ids(slot, args[name])) == call(name, args[name]), name
+        assert call(name, _ids_as(slot, args[name], np.int64)) == call(name, args[name]), name
+        if (entry, name) in INDEX_ONLY:
+            for value in (args[name], *INDEX_ONLY[entry, name](ex1)):
+                assert call(name, _ids_as(slot, value, IndexOnly)) == call(name, value), name
         # the null school, as a numpy integer, is answered like the plain one
         if slot == "school":
             assert _answer(call, name, np.int64(NULL_SCHOOL)) == _answer(call, name, NULL_SCHOOL), name
         if slot == "matching":
             unseated = _with_id(slot, args[name], NULL_SCHOOL)
-            numpy_unseated = _numpy_ids(slot, unseated)
+            numpy_unseated = _ids_as(slot, unseated, np.int64)
             assert _answer(call, name, numpy_unseated) == _answer(call, name, unseated), name
 
 
@@ -658,6 +671,7 @@ def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):
     text = json.dumps(problem_to_dict(ex1), sort_keys=True)
     assert _instance_digest(ex1) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     crossed = Problem(("a", "b"), ("x", "y"), (1, 1), ((0, 1), (1, 0)), ((0, 1), (0, 1)))
+    crossed_digraph = LabelledEnvyDigraph(frozenset({0, 1}), (1, 0), ((0,), (1,)), ({0: 0}, {1: 0}))
     i7, s4 = ex1.student_id("i7"), ex1.school_id("s4")
     jbc_matching = run_jbc(ex1)[0]
     sites = [
@@ -670,8 +684,9 @@ def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):
         # each displaced student claims the contested school again
         (analysis, "min", lambda candidates, default: (0, s4),
          ex1, lambda: reassignment_chain(ex1, jbc_matching, i7, s4), "chain failed to terminate"),
-        # a DA outcome in which each student sits where the other wants to be
-        (eada, "da_context", lambda problem: (Matching((1, 0)), None),
+        # a DA outcome in which each student sits where the other wants to be,
+        # with a digraph in which each desires the other's seat
+        (eada, "da_context", lambda problem: (Matching((1, 0)), crossed_digraph),
          crossed, lambda: run_eada(crossed, {0, 1}), "a layer fixed no student"),
     ]
     for module, name, broken, problem, run, message in sites:
