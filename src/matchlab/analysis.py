@@ -26,7 +26,6 @@ from matchlab.model import (
     _seated,
     _wasteful,
     check_feasible,
-    violations,
 )
 from matchlab.envy import da_context, decompose_as_packing, on_envy_cycle, packing_label
 
@@ -56,8 +55,7 @@ def beneficiaries(problem: Problem, matching: Matching) -> frozenset[int]:
     The matching must weakly dominate DA; anything else is outside the
     domain and raises ``InputError``.
     """
-    check_feasible(problem, matching)
-    return _gainers(problem, _ranks(problem, matching.assignment))
+    return _gainers(problem, _ranks(problem, check_feasible(problem, matching)))
 
 
 def _gainers(problem: Problem, ranks) -> frozenset[int]:
@@ -91,9 +89,8 @@ def _judge(problem: Problem, matching: Matching):
     Errors keep one order: an infeasible matching, then a student worse
     off than under DA, then a wasteful matching.
     """
-    rosters, envious = _seated(problem, matching)
+    seats, rosters, envious = _seated(problem, matching)
     digraph = da_context(problem)[1]
-    seats = matching.assignment
     ranks = _ranks(problem, seats)
     gainers = _gainers(problem, ranks)
     tagged = []
@@ -143,7 +140,7 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
     being acyclic; wasteful input raises ``InputError`` (a wasteful matching
     is never efficient and is outside the domain considered here).
     """
-    return _pareto_efficient(problem, matching.assignment, *_seated(problem, matching))
+    return _pareto_efficient(problem, *_seated(problem, matching))
 
 
 def _pareto_efficient(problem: Problem, seats, rosters, envious) -> bool:
@@ -167,18 +164,16 @@ def reassignment_chain(
     the school she claimed.  A claimant or school that is not a student or
     school id raises ``InputError``, as does a claim that is no violation.
     """
-    _check_ids("student", (claimant,), range(problem.n_students))
-    _check_ids("school", (school,), range(problem.n_schools))
-    if not any(
-        v.victim == claimant and v.school == school for v in violations(problem, matching)
-    ):
+    (claimant,) = _check_ids("student", (claimant,), range(problem.n_students))
+    (school,) = _check_ids("school", (school,), range(problem.n_schools))
+    seats, rosters, envious = _seated(problem, matching)  # fresh rosters, mutated as the chain moves
+    if not any(v.victim == claimant and v.school == school for v in _blocking(problem, rosters, envious)):
         raise InputError(
             f"no priority violation against {problem.students[claimant]} "
             f"at {problem.schools[school]}"
         )
 
-    assignment = list(matching.assignment)
-    rosters = matching.rosters(problem)  # fresh lists, mutated as the chain moves
+    assignment = list(seats)
 
     transcript = [(claimant, school)]
     mover, target = claimant, school

@@ -177,7 +177,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_envy(args) -> int:
     problem = load_problem(args.instance)
-    da_matching, digraph = da_context(problem)
+    digraph = da_context(problem)[1]
     for i in range(problem.n_students):
         for j in digraph.edges[i]:
             label = ",".join(sorted(problem.students[h] for h in digraph.labels[(i, j)]))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import index
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -226,11 +225,10 @@ def packing_label(problem: Problem, packing: CyclePacking) -> frozenset[int]:
     """Union of the labels of all traded edges of the DA envy digraph: per
     entered school, the contenders that outrank its lowest-priority entrant.
     A member that is not a student id raises ``InputError``."""
-    members = (i for cycle in packing.cycles for i in cycle)
-    _check_ids("student", members, range(problem.n_students))
+    cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing.cycles]
     digraph = da_context(problem)[1]
     deepest: dict[int, int] = {}
-    for cycle in packing.cycles:
+    for cycle in cycles:
         for pos, i in enumerate(cycle):
             j = cycle[(pos + 1) % len(cycle)]
             if not digraph.has_edge(i, j):
@@ -246,13 +244,11 @@ def decompose_as_packing(problem: Problem, matching: Matching):
     Returns the packing in canonical form (minimum student first in each
     cycle), or ``None`` when the matching does not arise from trading seats
     along envy edges: some mover fails to strictly improve, or the movers do
-    not permute the occupied seats school by school.  Seats are compared by
-    their ``operator.index`` values.  Which occupant a mover displaces is
-    ambiguous for quotas above one; entrants and leavers are paired in
-    ascending id order, which never changes edge labels.
+    not permute the occupied seats school by school.  Which occupant a mover
+    displaces is ambiguous for quotas above one; entrants and leavers are
+    paired in ascending id order, which never changes edge labels.
     """
-    check_feasible(problem, matching)
-    before, after = da_context(problem)[1].seats, map(index, matching.assignment)
+    after, before = check_feasible(problem, matching), da_context(problem)[1].seats
     entrants: dict[int, list[int]] = {}
     leavers: dict[int, list[int]] = {}
     for i, (old, new) in enumerate(zip(before, after)):

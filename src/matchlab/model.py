@@ -56,10 +56,14 @@ class Problem:
 
     Validating the lists fills both flat rank tables, indexed by id and
     kept as tuples; a student's table keeps the null rank at slot -1, where
-    NULL_SCHOOL reads it.  The ids and quotas follow ``_check_ids``: a bool
-    is refused, and an id of another integer type counts by its
-    ``operator.index`` value.  The quotas, and each row that passes only
-    when judged id by id, are kept as those values.
+    NULL_SCHOOL reads it.  Each row is read once into a tuple, in its
+    iteration order, so any iterable row is taken and a tuple row is kept
+    as itself; a row that is not iterable raises ``InputError`` naming its
+    student or school.  The ids
+    and quotas follow ``_check_ids``: a bool is refused, and an id of
+    another integer type counts by its ``operator.index`` value.  The
+    quotas, and each row that passes only when judged id by id, are kept as
+    those values.
     """
 
     students: tuple[str, ...]
@@ -79,9 +83,12 @@ class Problem:
             if isinstance(q, bool) or not hasattr(q, "__index__") or index(q) < 1:
                 raise InputError("quotas must be >= 1")
         ranks = list(range(1, max(n, m) + 1))  # one set of rank ints shared by every table
-        prefs, priorities = list(self.prefs), list(self.priorities)  # a row judged id by id is kept as ints
-        pref_rank = []
+        prefs, pref_rank = [], []
         for i, plist in enumerate(self.prefs):
+            try:
+                plist = tuple(plist)  # the row itself when it is a tuple
+            except TypeError:
+                raise InputError(f"preference list of {self.students[i]} is not iterable") from None
             unlisted = len(plist) + 2
             table = [unlisted] * (m + 1)
             table[-1] = len(plist) + 1  # the null rank sits at slot -1
@@ -102,15 +109,17 @@ class Problem:
                     if len(set(map(_id_value, plist))) != len(plist):
                         raise InputError(f"duplicate school in preference list of {self.students[i]}")
                 try:
-                    _check_ids("school", plist, range(m))
+                    plist = _check_ids("school", plist, range(m))
                 except InputError as exc:
                     raise InputError(f"{exc} in preferences of {self.students[i]}") from None
-                prefs[i] = tuple(map(index, plist))
+            prefs.append(plist)
             pref_rank.append(table)
-        prio_rank = []  # filling a school's rank table completes its permutation check
+        priorities, prio_rank = [], []  # filling a school's rank table completes its permutation check
         for s, plist in enumerate(self.priorities):
             table = [0] * n
             checked = False
+            with suppress(TypeError):  # a row that is not iterable is no permutation
+                plist = tuple(plist)
             # An id past the last student or not an integer stops the fill with a
             # slot empty; a negative id aliases a slot from the end and lowers the sum.
             with suppress(IndexError, TypeError):
@@ -119,11 +128,11 @@ class Problem:
                         table[i] = pos
                     checked = sum(plist) == n * (n - 1) // 2 and not _bool_filled(plist, table)
             if not checked:  # judge the ids one by one, by value
-                with suppress(InputError):
-                    _check_ids("student", plist, range(n))
-                    priorities[s], checked = tuple(map(index, plist)), True
+                with suppress(InputError, TypeError):
+                    plist, checked = _check_ids("student", plist, range(n)), True
             if not checked or len(plist) != n or 0 in table:  # a repeat leaves a slot empty
                 raise InputError(f"priority list of {self.schools[s]} is not a permutation of all students")
+            priorities.append(plist)
             prio_rank.append(table)
         self.__dict__.update(
             quotas=tuple(map(index, self.quotas)),
@@ -169,12 +178,9 @@ class Matching:
     assignment: tuple[int, ...]
 
     def rosters(self, problem: Problem) -> list[list[int]]:
-        """Per school, the list of assigned students in ascending id order."""
-        out = [[] for _ in range(problem.n_schools)]
-        for i, s in enumerate(self.assignment):
-            if s != NULL_SCHOOL:
-                out[s].append(i)
-        return out
+        """Per school, the list of assigned students in ascending id order,
+        read off the seats that ``check_feasible`` returns."""
+        return _rosters(problem, check_feasible(problem, self))
 
 
 def trade(matching: Matching, takes) -> Matching:
@@ -202,33 +208,37 @@ def rank_of(problem: Problem, student: int, school: int) -> int:
     The null school ranks ``len(prefs) + 1``; unlisted schools rank
     ``len(prefs) + 2``, uniformly, so every comparison is total.
     """
-    _check_ids("student", (student,), range(problem.n_students))
-    _check_ids("school", (school,), range(NULL_SCHOOL, problem.n_schools))
+    (student,) = _check_ids("student", (student,), range(problem.n_students))
+    (school,) = _check_ids("school", (school,), range(NULL_SCHOOL, problem.n_schools))
     return problem._pref_rank[student][school]
 
 
 def priority_rank_of(problem: Problem, school: int, student: int) -> int:
     """1-based priority rank of ``student`` at ``school`` (1 = highest)."""
-    _check_ids("school", (school,), range(problem.n_schools))
-    _check_ids("student", (student,), range(problem.n_students))
+    (school,) = _check_ids("school", (school,), range(problem.n_schools))
+    (student,) = _check_ids("student", (student,), range(problem.n_students))
     return problem._prio_rank[school][student]
 
 
-def _check_ids(kind: str, ids, valid: range) -> None:
-    """Raise ``InputError`` unless each of ``ids`` is an integer that
-    ``operator.index`` accepts (numpy integers do), not a bool, in ``valid``.
+def _check_ids(kind: str, ids, valid: range) -> tuple[int, ...]:
+    """The ``operator.index`` values of ``ids``, in order, as a tuple of
+    ints; ``InputError`` unless each is an integer that ``operator.index``
+    accepts (numpy integers do), not a bool, in ``valid``.
 
     The library's one rule for an id from outside: each public entry applies
-    it once and then reads the rank tables directly.  A range that starts at
-    ``NULL_SCHOOL`` admits the null school.
+    it once, computes on the values it returns and reads the rank tables
+    directly.  A range that starts at ``NULL_SCHOOL`` admits the null school.
     """
+    values = []
     for value in ids:
         try:
-            if not isinstance(value, bool) and index(value) in valid:
+            if not isinstance(value, bool) and (v := index(value)) in valid:
+                values.append(v)
                 continue
         except TypeError:
             pass
         raise InputError(f"invalid {kind} id {value}")
+    return tuple(values)
 
 
 def _id_value(value):
@@ -250,41 +260,45 @@ def _bool_filled(plist, table) -> bool:
 
 
 def _student_set(problem: Problem, ids, name: str) -> frozenset[int]:
-    """The student ids of the collection ``ids`` as a frozenset of their
-    ``operator.index`` values, checked by ``_check_ids``; anything that is
-    no collection raises ``InputError`` naming the argument ``name``."""
+    """The student ids of the collection ``ids`` as a frozenset of the
+    values ``_check_ids`` returns; anything that is no collection raises
+    ``InputError`` naming the argument ``name``."""
     try:
         members = frozenset(ids)
     except TypeError:
         raise InputError(f"{name} must be a collection of student ids") from None
-    _check_ids("student", members, range(problem.n_students))
-    return frozenset(map(index, members))
+    return frozenset(_check_ids("student", members, range(problem.n_students)))
 
 
 def _ranks(problem: Problem, seats) -> list[int]:
     """Each student's rank of her seat in ``seats``, read straight off the
-    rank table; the seats must pass ``check_feasible``."""
+    rank table; the seats are those ``check_feasible`` returns."""
     return [table[s] for table, s in zip(problem._pref_rank, seats)]
 
 
-def check_feasible(problem: Problem, matching: Matching) -> None:
-    """Raise ``InputError`` unless the matching is well-formed and respects quotas."""
+def check_feasible(problem: Problem, matching: Matching) -> tuple[int, ...]:
+    """The matching's seats as a tuple of ints, the values ``_check_ids``
+    returns; ``InputError`` unless the matching is well-formed and respects
+    quotas.  Callers compute on these seats, not on the assignment, however
+    its seats are spelled (a list, a numpy array, numpy integers)."""
     if len(matching.assignment) != problem.n_students:
         raise InputError("matching length does not match student count")
-    _check_ids("school", matching.assignment, range(NULL_SCHOOL, problem.n_schools))
+    seats = _check_ids("school", matching.assignment, range(NULL_SCHOOL, problem.n_schools))
     counts = [0] * (problem.n_schools + 1)  # the null school counts at slot -1
-    for s in matching.assignment:
+    for s in seats:
         counts[s] += 1
     for s, c in enumerate(counts[:-1]):
         if c > problem.quotas[s]:
             raise InputError(f"school {problem.schools[s]} over quota ({c} > {problem.quotas[s]})")
+    return seats
 
 
 def envied(problem: Problem, assignment) -> list[list[int]]:
     """Per school, the students who strictly prefer it to their own seat, in id order.
 
     Walks each student's preference prefix above her seat, so it costs
-    O(sum of ranks), not O(n^2).  The assignment must pass ``check_feasible``.
+    O(sum of ranks), not O(n^2).  The assignment holds the seats that
+    ``check_feasible`` returns.
     """
     out: list[list[int]] = [[] for _ in range(problem.n_schools)]
     for i, (plist, ranks) in enumerate(zip(problem.prefs, problem._pref_rank)):
@@ -294,14 +308,24 @@ def envied(problem: Problem, assignment) -> list[list[int]]:
     return out
 
 
-def _seated(problem: Problem, matching: Matching) -> tuple[list[list[int]], list[list[int]]]:
-    """The rosters and ``envied`` of a matching, after one ``check_feasible``.
+def _seated(problem: Problem, matching: Matching):
+    """The seats that one ``check_feasible`` returns, and their rosters and
+    ``envied`` lists.
 
-    Blocking triples, waste and Pareto efficiency all read these two lists;
-    a caller that needs several of them computes the lists once.
+    Blocking triples, waste and Pareto efficiency all read these; a caller
+    that needs several of them computes them once.
     """
-    check_feasible(problem, matching)
-    return matching.rosters(problem), envied(problem, matching.assignment)
+    seats = check_feasible(problem, matching)
+    return seats, _rosters(problem, seats), envied(problem, seats)
+
+
+def _rosters(problem: Problem, seats) -> list[list[int]]:
+    """``Matching.rosters`` of the seats that ``check_feasible`` returns."""
+    out = [[] for _ in range(problem.n_schools)]
+    for i, s in enumerate(seats):
+        if s != NULL_SCHOOL:
+            out[s].append(i)
+    return out
 
 
 def _blocking(problem: Problem, rosters, envious) -> list[Violation]:
@@ -331,7 +355,7 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
     Empty exactly when the matching is stable.  Triples are ordered by
     (victim, school, occupant) for deterministic output.
     """
-    return _blocking(problem, *_seated(problem, matching))
+    return _blocking(problem, *_seated(problem, matching)[1:])
 
 
 def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
@@ -342,7 +366,7 @@ def respects_priorities_of(problem: Problem, matching: Matching, protected) -> b
 
 def is_nonwasteful(problem: Problem, matching: Matching) -> bool:
     """True iff no student prefers a school with a free seat to her assignment."""
-    return not _wasteful(problem, *_seated(problem, matching))
+    return not _wasteful(problem, *_seated(problem, matching)[1:])
 
 
 def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
@@ -352,9 +376,8 @@ def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
     student weakly better off and at least one strictly, ``EQUAL`` when all
     ranks coincide, ``INCOMPARABLE`` otherwise.
     """
-    check_feasible(problem, a)
-    check_feasible(problem, b)
-    pairs = list(zip(_ranks(problem, a.assignment), _ranks(problem, b.assignment)))
+    a_seats, b_seats = check_feasible(problem, a), check_feasible(problem, b)
+    pairs = list(zip(_ranks(problem, a_seats), _ranks(problem, b_seats)))
     a_better = any(ra < rb for ra, rb in pairs)
     b_better = any(rb < ra for ra, rb in pairs)
     if a_better and b_better:

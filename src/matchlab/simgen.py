@@ -82,7 +82,7 @@ class AggregateStats:
 
 
 def _stream(seed: int, replication: int) -> np.random.Generator:
-    _check_ids("replication", (replication,), range(2**64))
+    (replication,) = _check_ids("replication", (replication,), range(2**64))
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

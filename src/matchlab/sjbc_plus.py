@@ -82,8 +82,6 @@ def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], kee
     none.
     """
     k = len(nodes)
-    if k == 0:
-        return {}
     index = {v: t for t, v in enumerate(nodes)}
     big = k + 2
     cost = np.full((k, k), big, dtype=np.int64)
@@ -174,14 +172,15 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
     the result equal ``b_star``; every executed cycle strictly improves each
     of its members relative to her current seat.  An infeasible ``mu_star``
     or an id in ``b_star`` that is not a student raises ``InputError``.
+    The result holds the seats ``check_feasible`` returns, also when no
+    cycle trades.
     """
-    check_feasible(problem, mu_star)
+    current = Matching(check_feasible(problem, mu_star))
     b_star = _student_set(problem, b_star, "b_star")
     _, digraph = da_context(problem)
     members = sorted(b_star)
     allowed = admitted(digraph, b_star, b_star)  # b_star is fixed, so the rule is too
 
-    current = mu_star
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
         seats = current.assignment

@@ -27,7 +27,7 @@ from matchlab.envy import (
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc, strongly_justifiable_family
 from matchlab.sjbc_plus import expansion_step, run_sjbc_plus
-from matchlab.model import InputError, Matching, Problem, envied, is_nonwasteful, violations
+from matchlab.model import InputError, Matching, Problem, _rosters, envied, is_nonwasteful, violations
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 
 from conftest import apply_packing, matching_by_name, mixed_markets, names_of, random_market
@@ -556,7 +556,7 @@ def test_verdict_reads_rosters_and_envy_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr("matchlab.model.envied", counted("envied", envied))
-    monkeypatch.setattr(Matching, "rosters", counted("rosters", Matching.rosters))
+    monkeypatch.setattr("matchlab.model._rosters", counted("rosters", _rosters))
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     for matching, searches in ((plus, 1), (da, 0)):
         calls.update(envied=0, rosters=0, cycle_members=0)

@@ -364,6 +364,9 @@ def test_name_lookup_and_unknown_names():
         (((-3, 1, 2), (2, 1, 0)), "priority list of x is not a permutation of all students"),
         (((False, 1, 2), (2, 1, 0)), "priority list of x is not a permutation of all students"),
         (((0, 1, 2), (2, True, 0)), "priority list of y is not a permutation of all students"),
+        ((None, (2, 1, 0)), "priority list of x is not a permutation of all students"),
+        (((0, 1, 2), 7), "priority list of y is not a permutation of all students"),
+        (((0, 1, 2), (i for i in (2, 2, 0))), "priority list of y is not a permutation of all students"),
     ],
 )
 def test_priority_lists_must_be_permutations(priorities, message):
@@ -392,6 +395,9 @@ def test_priority_lists_must_be_permutations(priorities, message):
         (((False, 1), (1,), ()), "invalid school id False in preferences of a"),
         (((0, 1), (True,), ()), "invalid school id True in preferences of b"),
         (((0, [1]), (1,), ()), "invalid school id [1] in preferences of a"),
+        ((None, (1,), ()), "preference list of a is not iterable"),
+        (((0, 1), 1, ()), "preference list of b is not iterable"),
+        (((s for s in (0, 0)), (1,), ()), "duplicate school in preference list of a"),
     ],
 )
 def test_preference_lists_must_list_known_schools_once(prefs, message):
@@ -504,13 +510,10 @@ ID_SLOTS = {
 NOT_IDS = {"problem", "trace", "state", "config", "budget", "jobs"}
 ID_KIND = {"students": "student", "cycles": "student", "matching": "school"}  # else the slot
 
-# The id slots whose answer is pinned for ids that only ``__index__`` reads,
-# each with the values tried there beside its valid argument on ex1.
-INDEX_ONLY = {
+# The values tried in an id slot beside its valid argument on ex1.
+EXTRA_VALUES = {
     ("run_eada", "consent"): lambda p: [range(p.n_students)],
     ("decompose_as_packing", "matching"): lambda p: [run_da(p)[0]],
-    ("respects_priorities_of", "protected"): lambda p: [],
-    ("run_refinement", "b_star"): lambda p: [],
 }
 
 # Every public function, and priority_rank_of, the checked accessor that the
@@ -600,10 +603,17 @@ def _ids_as(slot, value, spell):
     return spell(value)
 
 
+def _plain(result, name):
+    """``result``, asserting that a returned matching holds plain ints in a tuple."""
+    if isinstance(result, Matching):
+        assert type(result.assignment) is tuple and all(type(s) is int for s in result.assignment), name
+    return result
+
+
 def _answer(call, name, value):
     """``call(name, value)``'s result, or the text of the ``InputError`` it raises."""
     try:
-        return call(name, value)
+        return _plain(call(name, value), name)
     except InputError as exc:
         return f"InputError: {exc}"
 
@@ -612,8 +622,9 @@ def _answer(call, name, value):
 def test_entries_take_ids_by_one_rule(ex1, entry):
     # Every id slot of every entry refuses a float, None, a bool, a negative
     # id and one past the end with InputError, a collection slot refuses a
-    # non-collection, and each entry answers numpy integers as plain ints;
-    # the slots in INDEX_ONLY answer ids that only __index__ reads so too.
+    # non-collection, and each entry answers numpy integers and ids that
+    # only __index__ reads as plain ints.  A matching slot answers its
+    # assignment as a list or a numpy array as it answers the tuple.
     past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0, "replication": 2**64}
     if entry in PROBLEM_ROWS:
         kind, valid, build = PROBLEM_ROWS[entry]
@@ -652,17 +663,50 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
             with pytest.raises(InputError) as exc:
                 call(name, 5)
             assert str(exc.value) == f"{name} must be a collection of student ids"
-        assert call(name, _ids_as(slot, args[name], np.int64)) == call(name, args[name]), name
-        if (entry, name) in INDEX_ONLY:
-            for value in (args[name], *INDEX_ONLY[entry, name](ex1)):
-                assert call(name, _ids_as(slot, value, IndexOnly)) == call(name, value), name
+        # each valid argument is answered, and answered alike when spelled otherwise
+        for value in (args[name], *EXTRA_VALUES.get((entry, name), lambda p: [])(ex1)):
+            expected = _plain(call(name, value), name)
+            for spell in (np.int64, IndexOnly):
+                assert _answer(call, name, _ids_as(slot, value, spell)) == expected, name
         # the null school, as a numpy integer, is answered like the plain one
         if slot == "school":
             assert _answer(call, name, np.int64(NULL_SCHOOL)) == _answer(call, name, NULL_SCHOOL), name
         if slot == "matching":
             unseated = _with_id(slot, args[name], NULL_SCHOOL)
+            outright = _plain(call(name, args[name]), name)  # the valid argument raises nothing
+            for value, plain in ((args[name], outright), (unseated, _answer(call, name, unseated))):
+                for assignment in (list(value.assignment), np.array(value.assignment)):
+                    assert _answer(call, name, Matching(assignment)) == plain, name
             numpy_unseated = _ids_as(slot, unseated, np.int64)
-            assert _answer(call, name, numpy_unseated) == _answer(call, name, unseated), name
+            index_unseated = _with_id(slot, args[name], IndexOnly(NULL_SCHOOL))
+            for spelled in (numpy_unseated, index_unseated):
+                assert _answer(call, name, spelled) == _answer(call, name, unseated), name
+
+
+@pytest.mark.parametrize("name", ["exnoeff", "explus", "exd", "exe"])
+def test_a_null_seat_that_only_index_reads_is_unseated(request, name):
+    # Such a seat once put its student on the last school's roster, in
+    # Matching.rosters too, so she
+    # was named the occupant of blocking triples there; ex1, the market of
+    # the test above, has no envier of its last school to show it.
+    problem = request.getfixturevalue(name)
+    seats = run_sjbc_plus(problem).assignment
+    for k in range(problem.n_students):
+        plain, spelled = Matching(_put(seats, k, NULL_SCHOOL)), Matching(_put(seats, k, IndexOnly(NULL_SCHOOL)))
+        assert violations(problem, spelled) == violations(problem, plain)
+        assert spelled.rosters(problem) == plain.rosters(problem)
+
+
+def test_rows_are_kept_as_tuples(ex1):
+    # A list or generator row is kept as a tuple, so the problem hashes and
+    # equals the one built from tuples, and no row can grow past its rank table.
+    plain = _rebuilt(ex1)
+    listed = _rebuilt(ex1, prefs=[list(row) for row in ex1.prefs], priorities=list(map(list, ex1.priorities)))
+    assert listed == plain and hash(listed) == hash(plain)
+    assert all(type(row) is tuple for row in listed.prefs + listed.priorities)
+    assert _rebuilt(ex1, prefs=list(map(iter, ex1.prefs)), priorities=list(map(iter, ex1.priorities))) == plain
+    # a tuple row is kept as the very object passed in
+    assert all(new is old for new, old in zip(plain.prefs + plain.priorities, ex1.prefs + ex1.priorities))
 
 
 def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):
