@@ -27,7 +27,7 @@ from matchlab.model import (
     _wasteful,
     check_feasible,
 )
-from matchlab.envy import da_context, decompose_as_packing, on_envy_cycle, packing_label
+from matchlab.envy import da_context, decompose_as_packing, packing_label
 
 VICTIM_BENEFICIARY = "beneficiary"
 VICTIM_UNIMPROVABLE = "unimprovable"
@@ -144,10 +144,31 @@ def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
 
 
 def _pareto_efficient(problem: Problem, seats, rosters, envious) -> bool:
-    """``is_pareto_efficient`` from a matching's seats, rosters and ``envied`` lists."""
+    """``is_pareto_efficient`` from a matching's seats, rosters and ``envied`` lists.
+
+    Peels the envy graph (student -> envied school -> its occupants) from
+    its sinks: a school whose occupants are all peeled goes, and so does a
+    student who envies no school left.  Whoever is left can reach a cycle,
+    so the matching is efficient exactly when every student goes.
+    """
     if _wasteful(problem, rosters, envious):
         raise InputError("matching is wasteful; Pareto test requires non-wasteful input")
-    return not on_envy_cycle(seats, envious)
+    holding = [len(roster) for roster in rosters]  # per school, occupants not yet peeled
+    wanting = [0] * len(seats)  # per student, envied schools not yet peeled
+    for students in envious:  # not wasteful, so each envied school is full
+        for i in students:
+            wanting[i] += 1
+    peel = [i for i, k in enumerate(wanting) if not k]
+    for j in peel:  # grows while it is read
+        school = seats[j]
+        if school != NULL_SCHOOL:
+            holding[school] -= 1
+            if not holding[school]:
+                for i in envious[school]:
+                    wanting[i] -= 1
+                    if not wanting[i]:
+                        peel.append(i)
+    return len(peel) == len(seats)
 
 
 def reassignment_chain(

@@ -18,7 +18,9 @@ best priority first.  The digraph therefore keeps, per school, the
 contenders and, per envious student, how many contenders outrank her; the
 label of i -> j is the first that-many contenders of j's school.  Whether a
 label lies inside a covered set is then one integer compare against the
-school's *reach*, the number of its leading contenders that are covered.
+school's *reach*, the number of its leading contenders that are covered, and
+for an improvable envier, whose count is her own place among the contenders,
+the admitted ones are a prefix of the contenders: the first reach + 1.
 ``labels`` spells every label out on demand.
 
 Every mechanism and verdict reads the digraph of the DA outcome through
@@ -63,7 +65,10 @@ class LabelledEnvyDigraph:
     ahead: tuple[dict[int, int], ...]
 
     def has_edge(self, i: int, j: int) -> bool:
-        school = self.seats[j] if 0 <= j < len(self.seats) else NULL_SCHOOL
+        """Whether i envies j's DA seat; ``InputError`` unless both are
+        student ids."""
+        i, j = _check_ids("student", (i, j), range(len(self.seats)))
+        school = self.seats[j]
         return school != NULL_SCHOOL and i in self.ahead[school]
 
     @cached_property
@@ -171,19 +176,20 @@ def build_envy(problem: Problem) -> LabelledEnvyDigraph:
 
 
 def admitted(digraph: LabelledEnvyDigraph, covered, nodes) -> list[set[int]]:
-    """Per school s, the ``nodes`` whose envy edges into s are admissible,
-    i.e. carry a label inside ``covered``.
+    """Per school s, the improvable ``nodes`` whose envy edges into s are
+    admissible, i.e. carry a label inside ``covered``.
 
     A school's *reach* is how many of its leading contenders are covered; a
     label lies inside ``covered`` exactly when at most that many contenders
-    outrank its envier.
+    outrank its envier.  An improvable envier is herself a contender, so the
+    admitted ones are the first reach + 1 contenders.
     """
     out = []
-    for leading, ahead in zip(digraph.contenders, digraph.ahead):
+    for leading in digraph.contenders:
         reach = 0
         while reach < len(leading) and leading[reach] in covered:
             reach += 1
-        out.append({i for i, k in ahead.items() if k <= reach and i in nodes})
+        out.append({i for i in leading[: reach + 1] if i in nodes})
     return out
 
 

@@ -92,6 +92,12 @@ def _standard_normal(rng: np.random.Generator, shape):
     return ndtri(u)
 
 
+def _permutation_rows(rng: np.random.Generator, n: int) -> list[list[int]]:
+    """n permutations of ``range(n)``, drawn in one call: the same rows, and
+    the same stream after them, as n ``rng.permutation(n)`` calls."""
+    return rng.permuted(np.tile(np.arange(n), (n, 1)), axis=1).tolist()
+
+
 def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
     n = config.n
     if config.model == "correlated":
@@ -100,8 +106,8 @@ def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
         utility = config.rho * quality + math.sqrt(1.0 - config.rho**2) * noise
         prefs = np.argsort(-utility, axis=1, kind="stable").tolist()
     else:
-        prefs = [rng.permutation(n).tolist() for _ in range(n)]
-    priorities = [rng.permutation(n).tolist() for _ in range(n)]
+        prefs = _permutation_rows(rng, n)
+    priorities = _permutation_rows(rng, n)
     return Problem(
         students=tuple(f"i{k + 1}" for k in range(n)),
         schools=tuple(f"s{k + 1}" for k in range(n)),

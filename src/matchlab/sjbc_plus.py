@@ -6,12 +6,15 @@ non-loop edges are envy edges and decompose into disjoint trading cycles,
 loops mean "stay at DA".  An envy edge is admissible while its label is
 contained in the current beneficiary set, i.e. the only priorities it can
 put at stake belong to students who are gaining anyway.  Labels are
-prefixes of each school's contenders, so ``envy.admitted`` decides this
-with one integer compare per envious student and school.  Each iteration
-picks, among permutations that use only admissible edges and keep every
-current beneficiary trading, one with the fewest self-loops; newly covered
-students enlarge the beneficiary set and may unlock more edges, so this
-repeats to a fixed point.
+prefixes of each school's contenders, so the enviers admitted at a school
+are a prefix of its contenders too: the first reach + 1, where the reach
+counts its leading contenders that are covered.  Each iteration picks,
+among permutations that use only admissible edges and keep every current
+beneficiary trading, one with the fewest self-loops; newly covered students
+enlarge the beneficiary set and may unlock more edges, so this repeats to a
+fixed point.  The set only grows, so reaches only advance: each step
+carries the previous one's reaches, adjacency and cost matrix forward and
+admits only the contenders its reaches advance over.
 
 A maximum matching on the loop-free bipartite graph is not a safe substitute
 for the permutation formulation: it may cover unequal left/right vertex sets
@@ -50,7 +53,7 @@ logger and are not among them.  Nothing is formatted while INFO is off.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -65,37 +68,38 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExpansionState:
-    """Snapshot of one expansion iteration."""
+    """Snapshot of one expansion iteration.
+
+    ``admissible`` and ``reaches`` are what the step that made the state
+    admitted: the admissible edges among the improvable students (targets
+    ascending) and each school's reach.  ``cost`` is the assignment cost
+    matrix that step solved, with the loops of the state's own
+    beneficiaries closed.  The next step advances all three.  A state
+    without ``cost``, like the first one, starts from no admitted envier,
+    and its ``admissible`` is not read.
+    """
 
     t: int
     beneficiaries: frozenset[int]
     permutation: dict[int, int]
     admissible: dict[int, tuple[int, ...]]
+    reaches: tuple[int, ...] = ()
+    cost: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
-def _min_loop_permutation(nodes: list[int], adj: dict[int, tuple[int, ...]], keep_trading):
-    """Fewest-self-loop permutation using only ``adj`` edges and loops.
+def _min_loop_permutation(nodes: list[int], cost: np.ndarray):
+    """Fewest-self-loop permutation of ``nodes`` under the assignment
+    ``cost``: 0 on an admissible edge, 1 on the loop of a node that may
+    stay, and ``len(nodes) + 2`` everywhere else.
 
-    Students in ``keep_trading`` may not take a loop.  Always feasible as
-    long as the caller guarantees some loop-free cover for them (here: the
-    previous iteration's permutation stays admissible); None when there is
-    none.
+    Always feasible as long as the caller guarantees some loop-free cover
+    for the nodes that may not stay (here: the previous iteration's
+    permutation stays admissible); None when there is none.
     """
-    k = len(nodes)
-    index = {v: t for t, v in enumerate(nodes)}
-    big = k + 2
-    cost = np.full((k, k), big, dtype=np.int64)
-    for a in nodes:
-        for j in adj[a]:
-            cost[index[a], index[j]] = 0
-    for a in nodes:
-        if a not in keep_trading:
-            cost[index[a], index[a]] = 1
     rows, cols = linear_sum_assignment(cost)
-    total = int(cost[rows, cols].sum())
-    if total >= big:
+    if int(cost[rows, cols].sum()) >= len(nodes) + 2:
         return None
-    return {nodes[r]: nodes[c] for r, c in zip(rows, cols)}
+    return {nodes[r]: nodes[c] for r, c in zip(rows.tolist(), cols.tolist())}
 
 
 def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
@@ -108,16 +112,39 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     """
     _, digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
-    allowed = admitted(digraph, state.beneficiaries, digraph.improvable)
-    adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)  # keys: DA enviers
-    perm = _min_loop_permutation(nodes, adj, state.beneficiaries)
+    index = {v: t for t, v in enumerate(nodes)}
+    occupants: dict[int, list[int]] = {}  # per school, its improvable (so seated) occupants
+    for j in nodes:
+        occupants.setdefault(digraph.seats[j], []).append(j)
+    big, covered = len(nodes) + 2, state.beneficiaries
+    if state.cost is None:  # no edge yet; only beneficiaries may not stay
+        cost = np.full((len(nodes), len(nodes)), big, dtype=np.int64)
+        np.fill_diagonal(cost, [big if i in covered else 1 for i in nodes])
+        reaches, adj = [-1] * len(digraph.contenders), dict.fromkeys(nodes, ())  # -1: none admitted
+    else:
+        cost, reaches, adj = state.cost.copy(), list(state.reaches), dict(state.admissible)
+    for school, targets in occupants.items():
+        leading, old = digraph.contenders[school], reaches[school]
+        reach = max(old, 0)
+        while reach < len(leading) and leading[reach] in covered:
+            reach += 1
+        if reach == old:
+            continue
+        reaches[school] = reach
+        for i in leading[old + 1 : reach + 1]:  # the newly admitted enviers
+            for j in targets:
+                cost[index[i], index[j]] = 0
+            adj[i] = tuple(sorted(adj[i] + tuple(targets)))
+    perm = _min_loop_permutation(nodes, cost)
     if perm is None:
         message = "no feasible trade permutation; beneficiary set corrupted"
         raise RuntimeError(f"{message}, instance {_instance_digest(problem)}")
-    covered = frozenset(i for i in nodes if perm[i] != i)
-    if covered == state.beneficiaries:
+    grown = frozenset(i for i in nodes if perm[i] != i)
+    if grown == covered:
         perm = dict(state.permutation)  # no growth: keep the previous plan
-    return ExpansionState(state.t + 1, covered, perm, adj)
+    for i in grown - covered:  # new beneficiaries may not stay either
+        cost[index[i], index[i]] = big
+    return ExpansionState(state.t + 1, grown, perm, adj, tuple(reaches), cost)
 
 
 def run_expansion(problem: Problem):

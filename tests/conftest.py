@@ -159,6 +159,15 @@ def large_markets():
     return [large_market(rng, k % 2 == 0) for k in range(30)]
 
 
+def corr50_markets(count):
+    """The first ``count`` markets of the bench's ``sim-corr50`` pool: the
+    correlated rho = 0.5, n = 50 replication 0 at seeds 0, 1, ..."""
+    return [
+        gen_instance(GenConfig(n=50, model="correlated", rho=0.5, replications=1, seed=j), 0)
+        for j in range(count)
+    ]
+
+
 @dataclass(frozen=True)
 class Theorem5Report:
     checks: tuple[tuple[str, bool, str], ...]

@@ -16,13 +16,13 @@ from matchlab.analysis import (
 )
 from matchlab.da import run_da
 from matchlab.eada import run_eada
-from matchlab.envy import build_envy, canonical_packing, da_context, packing_label
+from matchlab.envy import build_envy, canonical_packing, da_context, on_envy_cycle, packing_label
 from matchlab.jbc import run_jbc
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, violations
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _seated, violations
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import apply_packing, large_markets, matching_by_name, mixed_markets, names_of
+from conftest import apply_packing, corr50_markets, large_markets, matching_by_name, mixed_markets, names_of
 from test_envy import on_cycle, pairwise_edges, serial_dictatorship
 
 EADA_FULL_EX1 = {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
@@ -158,6 +158,27 @@ def test_is_pareto_efficient_matches_oracle_on_smalls():
                     oracle.dominates_strictly(problem, other, m) for other in everything
                 )
                 assert is_pareto_efficient(problem, m) == expected
+
+
+def test_pareto_peel_matches_the_envy_cycle_search():
+    # The verdict peels the envy graph instead of searching it for strong
+    # components; on every outcome of the mechanisms both must agree.
+    verdicts = set()
+    for problem in mixed_markets(3131, 120) + large_markets() + corr50_markets(40):
+        half = range(0, problem.n_students, 2)
+        outcomes = (
+            run_da(problem)[0],
+            run_jbc(problem)[0],
+            run_sjbc_plus(problem),
+            run_eada(problem, range(problem.n_students))[0],
+            run_eada(problem, half)[0],
+        )
+        for matching in outcomes:
+            seats, _, envious = _seated(problem, matching)
+            efficient = not on_envy_cycle(seats, envious)
+            assert is_pareto_efficient(problem, matching) == efficient, problem
+            verdicts.add(efficient)
+    assert verdicts == {True, False}
 
 
 def test_reassignment_chain_walkthrough(ex1):

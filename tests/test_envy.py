@@ -6,6 +6,7 @@ import pytest
 import matchlab
 from matchlab import oracle
 from matchlab.analysis import (
+    _pareto_efficient,
     beneficiaries,
     is_justifiable,
     is_pareto_efficient,
@@ -525,23 +526,25 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
 
     # EADA's peel starts from the context and climbs from it: one simulated
     # instance runs DA's proposal loop once, for the context, although its
-    # EADA runs climb after deleting pairs.  It searches for envy cycles once
-    # for the context and once per other outcome's Pareto verdict; DA's
-    # verdict reads the context's improvable set.
-    calls["run_da"] = calls["cycle_members"] = 0
+    # EADA runs climb after deleting pairs.  It searches for envy cycles once,
+    # for the context, and peels the envy graph once per other outcome's
+    # Pareto verdict; DA's verdict reads the context's improvable set.
+    calls["run_da"] = calls["cycle_members"] = calls["peel"] = 0
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
+    monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
     sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
     evaluate_instance(sim, consent, 0)
-    loops, searches = calls["run_da"], calls["cycle_members"]
+    loops, searches, peels = calls["run_da"], calls["cycle_members"], calls["peel"]
     climbs = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert climbs > 0 and loops == 1
-    assert searches == 4
+    assert searches == 1 and peels == 3
 
 
 def test_verdict_reads_rosters_and_envy_once(monkeypatch):
     # Once the DA context exists, a verdict on a matching that dominates DA
-    # builds one roster list and walks envy once; on DA itself it searches
-    # for no envy cycle, since the context already holds DA's.
+    # builds one roster list, walks envy once and peels the envy graph once
+    # for its Pareto verdict; on DA itself it peels nothing, since the
+    # context already holds DA's envy cycles.  Neither searches for cycles.
     problem = load_fixture("ex1")
     da = da_context(problem)[0]
     plus = run_sjbc_plus(problem)
@@ -558,7 +561,8 @@ def test_verdict_reads_rosters_and_envy_once(monkeypatch):
     monkeypatch.setattr("matchlab.model.envied", counted("envied", envied))
     monkeypatch.setattr("matchlab.model._rosters", counted("rosters", _rosters))
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
-    for matching, searches in ((plus, 1), (da, 0)):
-        calls.update(envied=0, rosters=0, cycle_members=0)
+    monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
+    for matching, peels in ((plus, 1), (da, 0)):
+        calls.update(envied=0, rosters=0, cycle_members=0, peel=0)
         is_justifiable(problem, matching)
-        assert calls == {"envied": 1, "rosters": 1, "cycle_members": searches}
+        assert calls == {"envied": 1, "rosters": 1, "cycle_members": 0, "peel": peels}

@@ -11,7 +11,7 @@ import matchlab
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
-from matchlab.envy import CyclePacking, LabelledEnvyDigraph, packing_label
+from matchlab.envy import CyclePacking, LabelledEnvyDigraph, da_context, packing_label
 from matchlab.fixtures import fixture_path
 from matchlab.model import (
     A_DOMINATES,
@@ -506,6 +506,8 @@ ID_SLOTS = {
     "a": "matching",
     "b": "matching",
     "replication_index": "replication",
+    "i": "student",
+    "j": "student",
 }
 NOT_IDS = {"problem", "trace", "state", "config", "budget", "jobs"}
 ID_KIND = {"students": "student", "cycles": "student", "matching": "school"}  # else the slot
@@ -516,14 +518,23 @@ EXTRA_VALUES = {
     ("decompose_as_packing", "matching"): lambda p: [run_da(p)[0]],
 }
 
-# Every public function, and priority_rank_of, the checked accessor that the
-# package root does not export.
+# Every public function, priority_rank_of, the checked accessor that the
+# package root does not export, and the digraph's has_edge.
 ENTRIES = {
     name: getattr(matchlab, name)
     for name in matchlab.__all__
     if inspect.isfunction(getattr(matchlab, name))
 }
 ENTRIES["priority_rank_of"] = priority_rank_of
+
+
+def _has_edge(problem, i, j):
+    """``LabelledEnvyDigraph.has_edge`` on the problem's DA digraph: a
+    public method that takes ids."""
+    return da_context(problem)[1].has_edge(i, j)
+
+
+ENTRIES["LabelledEnvyDigraph.has_edge"] = _has_edge
 
 # Per Problem field: the kind of its ids, the valid ids tried there and the
 # construction.  In the first two, True repeats id 1, which the rows already
@@ -576,6 +587,8 @@ def _valid_arguments(p):
         "b": run_da(p)[0],
         "config": GenConfig(n=5, model="iid", replications=2, seed=3),
         "replication_index": 1,
+        "i": 0,
+        "j": 3,  # i1 envies i4's DA seat
     }
 
 

@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from matchlab import oracle, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.eada import run_eada
-from matchlab.envy import build_envy, decompose_as_packing
+from matchlab.envy import admissible_adjacency, build_envy, da_context, decompose_as_packing
 from matchlab.jbc import run_jbc
 from matchlab.model import (
     A_DOMINATES,
@@ -25,7 +27,7 @@ from matchlab.sjbc_plus import (
     run_sjbc_plus,
 )
 
-from conftest import large_markets, matching_by_name, mixed_markets, names_of
+from conftest import corr50_markets, large_markets, matching_by_name, mixed_markets, names_of
 from test_envy import envies, on_cycle, pairwise_edges
 
 JPE_EX1 = {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4", "i7": "s7"}
@@ -68,6 +70,69 @@ def test_expansion_step_fixed_point_when_everyone_trades(ex1):
     grown = expansion_step(ex1, state)
     again = expansion_step(ex1, grown)
     assert again.beneficiaries == grown.beneficiaries
+
+
+def from_scratch_step(problem, state):
+    """An expansion step that rebuilds everything: ``admitted`` over every
+    ``ahead`` item, the whole admissible adjacency and the cost matrix
+    filled edge by edge.  Returns the next state and the matrix solved."""
+    _, digraph = da_context(problem)
+    nodes = sorted(digraph.improvable)
+    allowed = []
+    for leading, ahead in zip(digraph.contenders, digraph.ahead):
+        reach = 0
+        while reach < len(leading) and leading[reach] in state.beneficiaries:
+            reach += 1
+        allowed.append({i for i, k in ahead.items() if k <= reach and i in digraph.improvable})
+    adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)
+    k, index = len(nodes), {v: t for t, v in enumerate(nodes)}
+    cost = np.full((k, k), k + 2, dtype=np.int64)
+    for a in nodes:
+        for j in adj[a]:
+            cost[index[a], index[j]] = 0
+        if a not in state.beneficiaries:
+            cost[index[a], index[a]] = 1
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].sum() < k + 2
+    perm = {nodes[r]: nodes[c] for r, c in zip(rows, cols)}
+    covered = frozenset(i for i in nodes if perm[i] != i)
+    if covered == state.beneficiaries:
+        perm = dict(state.permutation)
+    return ExpansionState(state.t + 1, covered, perm, adj), cost
+
+
+def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
+    # Each step admits only the enviers its reaches advance over and edits
+    # the previous cost matrix; it must reach every state, and hand the
+    # solver every matrix, that rebuilding from scratch gives.
+    steps, matrices = [], []
+    step, solve = sjbc_plus.expansion_step, sjbc_plus.linear_sum_assignment
+
+    def recorded_step(problem, state):
+        steps.append((state, step(problem, state)))
+        return steps[-1][1]
+
+    def recorded_solve(cost):
+        matrices.append(cost.copy())
+        return solve(cost)
+
+    monkeypatch.setattr(sjbc_plus, "expansion_step", recorded_step)
+    monkeypatch.setattr(sjbc_plus, "linear_sum_assignment", recorded_solve)
+    total = 0
+    for problem in mixed_markets(2929, 120) + large_markets() + corr50_markets(40):
+        steps.clear()
+        matrices.clear()
+        run_expansion(problem)
+        assert len(matrices) == len(steps)
+        for (before, after), cost in zip(steps, matrices):
+            expected, expected_cost = from_scratch_step(problem, before)
+            assert after.t == expected.t
+            assert after.beneficiaries == expected.beneficiaries
+            assert after.permutation == expected.permutation
+            assert after.admissible == expected.admissible
+            assert cost.dtype == expected_cost.dtype and np.array_equal(cost, expected_cost)
+        total += len(steps)
+    assert total > 300
 
 
 def test_run_expansion_goldens(ex1, exnoeff):
@@ -269,11 +334,11 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
     # hold for each of them, not only for scipy's pick.
     rng, solve, calls = random.Random(), sjbc_plus._min_loop_permutation, []
 
-    def shuffled(nodes, adj, keep_trading):
+    def shuffled(nodes, cost):
         calls.append(len(nodes))
-        order = list(nodes)
+        order = list(range(len(nodes)))
         rng.shuffle(order)
-        return solve(order, adj, keep_trading)
+        return solve([nodes[t] for t in order], cost[np.ix_(order, order)])
 
     large = large_markets() + mixed_markets(1818, 40)
     small = [
