@@ -102,11 +102,7 @@ def _judge(problem: Problem, matching: Matching):
         else:
             tagged.append((v, VICTIM_IMPROVABLE_NON_BENEFICIARY))
     justifiable = all(tag != VICTIM_IMPROVABLE_NON_BENEFICIARY for _, tag in tagged)
-    # DA is never wasteful, and its students on an envy cycle are the improvable ones.
-    if seats == digraph.seats:
-        efficient = not digraph.improvable
-    else:
-        efficient = _pareto_efficient(problem, seats, rosters, envious)
+    efficient = _pareto_efficient(problem, seats, rosters, envious)
     return ranks, gainers, tuple(tagged), justifiable, efficient
 
 

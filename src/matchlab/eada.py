@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from matchlab.envy import da_context, successor_cycles
+from matchlab.jbc import cycle_takes
 from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _student_set, trade
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
@@ -108,8 +109,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
         top = top_desirers(seat)
         if deleted:
             while cycles := successor_cycles({s: seat[i] for s, i in top.items()}):
-                # each school's top desirer takes the seat of the previous school's, which lies there
-                matching = trade(matching, {top[s]: top[c[k - 1]] for c in cycles for k, s in enumerate(c)})
+                matching = trade(matching, cycle_takes(top, cycles))
                 seat = matching.assignment
                 top = top_desirers(seat)
             iterations.append(EadaIteration(tuple(sorted(deleted)), matching))

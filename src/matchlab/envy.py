@@ -21,6 +21,7 @@ label lies inside a covered set is then one integer compare against the
 school's *reach*, the number of its leading contenders that are covered, and
 for an improvable envier, whose count is her own place among the contenders,
 the admitted ones are a prefix of the contenders: the first reach + 1.
+SJBC+ applies that rule in both its phases (``sjbc_plus._reach``).
 ``labels`` spells every label out on demand.
 
 Every mechanism and verdict reads the digraph of the DA outcome through
@@ -173,45 +174,6 @@ def build_envy(problem: Problem) -> LabelledEnvyDigraph:
         contenders=tuple(contenders),
         ahead=tuple(ahead),
     )
-
-
-def admitted(digraph: LabelledEnvyDigraph, covered, nodes) -> list[set[int]]:
-    """Per school s, the improvable ``nodes`` whose envy edges into s are
-    admissible, i.e. carry a label inside ``covered``.
-
-    A school's *reach* is how many of its leading contenders are covered; a
-    label lies inside ``covered`` exactly when at most that many contenders
-    outrank its envier.  An improvable envier is herself a contender, so the
-    admitted ones are the first reach + 1 contenders.
-    """
-    out = []
-    for leading in digraph.contenders:
-        reach = 0
-        while reach < len(leading) and leading[reach] in covered:
-            reach += 1
-        out.append({i for i in leading[: reach + 1] if i in nodes})
-    return out
-
-
-def admissible_adjacency(
-    allowed: list[set[int]], nodes, seats, envious
-) -> dict[int, tuple[int, ...]]:
-    """Admissible envy edges among ``nodes`` (ascending) at the seats ``seats``.
-
-    ``envious[s]`` lists who envies school s at ``seats`` and ``allowed`` is
-    what ``admitted`` returns; i -> j is admissible when i envies j's seat
-    and is allowed there.  Target tuples ascend.
-    """
-    adj: dict[int, list[int]] = {i: [] for i in nodes}
-    for j in adj:
-        school = seats[j]
-        if school == NULL_SCHOOL:
-            continue
-        here = allowed[school]
-        for i in envious[school]:
-            if i in here:
-                adj[i].append(j)
-    return {i: tuple(targets) for i, targets in adj.items()}
 
 
 def da_context(problem: Problem):

@@ -47,13 +47,11 @@ def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
     return SchoolGraph(tuple(entrant), succ, entrant, successor_cycles(succ))
 
 
-def cycle_takes(graph: SchoolGraph, cycles) -> dict[int, int]:
-    """The trades of ``cycles`` for ``model.trade``: each school's entrant
-    takes the seat of the previous school's entrant, which lies at that school."""
-    entrant = graph.jbc_student
-    return {
-        entrant[s]: entrant[cycle[pos - 1]] for cycle in cycles for pos, s in enumerate(cycle)
-    }
+def cycle_takes(mover: dict[int, int], cycles) -> dict[int, int]:
+    """The trades of school ``cycles`` for ``model.trade``: each school's
+    mover takes the seat of the previous school's mover, which lies at that
+    school."""
+    return {mover[s]: mover[cycle[pos - 1]] for cycle in cycles for pos, s in enumerate(cycle)}
 
 
 def run_jbc(problem: Problem):
@@ -71,7 +69,7 @@ def run_jbc(problem: Problem):
             _log.info("%s -> %s  (mover %s)", schools[s], schools[graph.succ[s]], mover)
         for cycle in graph.cycles:
             _log.info("cycle: %s", " -> ".join(schools[s] for s in cycle))
-    return trade(da_matching, cycle_takes(graph, graph.cycles)), graph
+    return trade(da_matching, cycle_takes(graph.jbc_student, graph.cycles)), graph
 
 
 def strongly_justifiable_family(problem: Problem):
@@ -88,5 +86,5 @@ def strongly_justifiable_family(problem: Problem):
     family = []
     for mask in range(1 << k):
         chosen = [graph.cycles[c] for c in range(k) if mask >> c & 1]
-        family.append(trade(da_matching, cycle_takes(graph, chosen)))
+        family.append(trade(da_matching, cycle_takes(graph.jbc_student, chosen)))
     return family

@@ -439,7 +439,7 @@ def problem_from_dict(data: dict) -> Problem:
                 listed += tuple(i for i in range(len(student_names)) if i not in seen)
                 completed.add(s)
             priorities.append(listed)
-        return Problem(
+        problem = Problem(
             students=tuple(student_names),
             schools=tuple(school_names),
             quotas=tuple(quotas),
@@ -454,6 +454,16 @@ def problem_from_dict(data: dict) -> Problem:
             if len(set(listed)) != len(listed):
                 raise InputError(f"duplicate student in priorities of {name}") from None
         raise
+    # A row keyed by no one would be dropped unread; it is refused after
+    # every other check, so a file with another fault keeps its error text.
+    for rows, ids, kind, field in (
+        (prefs_raw, sid, "student", "preferences"),
+        (prio_raw, cid, "school", "priorities"),
+    ):
+        for key in rows:
+            if key not in ids:
+                raise InputError(f"unknown {kind} {key!r} keys a row of {field}")
+    return problem
 
 
 def problem_to_dict(problem: Problem) -> dict:

@@ -8,13 +8,15 @@ contained in the current beneficiary set, i.e. the only priorities it can
 put at stake belong to students who are gaining anyway.  Labels are
 prefixes of each school's contenders, so the enviers admitted at a school
 are a prefix of its contenders too: the first reach + 1, where the reach
-counts its leading contenders that are covered.  Each iteration picks,
+counts its leading contenders that are covered (``_reach``, the one copy of
+the rule, which both phases call).  Each iteration picks,
 among permutations that use only admissible edges and keep every current
 beneficiary trading, one with the fewest self-loops; newly covered students
 enlarge the beneficiary set and may unlock more edges, so this repeats to a
 fixed point.  The set only grows, so reaches only advance: each step
-carries the previous one's reaches, adjacency and cost matrix forward and
-admits only the contenders its reaches advance over.
+carries the previous one's reaches and cost matrix forward and admits only
+the contenders its reaches advance over.  An admitted edge is stored once,
+as a zero of the matrix.
 
 A maximum matching on the loop-free bipartite graph is not a safe substitute
 for the permutation formulation: it may cover unequal left/right vertex sets
@@ -38,7 +40,9 @@ beneficiaries: it repeatedly executes cycles of envy edges at the *current*
 matching whose execution cannot violate the priority of any improvable
 student outside the beneficiary set, until none remain.  That is the same
 rule, label inside the beneficiary set, applied to the envy of the current
-matching.
+matching; since the beneficiary set is fixed, each school's admitted enviers
+are computed once, and each round walks only the beneficiaries' preference
+prefixes above their current seats.
 
 Both phases, and JBC under them, read the one DA envy digraph of the
 instance from ``envy.da_context``.
@@ -58,10 +62,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from matchlab.envy import admissible_adjacency, admitted, da_context
+from matchlab.envy import da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import Matching, Problem, _instance_digest, _student_set, check_feasible
-from matchlab.model import envied, trade
+from matchlab.model import NULL_SCHOOL, Matching, Problem, _instance_digest, _student_set, check_feasible, trade
 
 _log = logging.getLogger(__name__)
 
@@ -70,21 +73,42 @@ _log = logging.getLogger(__name__)
 class ExpansionState:
     """Snapshot of one expansion iteration.
 
-    ``admissible`` and ``reaches`` are what the step that made the state
-    admitted: the admissible edges among the improvable students (targets
-    ascending) and each school's reach.  ``cost`` is the assignment cost
-    matrix that step solved, with the loops of the state's own
-    beneficiaries closed.  The next step advances all three.  A state
-    without ``cost``, like the first one, starts from no admitted envier,
-    and its ``admissible`` is not read.
+    ``reaches`` are each school's reach when the step that made the state
+    admitted, and ``cost`` is the assignment cost matrix that step solved,
+    with the loops of the state's own beneficiaries closed.  The next step
+    advances both.  A state without ``cost``, like the first one, starts
+    from no admitted envier.
     """
 
     t: int
     beneficiaries: frozenset[int]
     permutation: dict[int, int]
-    admissible: dict[int, tuple[int, ...]]
     reaches: tuple[int, ...] = ()
     cost: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def admissible(self) -> dict[int, tuple[int, ...]]:
+        """The admissible edges among the improvable students, targets
+        ascending: the zeros of ``cost``, whose rows and columns follow the
+        students in id order."""
+        nodes = sorted(self.permutation)
+        if self.cost is None:
+            return dict.fromkeys(nodes, ())
+        ids = np.array(nodes)
+        return {i: tuple(ids[row == 0].tolist()) for i, row in zip(nodes, self.cost)}
+
+
+def _reach(leading, covered, reach=0) -> int:
+    """How many of a school's ``leading`` contenders are ``covered``,
+    counting on from ``reach`` of them known covered.
+
+    A label lies inside the covered set exactly when its envier has at most
+    that many contenders ahead of her, so an improvable envier is admitted
+    exactly when she is among the first reach + 1 contenders.
+    """
+    while reach < len(leading) and leading[reach] in covered:
+        reach += 1
+    return reach
 
 
 def _min_loop_permutation(nodes: list[int], cost: np.ndarray):
@@ -120,21 +144,18 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     if state.cost is None:  # no edge yet; only beneficiaries may not stay
         cost = np.full((len(nodes), len(nodes)), big, dtype=np.int64)
         np.fill_diagonal(cost, [big if i in covered else 1 for i in nodes])
-        reaches, adj = [-1] * len(digraph.contenders), dict.fromkeys(nodes, ())  # -1: none admitted
+        reaches = [-1] * len(digraph.contenders)  # -1: none admitted
     else:
-        cost, reaches, adj = state.cost.copy(), list(state.reaches), dict(state.admissible)
+        cost, reaches = state.cost.copy(), list(state.reaches)
     for school, targets in occupants.items():
         leading, old = digraph.contenders[school], reaches[school]
-        reach = max(old, 0)
-        while reach < len(leading) and leading[reach] in covered:
-            reach += 1
+        reach = _reach(leading, covered, max(old, 0))
         if reach == old:
             continue
         reaches[school] = reach
         for i in leading[old + 1 : reach + 1]:  # the newly admitted enviers
             for j in targets:
                 cost[index[i], index[j]] = 0
-            adj[i] = tuple(sorted(adj[i] + tuple(targets)))
     perm = _min_loop_permutation(nodes, cost)
     if perm is None:
         message = "no feasible trade permutation; beneficiary set corrupted"
@@ -144,7 +165,7 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
         perm = dict(state.permutation)  # no growth: keep the previous plan
     for i in grown - covered:  # new beneficiaries may not stay either
         cost[index[i], index[i]] = big
-    return ExpansionState(state.t + 1, grown, perm, adj, tuple(reaches), cost)
+    return ExpansionState(state.t + 1, grown, perm, tuple(reaches), cost)
 
 
 def run_expansion(problem: Problem):
@@ -154,9 +175,9 @@ def run_expansion(problem: Problem):
         return da_matching, frozenset()
 
     _, graph = run_jbc(problem)
-    takes = cycle_takes(graph, graph.cycles)  # JBC's trades; everyone else stays
+    takes = cycle_takes(graph.jbc_student, graph.cycles)  # JBC's trades; everyone else stays
     perm = {i: takes.get(i, i) for i in digraph.improvable}
-    state, previous = ExpansionState(0, frozenset(takes), perm, {}), None
+    state, previous = ExpansionState(0, frozenset(takes), perm), None
     for _ in range(problem.n_students + 1):  # the set grows at every step but the last
         if _log.isEnabledFor(logging.INFO):
             names = ", ".join(problem.students[i] for i in sorted(state.beneficiaries))
@@ -206,12 +227,23 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
     b_star = _student_set(problem, b_star, "b_star")
     _, digraph = da_context(problem)
     members = sorted(b_star)
-    allowed = admitted(digraph, b_star, b_star)  # b_star is fixed, so the rule is too
+    prefs, pref_rank = problem.prefs, problem._pref_rank
+    # b_star is fixed, so each school's admitted enviers are too
+    allowed = [frozenset(leading[: _reach(leading, b_star) + 1]) for leading in digraph.contenders]
 
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
         seats = current.assignment
-        adj = admissible_adjacency(allowed, members, seats, envied(problem, seats))
+        wanting = [[] for _ in allowed]  # per school, the members who envy it and are admitted there
+        for i in members:  # only their envy: their preference prefixes above their seats
+            for school in prefs[i][: pref_rank[i][seats[i]] - 1]:
+                if i in allowed[school]:
+                    wanting[school].append(i)
+        adj: dict[int, list[int]] = {i: [] for i in members}
+        for j in members:  # ascending, so every target list ascends
+            if seats[j] != NULL_SCHOOL:  # -1 would index the last school's list
+                for i in wanting[seats[j]]:
+                    adj[i].append(j)
         cycle = _find_cycle(members, adj)
         if cycle is None:
             return current

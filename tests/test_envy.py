@@ -16,8 +16,6 @@ from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.envy import (
     CyclePacking,
-    admissible_adjacency,
-    admitted,
     build_envy,
     canonical_packing,
     cycle_members,
@@ -27,11 +25,11 @@ from matchlab.envy import (
 )
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc, strongly_justifiable_family
-from matchlab.sjbc_plus import expansion_step, run_sjbc_plus
-from matchlab.model import InputError, Matching, Problem, _rosters, envied, is_nonwasteful, violations
+from matchlab.sjbc_plus import _find_cycle, expansion_step, run_expansion, run_refinement, run_sjbc_plus
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _rosters, envied, is_nonwasteful, trade, violations
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 
-from conftest import apply_packing, matching_by_name, mixed_markets, names_of, random_market
+from conftest import apply_packing, large_markets, matching_by_name, mixed_markets, names_of, random_market
 
 
 def label_names(problem, digraph, a, b):
@@ -380,50 +378,74 @@ def test_envy_scans_match_pairwise_definitions_many_to_one():
 
 
 # ---------------------------------------------------------------------------
-# The per-school admissibility rule against the label definition
+# The refinement's admissibility rule against the label definition
 
 
-def test_admissible_adjacency_matches_label_containment():
-    # At DA, i -> j is admissible iff the label of i -> j lies inside the
-    # covered set; at a matching that improves on DA (here JBC's), i's entry
-    # at a school is admissible iff no uncovered contender of it outranks her.
+def improvable_labels(problem):
+    """Per (improvable student, school she envies at DA), the label of her
+    envy edges into it: a label depends on the target's DA school only."""
+    da, _ = run_da(problem)
+    edges = pairwise_edges(problem, da)
+    improvable = on_cycle(edges)
+    return {
+        (i, da.assignment[j]): label
+        for (i, j), label in labels_by_definition(problem, da, edges, improvable).items()
+        if i in improvable
+    }
+
+
+def refinement_by_definition(problem, label, mu_star, b_star):
+    """``run_refinement`` from the definitions, ``label`` being what
+    ``improvable_labels`` returns.  At the current seats, an edge i -> j
+    between members of ``b_star`` is admissible when i envies j's school
+    now, i is improvable, and the label of her DA envy edge into that school
+    lies inside ``b_star``.  Cycles are searched and traded as
+    ``run_refinement`` does."""
+    members = sorted(b_star)
+    current = mu_star
+    while True:
+        seats = current.assignment
+        adj = {
+            i: [
+                j
+                for j in members
+                if (i, seats[j]) in label
+                and label[i, seats[j]] <= b_star
+                and envies(problem, current, i, seats[j])
+            ]
+            for i in members
+        }
+        cycle = _find_cycle(members, adj)
+        if cycle is None:
+            return current
+        current = trade(current, dict(zip(cycle, cycle[1:] + cycle[:1])))
+
+
+def test_refinement_matches_the_label_definition():
+    # From the expansion's outcome and from DA; with the expansion's
+    # beneficiaries, with random sets that hold non-improvable students, and
+    # with one improvable beneficiary unassigned, so that her null seat is
+    # no edge's target.
     rng = random.Random(2031)
-    checked = 0
-    for problem in mixed_markets(2031, 400):
+    runs = traded = unseated = 0
+    for problem in mixed_markets(2031, 200) + large_markets():
         da, _ = run_da(problem)
-        g = build_envy(problem)
-        labels = labels_by_definition(problem, da, g.edges, g.improvable)
-        nodes = sorted(g.improvable)
-        everyone = frozenset(range(problem.n_students))
-        some = frozenset(i for i in nodes if rng.random() < 0.5)
-        jbc_matching, _ = run_jbc(problem)
-        for covered in (frozenset(), some, g.improvable, everyone):
-            allowed = admitted(g, covered, g.improvable)
-            wanting = envied(problem, da.assignment)
-            adj = admissible_adjacency(allowed, nodes, da.assignment, wanting)
-            assert adj == {
-                i: tuple(j for j in g.edges[i] if j in g.improvable and labels[(i, j)] <= covered)
-                for i in nodes
-            }
-            seats = jbc_matching.assignment
-            adj = admissible_adjacency(allowed, nodes, seats, envied(problem, seats))
-            assert adj == {
-                i: tuple(
-                    j
-                    for j in nodes
-                    if envies(problem, jbc_matching, i, seats[j])
-                    and not any(
-                        h not in covered
-                        and envies(problem, da, h, seats[j])
-                        and oracle.priority_scan(problem, seats[j], h)
-                        < oracle.priority_scan(problem, seats[j], i)
-                        for h in g.improvable
-                    )
-                )
-                for i in nodes
-            }
-            checked += sum(map(len, adj.values()))
-    assert checked > 1000
+        mu_star, b_star = run_expansion(problem)
+        label = improvable_labels(problem)
+        some = frozenset(i for i in range(problem.n_students) if rng.random() < 0.5)
+        cases = [(start, members) for start in (mu_star, da) for members in (b_star, some)]
+        if b_star:
+            gone = rng.choice(sorted(b_star))
+            seats = list(mu_star.assignment)
+            seats[gone] = NULL_SCHOOL
+            cases.append((Matching(tuple(seats)), b_star))
+            unseated += 1
+        for start, members in cases:
+            expected = refinement_by_definition(problem, label, start, members)
+            assert run_refinement(problem, start, members) == expected
+            runs += 1
+            traded += expected != start
+    assert runs > 1000 and traded > 100 and unseated > 50
 
 
 def test_packing_label_is_union_of_definitional_labels():
@@ -527,8 +549,8 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     # EADA's peel starts from the context and climbs from it: one simulated
     # instance runs DA's proposal loop once, for the context, although its
     # EADA runs climb after deleting pairs.  It searches for envy cycles once,
-    # for the context, and peels the envy graph once per other outcome's
-    # Pareto verdict; DA's verdict reads the context's improvable set.
+    # for the context, and peels the envy graph once per outcome's Pareto
+    # verdict, DA's included.
     calls["run_da"] = calls["cycle_members"] = calls["peel"] = 0
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
@@ -537,14 +559,13 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     loops, searches, peels = calls["run_da"], calls["cycle_members"], calls["peel"]
     climbs = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert climbs > 0 and loops == 1
-    assert searches == 1 and peels == 3
+    assert searches == 1 and peels == 4
 
 
 def test_verdict_reads_rosters_and_envy_once(monkeypatch):
-    # Once the DA context exists, a verdict on a matching that dominates DA
-    # builds one roster list, walks envy once and peels the envy graph once
-    # for its Pareto verdict; on DA itself it peels nothing, since the
-    # context already holds DA's envy cycles.  Neither searches for cycles.
+    # Once the DA context exists, a verdict on a matching that dominates DA,
+    # or on DA itself, builds one roster list, walks envy once and peels the
+    # envy graph once for its Pareto verdict.  Neither searches for cycles.
     problem = load_fixture("ex1")
     da = da_context(problem)[0]
     plus = run_sjbc_plus(problem)
@@ -562,7 +583,7 @@ def test_verdict_reads_rosters_and_envy_once(monkeypatch):
     monkeypatch.setattr("matchlab.model._rosters", counted("rosters", _rosters))
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
-    for matching, peels in ((plus, 1), (da, 0)):
+    for matching in (plus, da):
         calls.update(envied=0, rosters=0, cycle_members=0, peel=0)
         is_justifiable(problem, matching)
-        assert calls == {"envied": 1, "rosters": 1, "cycle_members": 0, "peel": peels}
+        assert calls == {"envied": 1, "rosters": 1, "cycle_members": 0, "peel": 1}

@@ -190,7 +190,7 @@ def test_family_lattice_is_subset_order():
             members = {}
             for mask in range(1 << k):
                 chosen = [graph.cycles[c] for c in range(k) if mask >> c & 1]
-                members[mask] = trade(da, cycle_takes(graph, chosen))
+                members[mask] = trade(da, cycle_takes(graph.jbc_student, chosen))
             for a, b in itertools.product(range(1 << k), repeat=2):
                 rel = pareto_compare(problem, members[a], members[b])
                 if a == b:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import matchlab
-from matchlab import analysis, eada, sjbc_plus
+from matchlab import analysis, cli, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
 from matchlab.envy import CyclePacking, LabelledEnvyDigraph, da_context, packing_label
@@ -432,6 +432,29 @@ def test_load_errors_name_the_first_fault(fields, message):
     with pytest.raises(InputError) as exc:
         problem_from_dict(instance_dict(**fields))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"prefs": {"a": ["x"], "bb": ["x", "y"]}}, "unknown student 'bb' keys a row of preferences"),
+        ({"priorities": {"x": ["a", "b"], "y": [], "z": ["b"]}}, "unknown school 'z' keys a row of priorities"),
+        ({"prefs": {"zz": []}, "priorities": {"zz": []}}, "unknown student 'zz' keys a row of preferences"),
+        # every other fault is named first, with its own text
+        ({"prefs": {"a": ["x", "x"], "bb": []}}, "duplicate school in preference list of a"),
+        ({"prefs": {"a": ["w"], "bb": []}}, "unknown school 'w' in preferences of a"),
+        ({"priorities": {"x": ["a", "a"], "z": []}}, "duplicate student in priorities of x"),
+    ],
+)
+def test_rows_keyed_by_unknown_names_are_refused(tmp_path, fields, message):
+    # Such a row was dropped unread: with b misspelt as bb, b had an empty
+    # list and DA left her unassigned.
+    with pytest.raises(InputError) as exc:
+        problem_from_dict(instance_dict(**fields))
+    assert str(exc.value) == message
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(instance_dict(**fields)), encoding="utf-8")
+    assert cli.main(["solve", "--mechanism", "da", str(path)]) == 2
 
 
 def test_rank_of_matches_list_positions_many_to_one():

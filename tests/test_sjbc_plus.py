@@ -8,7 +8,7 @@ from matchlab import oracle, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.eada import run_eada
-from matchlab.envy import admissible_adjacency, build_envy, da_context, decompose_as_packing
+from matchlab.envy import build_envy, da_context, decompose_as_packing
 from matchlab.jbc import run_jbc
 from matchlab.model import (
     A_DOMINATES,
@@ -43,7 +43,7 @@ def bootstrap_state(problem):
     for cycle in packing.cycles:
         for pos, i in enumerate(cycle):
             perm[i] = cycle[(pos + 1) % len(cycle)]
-    return da, digraph, ExpansionState(0, frozenset(packing.covered), perm, {})
+    return da, digraph, ExpansionState(0, frozenset(packing.covered), perm)
 
 
 def test_expansion_step_ex1_covers_everyone(ex1):
@@ -73,9 +73,10 @@ def test_expansion_step_fixed_point_when_everyone_trades(ex1):
 
 
 def from_scratch_step(problem, state):
-    """An expansion step that rebuilds everything: ``admitted`` over every
-    ``ahead`` item, the whole admissible adjacency and the cost matrix
-    filled edge by edge.  Returns the next state and the matrix solved."""
+    """An expansion step that rebuilds everything: the admitted enviers over
+    every ``ahead`` item, the whole admissible adjacency and the cost matrix
+    filled edge by edge.  Returns the next state, its adjacency and the
+    matrix solved."""
     _, digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
     allowed = []
@@ -84,7 +85,7 @@ def from_scratch_step(problem, state):
         while reach < len(leading) and leading[reach] in state.beneficiaries:
             reach += 1
         allowed.append({i for i, k in ahead.items() if k <= reach and i in digraph.improvable})
-    adj = admissible_adjacency(allowed, nodes, digraph.seats, digraph.ahead)
+    adj = {i: tuple(j for j in nodes if i in allowed[digraph.seats[j]]) for i in nodes}
     k, index = len(nodes), {v: t for t, v in enumerate(nodes)}
     cost = np.full((k, k), k + 2, dtype=np.int64)
     for a in nodes:
@@ -98,7 +99,7 @@ def from_scratch_step(problem, state):
     covered = frozenset(i for i in nodes if perm[i] != i)
     if covered == state.beneficiaries:
         perm = dict(state.permutation)
-    return ExpansionState(state.t + 1, covered, perm, adj), cost
+    return ExpansionState(state.t + 1, covered, perm), adj, cost
 
 
 def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
@@ -125,11 +126,11 @@ def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
         run_expansion(problem)
         assert len(matrices) == len(steps)
         for (before, after), cost in zip(steps, matrices):
-            expected, expected_cost = from_scratch_step(problem, before)
+            expected, expected_adj, expected_cost = from_scratch_step(problem, before)
             assert after.t == expected.t
             assert after.beneficiaries == expected.beneficiaries
             assert after.permutation == expected.permutation
-            assert after.admissible == expected.admissible
+            assert after.admissible == expected_adj
             assert cost.dtype == expected_cost.dtype and np.array_equal(cost, expected_cost)
         total += len(steps)
     assert total > 300
