@@ -21,7 +21,7 @@ from matchlab.model import (
     respects_priorities_of,
     violations,
 )
-from matchlab.da import DaTrace, InterruptPair, interrupters, run_da
+from matchlab.da import DaTrace, interrupters, run_da
 from matchlab.envy import (
     CyclePacking,
     LabelledEnvyDigraph,
@@ -54,7 +54,6 @@ __all__ = [
     "Problem",
     "Violation",
     "DaTrace",
-    "InterruptPair",
     "CyclePacking",
     "LabelledEnvyDigraph",
     "Verdict",

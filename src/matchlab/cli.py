@@ -17,7 +17,7 @@ import sys
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
 from matchlab.da import run_da
 from matchlab.envy import da_context
-from matchlab.model import InputError, dump_matching, load_matching, load_problem
+from matchlab.model import NULL_SCHOOL, InputError, dump_matching, load_matching, load_problem
 
 
 @functools.cache  # parsing leaves the parser unchanged, so one serves every call
@@ -211,7 +211,7 @@ def _cmd_orbit(args) -> int:
         names = ",".join(problem.students[i] for i in sorted(consent)) or "-"
         matching = orbit[consent]
         moves = [
-            f"{problem.students[i]}->{problem.schools[s]}"
+            f"{problem.students[i]}->{problem.schools[s] if s != NULL_SCHOOL else '-'}"
             for i, s in enumerate(matching.assignment)
         ]
         print(f"W={{{names}}}: " + " ".join(moves))

@@ -9,8 +9,8 @@ this convention is part of the contract.
 starts from its outcome.  Each school's tentative roster is a sorted list of
 priority ranks, so admitting a proposal is one plain ``insort``.  The loop
 logs only each round's proposers; a ``DaTrace`` replays that log into its
-round table, and the interrupting pairs off that, only when read, so callers
-that never read them never pay.
+round table only when read, so callers that never read it never pay.
+``interrupters`` reads Kesten's interrupting pairs off that table.
 """
 
 from __future__ import annotations
@@ -37,14 +37,13 @@ class DaRound:
     rejected: dict[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DaTrace:
-    """A DA run's outcome; ``rounds``, ``proposals`` and ``pairs`` are
-    replayed from the run's proposal log on first read."""
+    """A DA run's proposal log; ``rounds`` and ``proposals`` are replayed
+    from it on first read."""
 
-    final: Matching
-    _prefs: tuple = field(repr=False, compare=False)
-    _log: list = field(repr=False, compare=False)  # each round's proposers
+    _prefs: tuple = field(repr=False)
+    _log: list = field(repr=False)  # each round's proposers
 
     @cached_property
     def rounds(self) -> tuple[DaRound, ...]:
@@ -80,31 +79,6 @@ class DaTrace:
     def proposals(self) -> int:
         return sum(len(new) for rnd in self.rounds for new in rnd.applicants.values())
 
-    @cached_property
-    def pairs(self) -> tuple[InterruptPair, ...]:
-        """The interrupting pairs, sorted by (round, student, school): a student
-        rejected from s interrupted when s turned anyone away in an earlier
-        round since she proposed there."""
-        entry: dict[int, int] = {}  # round in which each student proposed to her current school
-        last_reject: dict[int, int] = {}  # latest earlier round with a rejection, per school
-        pairs = []
-        for r, rnd in enumerate(self.rounds):
-            entry.update((i, r) for new in rnd.applicants.values() for i in new)
-            for s, rejected in rnd.rejected.items():
-                pairs += [(r + 1, i, s) for i in rejected if last_reject.get(s, -1) >= entry[i]]
-                last_reject[s] = r
-        return tuple(InterruptPair(i, s, r) for r, i, s in sorted(pairs))
-
-
-@dataclass(frozen=True)
-class InterruptPair:
-    """A student whose tentative hold at a school caused rejections before
-    she was herself rejected from it."""
-
-    student: int
-    school: int
-    rejection_round: int
-
 
 def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     """Run deferred acceptance; returns the student-optimal stable matching
@@ -139,15 +113,24 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
         for rank in roster:
             assignment[priorities[s][rank - 1]] = s
     matching = Matching(tuple(assignment))
-    return matching, DaTrace(matching, problem.prefs, log)
+    return matching, DaTrace(problem.prefs, log)
 
 
-def interrupters(problem: Problem, trace: DaTrace) -> list[InterruptPair]:
-    """All interrupting pairs of the trace, sorted by rejection round.
+def interrupters(problem: Problem, trace: DaTrace) -> list[tuple[int, int, int]]:
+    """All interrupting pairs of the trace as ``(student, school,
+    rejection_round)``, sorted by (round, student, school).
 
     A pair (i, s) qualifies when some other student was rejected from s in a
     round at whose end i was tentatively held there, and i was later rejected
     from s herself.  A rejection in the very round a student arrives counts:
     she ends that round held while the other was turned away.
     """
-    return list(trace.pairs)
+    entry: dict[int, int] = {}  # round in which each student proposed to her current school
+    last_reject: dict[int, int] = {}  # latest earlier round with a rejection, per school
+    pairs = []
+    for r, rnd in enumerate(trace.rounds):
+        entry.update((i, r) for new in rnd.applicants.values() for i in new)
+        for s, rejected in rnd.rejected.items():
+            pairs += [(r + 1, i, s) for i in rejected if last_reject.get(s, -1) >= entry[i]]
+            last_reject[s] = r
+    return [(i, s, r) for r, i, s in sorted(pairs)]

@@ -57,10 +57,10 @@ class EadaIteration:
 @dataclass(frozen=True)
 class EadaRun:
     """One climb per peel layer that deleted consenting pairs, in order;
-    empty when no consenting student gives anything up."""
+    empty when no consenting student gives anything up.  The last climb
+    ends at the outcome ``run_eada`` returns."""
 
     iterations: tuple[EadaIteration, ...]
-    final: Matching
 
 
 def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
@@ -113,7 +113,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
                 seat = matching.assignment
                 top = top_desirers(seat)
             iterations.append(EadaIteration(tuple(sorted(deleted)), matching))
-    return matching, EadaRun(tuple(iterations), matching)
+    return matching, EadaRun(tuple(iterations))
 
 
 def eada_orbit(problem: Problem) -> dict[frozenset[int], Matching]:

@@ -33,9 +33,9 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SchoolGraph:
-    """Out-degree-one graph on the schools that rejected improvable students."""
+    """Out-degree-one graph on the schools that rejected improvable students:
+    ``succ`` maps each such school, in id order, to its successor."""
 
-    nodes: tuple[int, ...]
     succ: dict[int, int]
     jbc_student: dict[int, int]
     cycles: tuple[tuple[int, ...], ...]
@@ -44,7 +44,7 @@ class SchoolGraph:
 def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
     entrant = {s: leading[0] for s, leading in enumerate(digraph.contenders) if leading}
     succ = {s: digraph.seats[i] for s, i in entrant.items()}
-    return SchoolGraph(tuple(entrant), succ, entrant, successor_cycles(succ))
+    return SchoolGraph(succ, entrant, successor_cycles(succ))
 
 
 def cycle_takes(mover: dict[int, int], cycles) -> dict[int, int]:
@@ -64,9 +64,9 @@ def run_jbc(problem: Problem):
     graph = _school_graph(digraph)
     if _log.isEnabledFor(logging.INFO):
         schools = problem.schools
-        for s in graph.nodes:
+        for s, t in graph.succ.items():
             mover = problem.students[graph.jbc_student[s]]
-            _log.info("%s -> %s  (mover %s)", schools[s], schools[graph.succ[s]], mover)
+            _log.info("%s -> %s  (mover %s)", schools[s], schools[t], mover)
         for cycle in graph.cycles:
             _log.info("cycle: %s", " -> ".join(schools[s] for s in cycle))
     return trade(da_matching, cycle_takes(graph.jbc_student, graph.cycles)), graph

@@ -81,6 +81,42 @@ def flag_completed(problem, label):
         print(f"note[{label}]: priorities completed for {done}")
 
 
+def held_by_round(trace, n_schools):
+    """Full per-round tentative rosters, carrying holds across quiet rounds."""
+    current = [()] * n_schools
+    out = []
+    for rnd in trace.rounds:
+        for s, kept in rnd.held.items():
+            current[s] = kept
+        out.append(list(current))
+    return out
+
+
+def interrupters_by_definition(problem, trace):
+    """Kesten's interrupting pairs ``(student, school, rejection_round)`` by a
+    post-hoc scan of the whole DA trace, sorted by (round, student, school).
+
+    (i, s, r) qualifies when i, held at s at the end of round r - 1, is
+    rejected from s in round r, and some other student was rejected from s
+    in a round at whose end i was held there.  Walks back from r - 1 over
+    the rounds in which i was held.
+    """
+    rosters = held_by_round(trace, problem.n_schools)
+    pairs = []
+    for r, rnd in enumerate(trace.rounds):
+        for s, rejected in rnd.rejected.items():
+            for i in rejected:
+                if r == 0 or i not in rosters[r - 1][s]:
+                    continue  # never held: rejected on arrival
+                for back in range(r - 1, -1, -1):
+                    if i not in rosters[back][s]:
+                        break
+                    if any(j != i for j in trace.rounds[back].rejected.get(s, ())):
+                        pairs.append((i, s, r + 1))
+                        break
+    return sorted(pairs, key=lambda p: (p[2], p[0], p[1]))
+
+
 def random_market(rng):
     """Quotas 1-3, truncated preference lists, unequal side sizes."""
     n, m = rng.randint(3, 9), rng.randint(2, 5)

@@ -287,6 +287,60 @@ def test_eada_orbit_cli(capsys):
     assert lines[0].startswith("W={-}")
 
 
+def write_market(path, quotas, prefs):
+    """An instance file: students in ``prefs``' order, schools with
+    ``quotas``, and every school ranking the students in that order."""
+    students = list(prefs)
+    instance = {
+        "students": students,
+        "schools": [{"name": s, "quota": q} for s, q in quotas.items()],
+        "prefs": prefs,
+        "priorities": {s: students for s in quotas},
+    }
+    path.write_text(json.dumps(instance))
+    return str(path)
+
+
+def test_eada_orbit_marks_unassigned_students(tmp_path, capsys):
+    # b lists no school, and in the second market there is no school at all:
+    # an unassigned student's seat prints as "-", never as a school.
+    listless = write_market(tmp_path / "listless.json", {"s": 3, "t": 1}, {"a": ["s"], "b": [], "c": ["t"]})
+    code, out, _ = run_cli(capsys, "eada-orbit", listless)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert all(line.endswith(": a->s b->- c->t") for line in lines)
+    schoolless = write_market(tmp_path / "schoolless.json", {}, {"a": [], "b": []})
+    assert run_cli(capsys, "eada-orbit", schoolless) == (
+        0, "W={-}: a->- b->-\nW={a}: a->- b->-\nW={b}: a->- b->-\nW={a,b}: a->- b->-\n", ""
+    )
+
+
+DEGENERATE_MARKETS = {
+    "empty": ({}, {}),
+    "schoolless": ({}, {"a": [], "b": []}),
+    "studentless": ({"x": 1}, {}),
+    "listless": ({"s": 3, "t": 1}, {"a": ["s", "t"], "b": [], "c": ["t", "s"]}),
+}
+
+
+@pytest.mark.parametrize("market", sorted(DEGENERATE_MARKETS))
+def test_every_command_answers_on_degenerate_markets(tmp_path, capsys, market):
+    # Valid markets with no students, no schools or an empty list get an
+    # answer or an error line from every command, never a traceback.
+    instance = write_market(tmp_path / "market.json", *DEGENERATE_MARKETS[market])
+    calls = [[command, instance] for command in ("trace", "envy", "oracle", "eada-orbit")]
+    for mechanism, flags in (
+        ("da", []), ("jbc", ["--graph"]), ("sjbc+", ["--log-phases"]),
+        ("eada", ["--consent", "all"]), ("eada", ["--consent", "none"]),
+    ):
+        out = str(tmp_path / f"{mechanism}-{len(calls)}.json")
+        calls.append(["solve", "--mechanism", mechanism, *flags, instance, "--out", out])
+        calls.append(["analyze", instance, out])
+    for call in calls:
+        assert run_cli(capsys, *call)[0] in (0, 1, 2), call
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     agg = tmp_path / "stats.csv"
     per = tmp_path / "per.csv"

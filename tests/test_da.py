@@ -23,42 +23,14 @@ from matchlab.model import (
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 from matchlab.sjbc_plus import run_sjbc_plus
 
-from conftest import large_markets, matching_by_name, mixed_markets, random_market
-
-
-def held_by_round(trace, n_schools):
-    """Full per-round tentative rosters, carrying holds across quiet rounds."""
-    current = [()] * n_schools
-    out = []
-    for rnd in trace.rounds:
-        for s, kept in rnd.held.items():
-            current[s] = kept
-        out.append(list(current))
-    return out
-
-
-def interrupters_by_definition(problem, trace):
-    """Interrupting pairs by a post-hoc scan of the whole trace.
-
-    (i, s, r) qualifies when i, held at s at the end of round r - 1, is
-    rejected from s in round r, and some other student was rejected from s
-    in a round at whose end i was held there.  Walks back from r - 1 over
-    the rounds in which i was held.
-    """
-    rosters = held_by_round(trace, problem.n_schools)
-    pairs = []
-    for r, rnd in enumerate(trace.rounds):
-        for s, rejected in rnd.rejected.items():
-            for i in rejected:
-                if r == 0 or i not in rosters[r - 1][s]:
-                    continue  # never held: rejected on arrival
-                for back in range(r - 1, -1, -1):
-                    if i not in rosters[back][s]:
-                        break
-                    if any(j != i for j in trace.rounds[back].rejected.get(s, ())):
-                        pairs.append((i, s, r + 1))
-                        break
-    return sorted(pairs, key=lambda p: (p[2], p[0], p[1]))
+from conftest import (
+    held_by_round,
+    interrupters_by_definition,
+    large_markets,
+    matching_by_name,
+    mixed_markets,
+    random_market,
+)
 
 
 def diagonal(problem):
@@ -69,7 +41,9 @@ def test_da_ex1_is_diagonal(ex1):
     matching, trace = run_da(ex1)
     assert matching == diagonal(ex1)
     assert len(trace.rounds) == 13
-    assert trace.final == matching
+    # The trace's last rosters hold the returned matching.
+    rosters = [tuple(i for i, t in enumerate(matching.assignment) if t == s) for s in range(ex1.n_schools)]
+    assert held_by_round(trace, ex1.n_schools)[-1] == rosters
 
 
 def test_da_ex1_trace_details(ex1):
@@ -85,7 +59,7 @@ def test_da_ex1_trace_details(ex1):
 
 
 def test_da_trace_invariants(ex1):
-    _, trace = run_da(ex1)
+    matching, trace = run_da(ex1)
     seen = set()
     for rnd in trace.rounds:
         for s, kept in rnd.held.items():
@@ -99,7 +73,7 @@ def test_da_trace_invariants(ex1):
     for s, kept in enumerate(rosters[-1]):
         for i in kept:
             final[i] = s
-    assert tuple(final) == trace.final.assignment
+    assert tuple(final) == matching.assignment
 
 
 def test_da_distinct_top_choices_single_round():
@@ -151,10 +125,8 @@ def test_da_exhausted_student_lands_at_null_school():
 def test_interrupters_ex1(ex1):
     _, trace = run_da(ex1)
     pairs = interrupters(ex1, trace)
-    named = [
-        (ex1.students[p.student], ex1.schools[p.school], p.rejection_round)
-        for p in pairs
-    ]
+    assert pairs == interrupters_by_definition(ex1, trace)
+    named = [(ex1.students[i], ex1.schools[s], r) for i, s, r in pairs]
     assert named == [("i3", "s6", 2), ("i5", "s1", 10), ("i4", "s5", 11), ("i7", "s4", 12)]
 
 
@@ -168,20 +140,21 @@ def test_interrupters_after_deleting_s4_from_i7(ex1):
         ex1, {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
     )
     pairs = interrupters(reduced, trace)
-    assert [(ex1.students[p.student], ex1.schools[p.school]) for p in pairs] == [("i3", "s6")]
+    assert pairs == interrupters_by_definition(reduced, trace)
+    assert [(ex1.students[i], ex1.schools[s]) for i, s, _ in pairs] == [("i3", "s6")]
 
 
 def test_rejecting_schools(ex1, exnoeff):
     _, trace = run_da(ex1)
     improvable = {ex1.student_id(f"i{k}") for k in range(1, 7)}
     rejecting = {ex1.school_id(f"s{k}") for k in range(1, 7)}
-    assert rejecting_by_replay(trace, improvable) == set(run_jbc(ex1)[1].nodes) == rejecting
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(ex1)[1].succ) == rejecting
 
     _, trace = run_da(exnoeff)
     improvable = {exnoeff.student_id(n) for n in ("i1", "i2", "i4", "i5", "i6")}
     # replaying the run: every school except s3 turns away an improvable student
     rejecting = {exnoeff.school_id(n) for n in ("s1", "s2", "s4", "s5", "s6")}
-    assert rejecting_by_replay(trace, improvable) == set(run_jbc(exnoeff)[1].nodes) == rejecting
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(exnoeff)[1].succ) == rejecting
 
 
 def test_rejecting_schools_empty_for_efficient_da():
@@ -193,7 +166,7 @@ def test_rejecting_schools_empty_for_efficient_da():
         priorities=((0, 1), (0, 1)),
     )
     _, trace = run_da(problem)
-    assert rejecting_by_replay(trace, set()) == set(run_jbc(problem)[1].nodes) == set()
+    assert rejecting_by_replay(trace, set()) == set(run_jbc(problem)[1].succ) == set()
 
 
 def test_da_matches_oracle_student_optimal_stable():
@@ -237,10 +210,7 @@ def test_interrupter_counts_rejection_in_arrival_round():
     )
     matching, trace = run_da(problem)
     assert matching.assignment == (-1, -1, 0, 1)
-    assert [(p.student, p.school, p.rejection_round) for p in interrupters(problem, trace)] == [
-        (0, 0, 2)
-    ]
-    assert interrupters_by_definition(problem, trace) == [(0, 0, 2)]
+    assert interrupters(problem, trace) == interrupters_by_definition(problem, trace) == [(0, 0, 2)]
 
 
 def test_interrupters_match_definition_many_to_one():
@@ -249,7 +219,7 @@ def test_interrupters_match_definition_many_to_one():
     for _ in range(1500):
         problem = random_market(rng)
         _, trace = run_da(problem)
-        got = [(p.student, p.school, p.rejection_round) for p in interrupters(problem, trace)]
+        got = interrupters(problem, trace)
         assert got == interrupters_by_definition(problem, trace)
         found += len(got)
     assert found > 50  # the battery exercises the rule, not just empty lists
@@ -275,7 +245,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         da, trace = run_da(problem)
         digraph = build_envy(problem)
         expected = rejecting_by_replay(trace, digraph.improvable)
-        assert set(run_jbc(problem)[1].nodes) == expected
+        assert set(run_jbc(problem)[1].succ) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
         wanted = envied(problem, da.assignment)
         got = {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
@@ -286,7 +256,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
 
 
 def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
-    # The pipeline reads neither the round table (nor ``DaTrace.pairs``, which
+    # The pipeline reads neither the round table (nor ``interrupters``, which
     # reads it) nor the envy digraph's spelled-out edges and labels.
     def refuse(view):
         raise AssertionError(f"on-read view of {type(view).__name__} built")

@@ -11,7 +11,7 @@ from matchlab.fixtures import load_fixture
 from matchlab.model import NULL_SCHOOL, InputError, Problem, rank_of, respects_priorities_of
 from matchlab.simgen import GenConfig, gen_instance
 
-from conftest import large_markets, matching_by_name, mixed_markets, random_market
+from conftest import interrupters_by_definition, large_markets, matching_by_name, mixed_markets, random_market
 
 
 def naive_da(prefs, priorities, quotas):
@@ -71,27 +71,27 @@ def kesten_eada(problem, consent):
     """Kesten's EADA, the reference for the peel: rerun DA after deleting, from
     one mutable copy of the lists, the school of every consenting interrupter
     rejected in the latest round that has one, until no consenting student
-    interrupts."""
+    interrupts.  The interrupters are read by their definition."""
     members = frozenset(consent)
     prefs = [list(p) for p in problem.prefs]
 
     def rerun():
         matching, trace = rerun_da(problem, prefs)
-        return matching, trace.pairs
+        return matching, interrupters_by_definition(problem, trace)
 
     matching, pairs = rerun()
     iterations = []
     while True:
-        consenting = [p for p in pairs if p.student in members]
+        consenting = [(i, s, r) for i, s, r in pairs if i in members]
         if not consenting:
             break
-        last_round = consenting[-1].rejection_round
-        batch = sorted((p.student, p.school) for p in consenting if p.rejection_round == last_round)
+        last_round = consenting[-1][2]
+        batch = sorted((i, s) for i, s, r in consenting if r == last_round)
         for student, school in batch:
             prefs[student].remove(school)
         matching, pairs = rerun()
         iterations.append(EadaIteration(tuple(batch), matching))
-    return matching, EadaRun(tuple(iterations), matching)
+    return matching, EadaRun(tuple(iterations))
 
 
 def rerun_peel(problem, consent):
@@ -138,7 +138,7 @@ def rerun_peel(problem, consent):
         if deleted:
             matching = rerun_da(problem, prefs)[0]
             iterations.append(EadaIteration(tuple(sorted(deleted)), matching))
-    return matching, EadaRun(tuple(iterations), matching)
+    return matching, EadaRun(tuple(iterations))
 
 
 def deleted_names(problem, run):
@@ -150,7 +150,7 @@ def test_eada_full_consent_ex1(ex1):
         ex1, {"i1": "s6", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s4", "i7": "s7"}
     )
     matching, run = run_eada(ex1, range(ex1.n_students))
-    assert matching == run.final == expected
+    assert matching == run.iterations[-1].matching == expected
     assert deleted_names(ex1, run) == [
         [("i7", "s4")],
         [("i2", "s1")],
@@ -158,7 +158,7 @@ def test_eada_full_consent_ex1(ex1):
         [("i3", "s6")],
     ]
     matching, run = kesten_eada(ex1, range(ex1.n_students))
-    assert matching == run.final == expected
+    assert matching == run.iterations[-1].matching == expected
     assert deleted_names(ex1, run) == [[("i7", "s4")], [("i3", "s6")], [("i5", "s6")]]
 
 
@@ -217,7 +217,9 @@ def test_peel_matches_kesten_eada():
         cases += [(problem, {i for i in range(n) if mask >> i & 1}) for mask in range(1 << n)]
     for problem, consent in cases:
         matching, run = run_eada(problem, consent)
-        assert matching == run.final == kesten_eada(problem, consent)[0], (problem, consent)
+        assert matching == kesten_eada(problem, consent)[0], (problem, consent)
+        # The last climb ends at the outcome; with no climb the outcome is DA.
+        assert matching == (run.iterations[-1].matching if run.iterations else da_context(problem)[0])
         if not consent:
             assert run.iterations == ()
 

@@ -119,7 +119,7 @@ def test_run_jbc_efficient_da_returns_da():
     da, _ = run_da(problem)
     matching, graph = run_jbc(problem)
     assert matching == da
-    assert graph.nodes == ()
+    assert graph.succ == {}
     assert graph.cycles == ()
 
 
@@ -210,7 +210,7 @@ def test_jbc_entrant_is_best_below_cutoff_student():
         digraph = build_envy(problem)
         _, graph = run_jbc(problem)
         for s in range(problem.n_schools):
-            if s not in graph.nodes:
+            if s not in graph.succ:
                 with pytest.raises(InputError):
                     below_cutoff_set(problem, da, digraph.improvable, s)
                 continue
@@ -219,7 +219,7 @@ def test_jbc_entrant_is_best_below_cutoff_student():
             assert graph.jbc_student[s] == best
             assert graph.succ[s] == da.assignment[best]
             entered += 1
-        on_cycles = {s for s in graph.nodes if s in walk_from(graph.succ, graph.succ[s])}
+        on_cycles = {s for s in graph.succ if s in walk_from(graph.succ, graph.succ[s])}
         assert {s for cycle in graph.cycles for s in cycle} == on_cycles
         assert graph.cycles == canonical_packing(graph.cycles).cycles
     assert entered > 300
