@@ -23,7 +23,6 @@ from matchlab.model import (
 )
 from matchlab.da import DaTrace, interrupters, run_da
 from matchlab.envy import (
-    CyclePacking,
     LabelledEnvyDigraph,
     build_envy,
     decompose_as_packing,
@@ -54,7 +53,6 @@ __all__ = [
     "Problem",
     "Violation",
     "DaTrace",
-    "CyclePacking",
     "LabelledEnvyDigraph",
     "Verdict",
     "SchoolGraph",

@@ -244,12 +244,10 @@ def _cmd_simulate(args) -> int:
         with open(args.per_instance, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["replication", "mechanism", "metric", "value"])
-            for rec in stats.records:
+            for rep, table in enumerate(stats.records):
                 for mech in simgen.MECHANISMS:
                     for metric in simgen.METRICS:
-                        writer.writerow(
-                            [rec.replication, mech, metric, f"{rec.values[mech][metric]:.6f}"]
-                        )
+                        writer.writerow([rep, mech, metric, f"{table[mech][metric]:.6f}"])
     return 0
 
 

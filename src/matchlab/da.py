@@ -112,7 +112,7 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
     for s, roster in enumerate(held):
         for rank in roster:
             assignment[priorities[s][rank - 1]] = s
-    matching = Matching(tuple(assignment))
+    matching = Matching(assignment)
     return matching, DaTrace(problem.prefs, log)
 
 

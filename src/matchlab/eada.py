@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from matchlab.envy import da_context, successor_cycles
 from matchlab.jbc import cycle_takes
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _student_set, trade
+from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _id_set, trade
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -71,7 +71,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     one climb: the consenting pairs its layer cut, and the matching where
     it ends.
     """
-    members = _student_set(problem, consent, "consent")
+    members = _id_set(problem, consent, "consent")
     pref_rank, prio_tables = problem._pref_rank, problem._prio_rank
     matching, digraph = da_context(problem)
     # Per school, the cursor: its DA enviers who may still desire it, best priority last.

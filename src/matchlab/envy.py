@@ -24,6 +24,11 @@ the admitted ones are a prefix of the contenders: the first reach + 1.
 SJBC+ applies that rule in both its phases (``sjbc_plus._reach``).
 ``labels`` spells every label out on demand.
 
+A cycle packing, the vertex-disjoint student cycles of a seat exchange, is
+the tuple of its cycles as ``canonical_packing`` spells them.
+``decompose_as_packing`` recovers it from a matching and ``packing_label``
+reads its label.
+
 Every mechanism and verdict reads the digraph of the DA outcome through
 ``da_context``, which builds it once per problem.
 """
@@ -93,25 +98,14 @@ class LabelledEnvyDigraph:
         return out
 
 
-@dataclass(frozen=True)
-class CyclePacking:
-    """Vertex-disjoint student cycles; the carrier of a seat exchange."""
-
-    cycles: tuple[tuple[int, ...], ...]
-
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(i for cycle in self.cycles for i in cycle)
-
-
-def canonical_packing(cycles) -> CyclePacking:
-    """Rotate each cycle so its smallest member leads; sort cycles by that."""
+def canonical_packing(cycles) -> tuple[tuple[int, ...], ...]:
+    """The packing of vertex-disjoint ``cycles`` as a tuple of its cycles,
+    each rotated so its smallest member leads, sorted by that."""
     normal = []
     for cycle in cycles:
         k = cycle.index(min(cycle))
         normal.append(tuple(cycle[k:]) + tuple(cycle[:k]))
-    normal.sort()
-    return CyclePacking(tuple(normal))
+    return tuple(sorted(normal))
 
 
 def successor_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -126,7 +120,7 @@ def successor_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
             cur = succ[cur]
         if cur in walk:  # the walk closed on itself: a new cycle
             cycles.append(walk[walk.index(cur) :])
-    return canonical_packing(cycles).cycles
+    return canonical_packing(cycles)
 
 
 def cycle_members(n: int, edges) -> frozenset[int]:
@@ -189,11 +183,12 @@ def da_context(problem: Problem):
     return Matching(digraph.seats), digraph
 
 
-def packing_label(problem: Problem, packing: CyclePacking) -> frozenset[int]:
+def packing_label(problem: Problem, packing) -> frozenset[int]:
     """Union of the labels of all traded edges of the DA envy digraph: per
     entered school, the contenders that outrank its lowest-priority entrant.
-    A member that is not a student id raises ``InputError``."""
-    cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing.cycles]
+    ``packing`` is any iterable of student cycles; a member that is not a
+    student id raises ``InputError``."""
+    cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing]
     digraph = da_context(problem)[1]
     deepest: dict[int, int] = {}
     for cycle in cycles:
@@ -209,10 +204,12 @@ def packing_label(problem: Problem, packing: CyclePacking) -> frozenset[int]:
 def decompose_as_packing(problem: Problem, matching: Matching):
     """Recover the cycle packing over the DA matching that yields ``matching``.
 
-    Returns the packing in canonical form (minimum student first in each
-    cycle), or ``None`` when the matching does not arise from trading seats
-    along envy edges: some mover fails to strictly improve, or the movers do
-    not permute the occupied seats school by school.  Which occupant a mover
+    Returns the packing as ``canonical_packing`` spells it, a tuple of
+    cycles with the minimum student first in each, or ``None`` when the
+    matching does not arise from trading seats along envy edges: some mover
+    fails to strictly improve, or the movers do not permute the occupied
+    seats school by school.  DA's own packing ``()`` is falsy, so callers
+    test ``is None``.  Which occupant a mover
     displaces is ambiguous for quotas above one; entrants and leavers are
     paired in ascending id order, which never changes edge labels.
     """
@@ -237,4 +234,4 @@ def decompose_as_packing(problem: Problem, matching: Matching):
             return None
         for i, j in zip(sorted(arriving), leaving):
             successor[i] = j
-    return CyclePacking(successor_cycles(successor))
+    return successor_cycles(successor)

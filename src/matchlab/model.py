@@ -2,9 +2,11 @@
 
 A problem holds students and schools (dense integer ids, stable external
 names), strict preference lists, strict priority lists and quotas.  All types
-are immutable after construction, so values can be shared freely across
-threads.  The operations are pure functions, apart from ``load_problem``,
-which keeps the last problem it built.
+are immutable after construction: a problem keeps its names and rows, and a
+matching its assignment, as tuples whatever sequences they are given, so
+values hash, compare by value and can be shared freely across threads.  The
+operations are pure functions, apart from ``load_problem``, which keeps the
+last problem it built.
 
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
@@ -52,18 +54,20 @@ class Problem:
             from the end and lowers the sum.
         completed_priorities: ids of schools whose priority list was only
             partially given in the source file and was completed by appending
-            the missing students in declaration order.
+            the missing students in declaration order; kept as the frozenset
+            of school ids ``_check_ids`` admits.
 
     Validating the lists fills both flat rank tables, indexed by id and
     kept as tuples; a student's table keeps the null rank at slot -1, where
     NULL_SCHOOL reads it.  Each row is read once into a tuple, in its
     iteration order, so any iterable row is taken and a tuple row is kept
     as itself; a row that is not iterable raises ``InputError`` naming its
-    student or school.  The ids
-    and quotas follow ``_check_ids``: a bool is refused, and an id of
-    another integer type counts by its ``operator.index`` value.  The
-    quotas, and each row that passes only when judged id by id, are kept as
-    those values.
+    student or school.  The names are kept as tuples too.  The ids and
+    quotas follow ``_check_ids``: a bool is refused, and an id of another
+    integer type counts by its ``operator.index`` value.  The quotas, and
+    each row that passes only when judged id by id, are kept as those
+    values.  A row whose sum is no ``int`` (one numpy id makes it numpy) is
+    judged id by id too.
     """
 
     students: tuple[str, ...]
@@ -74,6 +78,7 @@ class Problem:
     completed_priorities: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        self.__dict__.update(students=tuple(self.students), schools=tuple(self.schools))
         n, m = len(self.students), len(self.schools)
         if len(set(self.students)) != n or len(set(self.schools)) != m:
             raise InputError("duplicate student or school names")
@@ -94,14 +99,16 @@ class Problem:
             table[-1] = len(plist) + 1  # the null rank sits at slot -1
             checked = False
             # An id past m or not an integer stops the fill; it, an id of m or a
-            # repeat leaves extra unlisted slots.  Ids that min cannot order
-            # fail the check too, and are judged one by one below.
+            # repeat leaves extra unlisted slots.  Ids that min cannot order, or
+            # whose sum is no int (numpy ids), fail the check too, and are
+            # judged one by one below.
             with suppress(IndexError, TypeError):
                 for s, pos in zip(plist, ranks):
                     table[s] = pos
                 checked = (
                     table.count(unlisted) == m - len(plist)
                     and min(plist, default=0) >= 0
+                    and type(sum(plist)) is int
                     and not _bool_filled(plist, table)
                 )
             if not checked:
@@ -121,12 +128,14 @@ class Problem:
             with suppress(TypeError):  # a row that is not iterable is no permutation
                 plist = tuple(plist)
             # An id past the last student or not an integer stops the fill with a
-            # slot empty; a negative id aliases a slot from the end and lowers the sum.
+            # slot empty; a negative id aliases a slot from the end and lowers the
+            # sum, and a numpy id makes the sum numpy.
             with suppress(IndexError, TypeError):
                 if len(plist) == n:
                     for i, pos in zip(plist, ranks):
                         table[i] = pos
-                    checked = sum(plist) == n * (n - 1) // 2 and not _bool_filled(plist, table)
+                    total = sum(plist)
+                    checked = type(total) is int and total == n * (n - 1) // 2 and not _bool_filled(plist, table)
             if not checked:  # judge the ids one by one, by value
                 with suppress(InputError, TypeError):
                     plist, checked = _check_ids("student", plist, range(n)), True
@@ -140,6 +149,7 @@ class Problem:
             priorities=tuple(priorities),
             _pref_rank=tuple(map(tuple, pref_rank)),
             _prio_rank=tuple(map(tuple, prio_rank)),
+            completed_priorities=_id_set(self, self.completed_priorities, "completed_priorities", "school"),
         )
 
     @property
@@ -173,9 +183,15 @@ class Problem:
 
 @dataclass(frozen=True)
 class Matching:
-    """Per-student assignment; ``NULL_SCHOOL`` means unassigned."""
+    """Per-student assignment; ``NULL_SCHOOL`` means unassigned.
+
+    Any sequence is kept as a tuple of its seats; ``check_feasible`` judges
+    them against a problem."""
 
     assignment: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment", tuple(self.assignment))
 
     def rosters(self, problem: Problem) -> list[list[int]]:
         """Per school, the list of assigned students in ascending id order,
@@ -189,7 +205,7 @@ def trade(matching: Matching, takes) -> Matching:
     assignment = list(matching.assignment)
     for i, j in takes.items():
         assignment[i] = matching.assignment[j]
-    return Matching(tuple(assignment))
+    return Matching(assignment)
 
 
 @dataclass(frozen=True)
@@ -259,15 +275,16 @@ def _bool_filled(plist, table) -> bool:
     return 0 < first <= k and plist[first - 1] is False or 0 < second <= k and plist[second - 1] is True
 
 
-def _student_set(problem: Problem, ids, name: str) -> frozenset[int]:
-    """The student ids of the collection ``ids`` as a frozenset of the
+def _id_set(problem: Problem, ids, name: str, kind: str = "student") -> frozenset[int]:
+    """The ``kind`` ids of the collection ``ids`` as a frozenset of the
     values ``_check_ids`` returns; anything that is no collection raises
     ``InputError`` naming the argument ``name``."""
     try:
         members = frozenset(ids)
     except TypeError:
-        raise InputError(f"{name} must be a collection of student ids") from None
-    return frozenset(_check_ids("student", members, range(problem.n_students)))
+        raise InputError(f"{name} must be a collection of {kind} ids") from None
+    count = problem.n_students if kind == "student" else problem.n_schools
+    return frozenset(_check_ids(kind, members, range(count)))
 
 
 def _ranks(problem: Problem, seats) -> list[int]:
@@ -360,7 +377,7 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
 
 def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
     """True iff no blocking triple has its victim in ``protected``."""
-    protected = _student_set(problem, protected, "protected")
+    protected = _id_set(problem, protected, "protected")
     return all(v.victim not in protected for v in violations(problem, matching))
 
 
@@ -555,7 +572,7 @@ def matching_from_dict(problem: Problem, data: dict) -> Matching:
     assignment = [NULL_SCHOOL] * problem.n_students
     for sname, cname in raw.items():
         assignment[problem.student_id(sname)] = problem.school_id(cname)
-    return Matching(tuple(assignment))
+    return Matching(assignment)
 
 
 def matching_to_dict(problem: Problem, matching: Matching) -> dict:

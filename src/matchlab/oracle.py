@@ -153,7 +153,7 @@ def enumerate_matchings(problem: Problem, budget: int = BUDGET):
             raise InputError(f"enumeration budget of {budget} exceeded")
         if i == n:
             if nonwasteful_leaf():
-                yield Matching(tuple(assignment))
+                yield Matching(assignment)
             return
         for s in problem.prefs[i]:
             if free[s] > 0:
@@ -211,7 +211,6 @@ class OracleReport:
     da: Matching
     dominating: tuple[Matching, ...]
     unimprovable: frozenset[int]
-    improvable: frozenset[int]
     justifiable_family: tuple[Matching, ...]
     strongly_justifiable_family: tuple[Matching, ...]
     justifiable_and_efficient: tuple[Matching, ...]
@@ -311,7 +310,6 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
         da=da_matching,
         dominating=tuple(dominating),
         unimprovable=unimprovable,
-        improvable=improvable,
         justifiable_family=tuple(justifiable_family),
         strongly_justifiable_family=tuple(sj_family),
         justifiable_and_efficient=tuple(justifiable_and_efficient),

@@ -11,6 +11,10 @@ statistics read scipy's tie-break among equally good trade plans (see
 Within a replication the draw order is fixed: school quality (correlated
 model only), preference noise, one priority permutation per school, then the
 consent sample (`Generator.choice` without replacement).
+
+A replication's record is its metric table, ``{mechanism: {metric:
+value}}``; ``AggregateStats.records`` holds the tables in replication order,
+so a table's position is its replication index.
 """
 
 from __future__ import annotations
@@ -70,14 +74,9 @@ class GenConfig:
 
 
 @dataclass(frozen=True)
-class InstanceMetrics:
-    replication: int
-    values: dict[str, dict[str, float]]  # mechanism -> metric -> value
-
-
-@dataclass(frozen=True)
 class AggregateStats:
-    records: tuple[InstanceMetrics, ...]  # one per replication, in index order
+    # one metric table (mechanism -> metric -> value) per replication, in index order
+    records: tuple[dict[str, dict[str, float]], ...]
     rows: tuple[tuple[str, str, float, float], ...]  # mechanism, metric, mean, stderr
 
 
@@ -131,8 +130,9 @@ def draw_instance_and_consent(config: GenConfig, replication_index: int):
     return problem, consent
 
 
-def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMetrics:
-    """The four metrics of each mechanism's outcome on one instance.
+def evaluate_instance(problem: Problem, consent) -> dict[str, dict[str, float]]:
+    """The four metrics of each mechanism's outcome on one instance, as the
+    table ``{mechanism: {metric: value}}``.
 
     DA is the student-optimal stable matching; EADA runs with every student
     consenting (``eada_full``) and with ``consent`` (``eada_half``).  Per
@@ -167,13 +167,11 @@ def evaluate_instance(problem: Problem, consent, replication: int) -> InstanceMe
             "pe_rate": 100.0 * efficient,
             "justifiable_rate": 100.0 * justifiable,
         }
-    return InstanceMetrics(replication, values)
+    return values
 
 
-def _one_replication(args) -> InstanceMetrics:
-    config, rep = args
-    problem, consent = draw_instance_and_consent(config, rep)
-    return evaluate_instance(problem, consent, rep)
+def _one_replication(args) -> dict[str, dict[str, float]]:
+    return evaluate_instance(*draw_instance_and_consent(*args))
 
 
 def _usable_cpus() -> int:
@@ -204,7 +202,7 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     rows = []
     for mech in MECHANISMS:
         for metric in METRICS:
-            series = np.array([r.values[mech][metric] for r in results])
+            series = np.array([r[mech][metric] for r in results])
             mean = float(series.mean())
             if len(series) > 1:
                 stderr = float(series.std(ddof=1) / math.sqrt(len(series)))

@@ -64,14 +64,15 @@ from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import NULL_SCHOOL, Matching, Problem, _instance_digest, _student_set, check_feasible, trade
+from matchlab.model import NULL_SCHOOL, Matching, Problem, _instance_digest, _id_set, check_feasible, trade
 
 _log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class ExpansionState:
-    """Snapshot of one expansion iteration.
+    """Snapshot of one expansion iteration; ``run_expansion``'s loop counts
+    the steps.
 
     ``reaches`` are each school's reach when the step that made the state
     admitted, and ``cost`` is the assignment cost matrix that step solved,
@@ -80,7 +81,6 @@ class ExpansionState:
     from no admitted envier.
     """
 
-    t: int
     beneficiaries: frozenset[int]
     permutation: dict[int, int]
     reaches: tuple[int, ...] = ()
@@ -165,7 +165,7 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
         perm = dict(state.permutation)  # no growth: keep the previous plan
     for i in grown - covered:  # new beneficiaries may not stay either
         cost[index[i], index[i]] = big
-    return ExpansionState(state.t + 1, grown, perm, tuple(reaches), cost)
+    return ExpansionState(grown, perm, tuple(reaches), cost)
 
 
 def run_expansion(problem: Problem):
@@ -177,11 +177,11 @@ def run_expansion(problem: Problem):
     _, graph = run_jbc(problem)
     takes = cycle_takes(graph.jbc_student, graph.cycles)  # JBC's trades; everyone else stays
     perm = {i: takes.get(i, i) for i in digraph.improvable}
-    state, previous = ExpansionState(0, frozenset(takes), perm), None
-    for _ in range(problem.n_students + 1):  # the set grows at every step but the last
+    state, previous = ExpansionState(frozenset(takes), perm), None
+    for t in range(problem.n_students + 1):  # the set grows at every step but the last
         if _log.isEnabledFor(logging.INFO):
             names = ", ".join(problem.students[i] for i in sorted(state.beneficiaries))
-            _log.info("expansion t=%d: beneficiaries = {%s}", state.t, names)
+            _log.info("expansion t=%d: beneficiaries = {%s}", t, names)
         if state.beneficiaries == previous:
             break
         previous, state = state.beneficiaries, expansion_step(problem, state)
@@ -224,7 +224,7 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
     cycle trades.
     """
     current = Matching(check_feasible(problem, mu_star))
-    b_star = _student_set(problem, b_star, "b_star")
+    b_star = _id_set(problem, b_star, "b_star")
     _, digraph = da_context(problem)
     members = sorted(b_star)
     prefs, pref_rank = problem.prefs, problem._pref_rank

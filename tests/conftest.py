@@ -55,7 +55,7 @@ def apply_packing(problem, da_matching, packing) -> Matching:
     Raises ``InputError`` for overlapping cycles or non-edges.
     """
     names, seats, takes = problem.students, da_matching.assignment, {}
-    for cycle in packing.cycles:
+    for cycle in packing:
         if len(cycle) < 2 or not all(0 <= i < problem.n_students for i in cycle):
             raise InputError(f"not a cycle of two or more students: {cycle}")
         for i, j in zip(cycle, cycle[1:] + cycle[:1]):
@@ -281,9 +281,9 @@ def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theo
         if oracle.rank_scan(problem, i1, m.assignment[i1]) > bound:
             continue
         packing = decompose_as_packing(problem, m)
-        if packing is None or len(packing.cycles) != 1:
+        if packing is None or len(packing) != 1:
             continue
-        if i1 in packing.cycles[0]:
+        if i1 in packing[0]:
             singles.append(m)
     violating = [
         m

@@ -248,7 +248,7 @@ def test_verdict_consistency_random():
             assert verdict.justifiable == all(
                 tag != VICTIM_IMPROVABLE_NON_BENEFICIARY for _, tag in verdict.violations
             )
-            assert verdict.beneficiaries == packing.covered
+            assert verdict.beneficiaries == {i for cycle in packing for i in cycle}
 
 
 # ---------------------------------------------------------------------------

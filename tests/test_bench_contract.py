@@ -38,7 +38,7 @@ def test_traced_functions_exist():
 def test_count_extractors_accept_live_results(ex1):
     tracing = load_tracing()
     digraph = build_envy(ex1)
-    start = ExpansionState(0, frozenset(), {i: i for i in digraph.improvable})
+    start = ExpansionState(frozenset(), {i: i for i in digraph.improvable})
     args = {
         "da.run_da": (ex1,),
         "envy.build_envy": (ex1,),

@@ -288,7 +288,7 @@ def test_pipeline_never_builds_round_table(monkeypatch, tmp_path, capsys):
     for model, rho in (("iid", None), ("correlated", 0.5)):
         cfg = GenConfig(n=15, model=model, rho=rho, replications=2, seed=42)
         for rep in range(2):
-            evaluate_instance(*draw_instance_and_consent(cfg, rep), rep)
+            evaluate_instance(*draw_instance_and_consent(cfg, rep))
 
 
 def sequential_da(problem):

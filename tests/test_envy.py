@@ -15,7 +15,6 @@ from matchlab.analysis import (
 from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.envy import (
-    CyclePacking,
     build_envy,
     canonical_packing,
     cycle_members,
@@ -99,7 +98,7 @@ def test_apply_packing_golden(ex1):
     assert apply_packing(ex1, da, jbc_cycle) == matching_by_name(
         ex1, {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
     )
-    assert apply_packing(ex1, da, CyclePacking(())) == da
+    assert apply_packing(ex1, da, ()) == da
     jpe_packing = canonical_packing(
         [(S("i1"), S("i2")), (S("i3"), S("i6"), S("i4"), S("i5"))]
     )
@@ -112,13 +111,9 @@ def test_apply_packing_rejects_bad_input(ex1):
     da, _ = run_da(ex1)
     S = ex1.student_id
     with pytest.raises(InputError):  # i4 -> i1 is not an envy edge
-        apply_packing(ex1, da, CyclePacking(((S("i4"), S("i1")),)))
+        apply_packing(ex1, da, ((S("i4"), S("i1")),))
     with pytest.raises(InputError):  # overlapping cycles
-        apply_packing(
-            ex1,
-            da,
-            CyclePacking(((S("i1"), S("i4"), S("i5")), (S("i1"), S("i2")))),
-        )
+        apply_packing(ex1, da, ((S("i1"), S("i4"), S("i5")), (S("i1"), S("i2"))))
 
 
 def test_packing_label_golden(ex1):
@@ -128,7 +123,7 @@ def test_packing_label_golden(ex1):
     assert names_of(ex1, packing_label(ex1, two)) == ["i5"]
     last = canonical_packing([(S("i1"), S("i2")), (S("i3"), S("i6"), S("i4"), S("i5"))])
     assert names_of(ex1, packing_label(ex1, last)) == ["i1", "i5"]
-    assert packing_label(ex1, CyclePacking(())) == frozenset()
+    assert packing_label(ex1, ()) == frozenset()
 
 
 def test_decompose_goldens(ex1):
@@ -140,7 +135,7 @@ def test_decompose_goldens(ex1):
     assert decompose_as_packing(ex1, jbc) == canonical_packing(
         [(S("i1"), S("i4"), S("i5"))]
     )
-    assert decompose_as_packing(ex1, da) == CyclePacking(())
+    assert decompose_as_packing(ex1, da) == ()
     # i1 parked at s3 while its DA holder i3 keeps a seat elsewhere is not a
     # permutation of DA seats
     odd = matching_by_name(
@@ -467,7 +462,7 @@ def test_packing_label_is_union_of_definitional_labels():
             expected = frozenset().union(
                 *(
                     labels[(i, cycle[(pos + 1) % len(cycle)])]
-                    for cycle in packing.cycles
+                    for cycle in packing
                     for pos, i in enumerate(cycle)
                 )
             )
@@ -480,7 +475,7 @@ def test_packing_label_rejects_non_edges(ex1):
     S = ex1.student_id
     for cycle in ((S("i4"), S("i1")), (S("i1"), 99), (99, S("i1")), (S("i1"), -1)):
         with pytest.raises(InputError):
-            packing_label(ex1, CyclePacking((cycle,)))
+            packing_label(ex1, (cycle,))
 
 
 def test_cycle_members_match_reachability():
@@ -555,7 +550,7 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
     monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
     sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
-    evaluate_instance(sim, consent, 0)
+    evaluate_instance(sim, consent)
     loops, searches, peels = calls["run_da"], calls["cycle_members"], calls["peel"]
     climbs = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert climbs > 0 and loops == 1

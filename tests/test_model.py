@@ -11,7 +11,7 @@ import matchlab
 from matchlab import analysis, cli, eada, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import run_eada
-from matchlab.envy import CyclePacking, LabelledEnvyDigraph, da_context, packing_label
+from matchlab.envy import LabelledEnvyDigraph, da_context, packing_label
 from matchlab.fixtures import fixture_path
 from matchlab.model import (
     A_DOMINATES,
@@ -603,7 +603,7 @@ def _valid_arguments(p):
         "consent": frozenset({2, 5}),
         "protected": frozenset({6, 0}),
         "b_star": beneficiaries(p, plus),
-        "packing": CyclePacking(((0, 3, 4),)),
+        "packing": ((0, 3, 4),),
         "matching": plus,
         "mu_star": plus,
         "a": plus,
@@ -622,7 +622,7 @@ def _with_id(slot, value, x):
     if slot == "students":
         return {v for v in value if v != x} | {x}
     if slot == "cycles":
-        return CyclePacking(((x,) + value.cycles[0][1:],) + value.cycles[1:])
+        return ((x,) + value[0][1:],) + value[1:]
     if slot == "matching":
         return Matching(_put(value.assignment, 1, x))
     return x
@@ -633,7 +633,7 @@ def _ids_as(slot, value, spell):
     if slot == "students":
         return frozenset(map(spell, value))
     if slot == "cycles":
-        return CyclePacking(tuple(tuple(map(spell, c)) for c in value.cycles))
+        return tuple(tuple(map(spell, c)) for c in value)
     if slot == "matching":
         return Matching(tuple(map(spell, value.assignment)))
     return spell(value)
@@ -669,7 +669,11 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
                 build(ex1, bad)
         for good in valid:
             plain = build(ex1, good)
-            assert build(ex1, np.int64(good)) == plain
+            numpy = build(ex1, np.int64(good))
+            assert numpy == plain
+            # a numpy id is judged by _check_ids and kept as its plain int
+            assert all(type(v) is int for row in numpy.prefs + numpy.priorities for v in row)
+            assert all(type(q) is int for q in numpy.quotas)
             # an id that only __index__ reads is taken, and kept, by its value
             other = build(ex1, IndexOnly(good))
             assert other == plain
@@ -743,6 +747,56 @@ def test_rows_are_kept_as_tuples(ex1):
     assert _rebuilt(ex1, prefs=list(map(iter, ex1.prefs)), priorities=list(map(iter, ex1.priorities))) == plain
     # a tuple row is kept as the very object passed in
     assert all(new is old for new, old in zip(plain.prefs + plain.priorities, ex1.prefs + ex1.priorities))
+
+
+def test_names_and_completed_ids_are_kept_checked():
+    # List and generator names are kept as tuples and a set of completed ids
+    # as the frozenset of the ids _check_ids admits, so the problem hashes
+    # and equals the one built from tuples.
+    rows = {"quotas": (1, 1), "prefs": ((0, 1), (1,)), "priorities": ((0, 1), (1, 0))}
+    plain = Problem(("a", "b"), ("x", "y"), completed_priorities=frozenset({1}), **rows)
+    for students, schools, completed in (
+        (["a", "b"], ["x", "y"], {1}),
+        (iter("ab"), (name for name in "xy"), [np.int64(1)]),
+    ):
+        built = Problem(students, schools, completed_priorities=completed, **rows)
+        assert built == plain and hash(built) == hash(plain)
+        assert type(built.students) is tuple and type(built.schools) is tuple
+        assert type(built.completed_priorities) is frozenset
+        assert all(type(s) is int for s in built.completed_priorities)
+    for bad in ({2}, {-1}, {True}, {1.0}):
+        with pytest.raises(InputError, match=f"^invalid school id {next(iter(bad))}$"):
+            Problem(("a", "b"), ("x", "y"), completed_priorities=bad, **rows)
+    with pytest.raises(InputError, match="^completed_priorities must be a collection of school ids$"):
+        Problem(("a", "b"), ("x", "y"), completed_priorities=1, **rows)
+
+
+def test_matching_keeps_a_tuple(ex1):
+    # A list or numpy assignment is kept as a tuple: the matching equals and
+    # hashes like the one built from the tuple, and holds no mutable value.
+    m = run_sjbc_plus(ex1)
+    for assignment in (list(m.assignment), np.array(m.assignment), iter(m.assignment)):
+        other = Matching(assignment)
+        assert type(other.assignment) is tuple
+        assert other == m and hash(other) == hash(m)
+        assert dump_matching(ex1, other) == dump_matching(ex1, m)
+
+
+def test_numpy_rows_give_plain_ints(ex1):
+    # Rows of numpy integers are judged id by id, so the problem, DA's trace
+    # and EADA's deleted pairs hold plain ints, as they do from tuples.
+    numpy = _rebuilt(ex1, prefs=[np.array(row) for row in ex1.prefs], priorities=list(np.array(ex1.priorities)))
+    assert numpy == _rebuilt(ex1)
+    assert all(type(v) is int for row in numpy.prefs + numpy.priorities for v in row)
+    rounds = run_da(numpy)[1].rounds
+    assert rounds == run_da(ex1)[1].rounds
+    for rnd in rounds:
+        for table in (rnd.applicants, rnd.held, rnd.rejected):
+            assert all(type(v) is int for s, ids in table.items() for v in (s, *ids))
+    run = run_eada(numpy, range(numpy.n_students))[1]
+    assert run == run_eada(ex1, range(ex1.n_students))[1]
+    deleted = [v for it in run.iterations for pair in it.deleted for v in pair]
+    assert deleted and all(type(v) is int for v in deleted)
 
 
 def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):

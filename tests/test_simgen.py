@@ -134,6 +134,9 @@ def test_run_experiment_parallel_matches_serial():
     serial = run_experiment(cfg, jobs=1)
     parallel = run_experiment(cfg, jobs=2)
     assert serial.rows == parallel.rows
+    # a record's position is its replication index, at any job count
+    expected = tuple(evaluate_instance(*draw_instance_and_consent(cfg, rep)) for rep in range(6))
+    assert serial.records == parallel.records == expected
 
 
 def test_run_experiment_rejects_non_positive_jobs():
@@ -147,17 +150,14 @@ def test_per_instance_invariants():
     cfg = GenConfig(n=10, model="iid", replications=12, seed=33)
     stats = run_experiment(cfg)
     rows = stats.records
-    assert [r.replication for r in rows] == list(range(12))
+    assert list(rows) == [evaluate_instance(*draw_instance_and_consent(cfg, rep)) for rep in range(12)]
     for rec in rows:
-        assert rec.values["sjbc_plus"]["justifiable_rate"] == 100.0
-        assert rec.values["eada_full"]["pe_rate"] == 100.0
-        assert (
-            rec.values["sjbc_plus"]["beneficiaries"]
-            >= rec.values["da"]["beneficiaries"]
-        )
+        assert rec["sjbc_plus"]["justifiable_rate"] == 100.0
+        assert rec["eada_full"]["pe_rate"] == 100.0
+        assert rec["sjbc_plus"]["beneficiaries"] >= rec["da"]["beneficiaries"]
         for mech in ("da", "eada_full", "eada_half", "sjbc_plus"):
-            assert rec.values[mech]["avg_rank"] >= 1.0
-            assert rec.values[mech]["beneficiaries"] <= 10
+            assert rec[mech]["avg_rank"] >= 1.0
+            assert rec[mech]["beneficiaries"] <= 10
     mean, stderr = stats_value(stats, "sjbc_plus", "justifiable_rate")
     assert mean == 100.0 and stderr == 0.0
 
@@ -213,11 +213,10 @@ def test_evaluate_instance_matches_reference():
     ]
     cfg = GenConfig(n=50, model="correlated", rho=0.5, replications=50, seed=4101)
     cases += [draw_instance_and_consent(cfg, rep) for rep in range(50)]
-    for rep, (problem, consent) in enumerate(cases):
-        record = evaluate_instance(problem, consent, rep)
-        assert record.replication == rep
-        assert record.values == reference_evaluate(problem, consent), (problem, consent)
-        assert [list(v) for v in record.values.values()] == [list(simgen.METRICS)] * 4
+    for problem, consent in cases:
+        table = evaluate_instance(problem, consent)
+        assert table == reference_evaluate(problem, consent), (problem, consent)
+        assert [list(v) for v in table.values()] == [list(simgen.METRICS)] * 4
 
 
 @pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
@@ -234,7 +233,7 @@ def test_evaluate_instance_rejects_infeasible_before_wasteful(monkeypatch, outco
     else:
         monkeypatch.setattr(sjbc_plus, "run_sjbc_plus", lambda p: crowded)
     with pytest.raises(InputError, match="^school s1 over quota"):
-        evaluate_instance(problem, consent, 0)
+        evaluate_instance(problem, consent)
 
 
 @pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
@@ -251,4 +250,4 @@ def test_evaluate_instance_rejects_wasteful_outcome(monkeypatch, outcome):
     # As in analyze, a wasteful outcome shows as a student worse off than
     # under DA: one that weakly dominates DA fills every school as DA does.
     with pytest.raises(InputError, match="^matching is worse than DA for "):
-        evaluate_instance(problem, consent, 0)
+        evaluate_instance(problem, consent)

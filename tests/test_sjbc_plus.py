@@ -40,10 +40,10 @@ def bootstrap_state(problem):
     jbc_matching, _ = run_jbc(problem)
     packing = decompose_as_packing(problem, jbc_matching)
     perm = {i: i for i in digraph.improvable}
-    for cycle in packing.cycles:
+    for cycle in packing:
         for pos, i in enumerate(cycle):
             perm[i] = cycle[(pos + 1) % len(cycle)]
-    return da, digraph, ExpansionState(0, frozenset(packing.covered), perm)
+    return da, digraph, ExpansionState(frozenset(i for cycle in packing for i in cycle), perm)
 
 
 def test_expansion_step_ex1_covers_everyone(ex1):
@@ -99,7 +99,7 @@ def from_scratch_step(problem, state):
     covered = frozenset(i for i in nodes if perm[i] != i)
     if covered == state.beneficiaries:
         perm = dict(state.permutation)
-    return ExpansionState(state.t + 1, covered, perm), adj, cost
+    return ExpansionState(covered, perm), adj, cost
 
 
 def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
@@ -125,9 +125,9 @@ def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
         matrices.clear()
         run_expansion(problem)
         assert len(matrices) == len(steps)
-        for (before, after), cost in zip(steps, matrices):
+        for k, ((before, after), cost) in enumerate(zip(steps, matrices)):
             expected, expected_adj, expected_cost = from_scratch_step(problem, before)
-            assert after.t == expected.t
+            assert k == 0 or before is steps[k - 1][1]  # each step starts from the last
             assert after.beneficiaries == expected.beneficiaries
             assert after.permutation == expected.permutation
             assert after.admissible == expected_adj
