@@ -12,7 +12,6 @@ from matchlab.model import (
     INCOMPARABLE,
     NULL_SCHOOL,
     InputError,
-    Matching,
     Problem,
     Violation,
     is_nonwasteful,
@@ -49,7 +48,6 @@ __all__ = [
     "INCOMPARABLE",
     "NULL_SCHOOL",
     "InputError",
-    "Matching",
     "Problem",
     "Violation",
     "DaTrace",

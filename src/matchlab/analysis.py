@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from matchlab.model import (
     NULL_SCHOOL,
     InputError,
-    Matching,
     Problem,
     Violation,
     _blocking,
@@ -49,7 +48,7 @@ class ChainResult:
     transcript: tuple[tuple[int, int], ...]
 
 
-def beneficiaries(problem: Problem, matching: Matching) -> frozenset[int]:
+def beneficiaries(problem: Problem, matching) -> frozenset[int]:
     """Students strictly better off under ``matching`` than under DA.
 
     The matching must weakly dominate DA; anything else is outside the
@@ -62,7 +61,7 @@ def _gainers(problem: Problem, ranks) -> frozenset[int]:
     """The students whose rank in ``ranks`` (student order) beats the rank
     of their DA seat; a student worse off than under DA raises
     ``InputError``."""
-    da_ranks = _ranks(problem, da_context(problem)[1].seats)
+    da_ranks = _ranks(problem, da_context(problem).seats)
     out = set()
     for i, (r, r_da) in enumerate(zip(ranks, da_ranks)):
         if r < r_da:
@@ -74,7 +73,7 @@ def _gainers(problem: Problem, ranks) -> frozenset[int]:
     return frozenset(out)
 
 
-def _judge(problem: Problem, matching: Matching):
+def _judge(problem: Problem, matching):
     """One verdict pass over an outcome: one ``check_feasible``, one roster
     list and one ``envied`` walk.
 
@@ -90,7 +89,7 @@ def _judge(problem: Problem, matching: Matching):
     off than under DA, then a wasteful matching.
     """
     seats, rosters, envious = _seated(problem, matching)
-    digraph = da_context(problem)[1]
+    digraph = da_context(problem)
     ranks = _ranks(problem, seats)
     gainers = _gainers(problem, ranks)
     tagged = []
@@ -106,7 +105,7 @@ def _judge(problem: Problem, matching: Matching):
     return ranks, gainers, tuple(tagged), justifiable, efficient
 
 
-def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
+def is_justifiable(problem: Problem, matching) -> Verdict:
     """Full verdict for a matching that weakly dominates DA.
 
     Each violation victim is tagged; the matching is justifiable when no
@@ -122,13 +121,13 @@ def is_justifiable(problem: Problem, matching: Matching) -> Verdict:
     )
 
 
-def is_strongly_justifiable(problem: Problem, matching: Matching) -> bool:
+def is_strongly_justifiable(problem: Problem, matching) -> bool:
     """True iff the matching trades along cycles whose labels are all empty."""
     packing = decompose_as_packing(problem, matching)
     return packing is not None and not packing_label(problem, packing)
 
 
-def is_pareto_efficient(problem: Problem, matching: Matching) -> bool:
+def is_pareto_efficient(problem: Problem, matching) -> bool:
     """True iff no other matching makes someone better off and nobody worse.
 
     Valid only for non-wasteful matchings under strict preferences, where
@@ -167,9 +166,7 @@ def _pareto_efficient(problem: Problem, seats, rosters, envious) -> bool:
     return len(peel) == len(seats)
 
 
-def reassignment_chain(
-    problem: Problem, matching: Matching, claimant: int, school: int
-) -> ChainResult:
+def reassignment_chain(problem: Problem, matching, claimant: int, school: int) -> ChainResult:
     """Simulate the displacement chain set off by a priority claim.
 
     The claimant takes the school, displacing its lowest-priority occupant.
@@ -190,20 +187,19 @@ def reassignment_chain(
             f"at {problem.schools[school]}"
         )
 
-    assignment = list(seats)
-
+    seat = list(seats)
     transcript = [(claimant, school)]
     mover, target = claimant, school
     for _ in range(problem.n_students * problem.n_schools + 1):
-        if assignment[mover] != NULL_SCHOOL:
-            rosters[assignment[mover]].remove(mover)
-        assignment[mover] = target
+        if seat[mover] != NULL_SCHOOL:
+            rosters[seat[mover]].remove(mover)
+        seat[mover] = target
         rosters[target].append(mover)
         if len(rosters[target]) <= problem.quotas[target]:
             return ChainResult(vacuous=False, transcript=tuple(transcript))
         displaced = max(rosters[target], key=problem._prio_rank[target].__getitem__)
         rosters[target].remove(displaced)
-        assignment[displaced] = NULL_SCHOOL
+        seat[displaced] = NULL_SCHOOL
         if displaced == claimant and target == school:
             return ChainResult(vacuous=True, transcript=tuple(transcript))
 

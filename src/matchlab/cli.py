@@ -177,7 +177,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_envy(args) -> int:
     problem = load_problem(args.instance)
-    digraph = da_context(problem)[1]
+    digraph = da_context(problem)
     for i in range(problem.n_students):
         for j in digraph.edges[i]:
             label = ",".join(sorted(problem.students[h] for h in digraph.labels[(i, j)]))
@@ -209,10 +209,9 @@ def _cmd_orbit(args) -> int:
     orbit = eada.eada_orbit(problem)
     for consent in sorted(orbit, key=lambda c: (len(c), sorted(c))):
         names = ",".join(problem.students[i] for i in sorted(consent)) or "-"
-        matching = orbit[consent]
         moves = [
             f"{problem.students[i]}->{problem.schools[s] if s != NULL_SCHOOL else '-'}"
-            for i, s in enumerate(matching.assignment)
+            for i, s in enumerate(orbit[consent])
         ]
         print(f"W={{{names}}}: " + " ".join(moves))
     return 0

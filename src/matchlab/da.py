@@ -19,7 +19,7 @@ from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from matchlab.model import NULL_SCHOOL, Matching, Problem
+from matchlab.model import NULL_SCHOOL, Problem
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,9 @@ class DaTrace:
         return sum(len(new) for rnd in self.rounds for new in rnd.applicants.values())
 
 
-def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
-    """Run deferred acceptance; returns the student-optimal stable matching
-    and its execution trace.
+def run_da(problem: Problem) -> tuple[tuple[int, ...], DaTrace]:
+    """Run deferred acceptance; returns the student-optimal stable matching,
+    as its seats, and its execution trace.
 
     A student who exhausts her list is assigned the null school and stops
     proposing.  Total proposals are bounded by ``n_students * n_schools``.
@@ -108,12 +108,11 @@ def run_da(problem: Problem) -> tuple[Matching, DaTrace]:
                 rejected.append(priorities[s][roster.pop() - 1])
         active = rejected
 
-    assignment = [NULL_SCHOOL] * n
+    seats = [NULL_SCHOOL] * n
     for s, roster in enumerate(held):
         for rank in roster:
-            assignment[priorities[s][rank - 1]] = s
-    matching = Matching(assignment)
-    return matching, DaTrace(problem.prefs, log)
+            seats[priorities[s][rank - 1]] = s
+    return tuple(seats), DaTrace(problem.prefs, log)
 
 
 def interrupters(problem: Problem, trace: DaTrace) -> list[tuple[int, int, int]]:

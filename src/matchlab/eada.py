@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from matchlab.envy import da_context, successor_cycles
 from matchlab.jbc import cycle_takes
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _instance_digest, _id_set, trade
+from matchlab.model import NULL_SCHOOL, InputError, Problem, _instance_digest, _id_set, trade
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -51,7 +51,7 @@ ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 @dataclass(frozen=True)
 class EadaIteration:
     deleted: tuple[tuple[int, int], ...]  # consenting (student, school) pairs cut before the climb
-    matching: Matching  # the DA outcome of the cut market, where the climb ends
+    matching: tuple[int, ...]  # the DA outcome of the cut market, where the climb ends
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class EadaRun:
     iterations: tuple[EadaIteration, ...]
 
 
-def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
+def run_eada(problem: Problem, consent) -> tuple[tuple[int, ...], EadaRun]:
     """Run the mechanism for the given consent set by layer peeling.
 
     The outcome weakly dominates deferred acceptance and never violates the
@@ -73,7 +73,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
     """
     members = _id_set(problem, consent, "consent")
     pref_rank, prio_tables = problem._pref_rank, problem._prio_rank
-    matching, digraph = da_context(problem)
+    digraph = da_context(problem)
     # Per school, the cursor: its DA enviers who may still desire it, best priority last.
     waiting = [list(reversed(ahead)) for ahead in digraph.ahead]
     cap = [problem.n_students + 1] * problem.n_schools
@@ -91,7 +91,7 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
         return top
 
     iterations = []
-    seat = matching.assignment
+    seat = digraph.seats
     top = top_desirers(seat)
     while live:
         fixed = [i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in top]
@@ -109,14 +109,13 @@ def run_eada(problem: Problem, consent) -> tuple[Matching, EadaRun]:
         top = top_desirers(seat)
         if deleted:
             while cycles := successor_cycles({s: seat[i] for s, i in top.items()}):
-                matching = trade(matching, cycle_takes(top, cycles))
-                seat = matching.assignment
+                seat = trade(seat, cycle_takes(top, cycles))
                 top = top_desirers(seat)
-            iterations.append(EadaIteration(tuple(sorted(deleted)), matching))
-    return matching, EadaRun(tuple(iterations))
+            iterations.append(EadaIteration(tuple(sorted(deleted)), seat))
+    return seat, EadaRun(tuple(iterations))
 
 
-def eada_orbit(problem: Problem) -> dict[frozenset[int], Matching]:
+def eada_orbit(problem: Problem) -> dict[frozenset[int], tuple[int, ...]]:
     """Outcome for every consent set.  Exponential; refuses past ``ORBIT_LIMIT``."""
     n = problem.n_students
     if n > ORBIT_LIMIT:

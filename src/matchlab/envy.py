@@ -46,7 +46,6 @@ from matchlab.da import run_da
 from matchlab.model import (
     NULL_SCHOOL,
     InputError,
-    Matching,
     Problem,
     _check_ids,
     check_feasible,
@@ -59,7 +58,7 @@ class LabelledEnvyDigraph:
     """The improvable students and, per school, the contenders whose
     prefixes label the envy edges into it.
 
-    ``seats`` is the DA assignment.  ``contenders[s]`` lists the improvable
+    ``seats`` are the DA matching.  ``contenders[s]`` lists the improvable
     students who envy school s, best priority first; ``ahead[s]`` maps each
     student who envies s to the number of contenders that outrank her, in
     priority order.
@@ -149,7 +148,7 @@ def on_envy_cycle(seats, envious) -> frozenset[int]:
 
 def build_envy(problem: Problem) -> LabelledEnvyDigraph:
     """Build the labelled envy digraph of the problem's deferred-acceptance outcome."""
-    seats = run_da(problem)[0].assignment
+    seats = run_da(problem)[0]
     envious = envied(problem, seats)
     improvable = on_envy_cycle(seats, envious)
     contenders, ahead = [], []
@@ -170,17 +169,17 @@ def build_envy(problem: Problem) -> LabelledEnvyDigraph:
     )
 
 
-def da_context(problem: Problem):
-    """The DA matching and its envy digraph, built on the first call.
+def da_context(problem: Problem) -> LabelledEnvyDigraph:
+    """The envy digraph of the problem's DA outcome, built on the first call;
+    its ``seats`` are the DA matching.
 
     The digraph is kept on the problem, beside its rank tables; a problem
-    is immutable, so it never goes stale.  The matching is read off the
-    digraph's DA seats.
+    is immutable, so it never goes stale.
     """
     digraph = vars(problem).get("_da_digraph")
     if digraph is None:
         digraph = vars(problem)["_da_digraph"] = build_envy(problem)
-    return Matching(digraph.seats), digraph
+    return digraph
 
 
 def packing_label(problem: Problem, packing) -> frozenset[int]:
@@ -189,7 +188,7 @@ def packing_label(problem: Problem, packing) -> frozenset[int]:
     ``packing`` is any iterable of student cycles; a member that is not a
     student id raises ``InputError``."""
     cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing]
-    digraph = da_context(problem)[1]
+    digraph = da_context(problem)
     deepest: dict[int, int] = {}
     for cycle in cycles:
         for pos, i in enumerate(cycle):
@@ -201,7 +200,7 @@ def packing_label(problem: Problem, packing) -> frozenset[int]:
     return frozenset(h for s, k in deepest.items() for h in digraph.contenders[s][:k])
 
 
-def decompose_as_packing(problem: Problem, matching: Matching):
+def decompose_as_packing(problem: Problem, matching):
     """Recover the cycle packing over the DA matching that yields ``matching``.
 
     Returns the packing as ``canonical_packing`` spells it, a tuple of
@@ -213,7 +212,7 @@ def decompose_as_packing(problem: Problem, matching: Matching):
     displaces is ambiguous for quotas above one; entrants and leavers are
     paired in ascending id order, which never changes edge labels.
     """
-    after, before = check_feasible(problem, matching), da_context(problem)[1].seats
+    after, before = check_feasible(problem, matching), da_context(problem).seats
     entrants: dict[int, list[int]] = {}
     leavers: dict[int, list[int]] = {}
     for i, (old, new) in enumerate(zip(before, after)):

@@ -60,7 +60,7 @@ def run_jbc(problem: Problem):
     When deferred acceptance is already efficient no school has a contender,
     so the graph is empty and DA comes back unchanged.
     """
-    da_matching, digraph = da_context(problem)
+    digraph = da_context(problem)
     graph = _school_graph(digraph)
     if _log.isEnabledFor(logging.INFO):
         schools = problem.schools
@@ -69,7 +69,7 @@ def run_jbc(problem: Problem):
             _log.info("%s -> %s  (mover %s)", schools[s], schools[t], mover)
         for cycle in graph.cycles:
             _log.info("cycle: %s", " -> ".join(schools[s] for s in cycle))
-    return trade(da_matching, cycle_takes(graph.jbc_student, graph.cycles)), graph
+    return trade(digraph.seats, cycle_takes(graph.jbc_student, graph.cycles)), graph
 
 
 def strongly_justifiable_family(problem: Problem):
@@ -78,7 +78,7 @@ def strongly_justifiable_family(problem: Problem):
     One matching per subset (the empty subset gives DA back); these are
     exactly the strongly justifiable matchings of the instance.
     """
-    da_matching, digraph = da_context(problem)
+    digraph = da_context(problem)
     graph = _school_graph(digraph)
     k = len(graph.cycles)
     if k > 20:
@@ -86,5 +86,5 @@ def strongly_justifiable_family(problem: Problem):
     family = []
     for mask in range(1 << k):
         chosen = [graph.cycles[c] for c in range(k) if mask >> c & 1]
-        family.append(trade(da_matching, cycle_takes(graph.jbc_student, chosen)))
+        family.append(trade(digraph.seats, cycle_takes(graph.jbc_student, chosen)))
     return family

@@ -1,12 +1,15 @@
 """Core types for school-choice problems: instances, matchings, ranks, violations.
 
 A problem holds students and schools (dense integer ids, stable external
-names), strict preference lists, strict priority lists and quotas.  All types
-are immutable after construction: a problem keeps its names and rows, and a
-matching its assignment, as tuples whatever sequences they are given, so
-values hash, compare by value and can be shared freely across threads.  The
-operations are pure functions, apart from ``load_problem``, which keeps the
-last problem it built.
+names), strict preference lists, strict priority lists and quotas.  A
+problem is immutable after construction: it keeps its names and rows as
+tuples whatever sequences they are given, so it hashes, compares by value
+and can be shared freely across threads.  A matching is its seats: any
+sequence of school ids, one per student, with ``NULL_SCHOOL`` for the
+unassigned.  Every operation that takes one judges it with
+``check_feasible``, and every operation that returns one returns a tuple of
+plain ints.  The operations are pure functions, apart from
+``load_problem``, which keeps the last problem it built.
 
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
@@ -181,36 +184,19 @@ class Problem:
             raise InputError(f"unknown school {name!r}") from None
 
 
-@dataclass(frozen=True)
-class Matching:
-    """Per-student assignment; ``NULL_SCHOOL`` means unassigned.
-
-    Any sequence is kept as a tuple of its seats; ``check_feasible`` judges
-    them against a problem."""
-
-    assignment: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", tuple(self.assignment))
-
-    def rosters(self, problem: Problem) -> list[list[int]]:
-        """Per school, the list of assigned students in ascending id order,
-        read off the seats that ``check_feasible`` returns."""
-        return _rosters(problem, check_feasible(problem, self))
-
-
-def trade(matching: Matching, takes) -> Matching:
-    """Each student ``i`` in ``takes`` moves to the seat that ``takes[i]``
-    holds under ``matching``; everyone else keeps hers."""
-    assignment = list(matching.assignment)
+def trade(seats, takes) -> tuple[int, ...]:
+    """The seats after each student ``i`` in ``takes`` moves to the seat that
+    ``takes[i]`` holds in ``seats``; everyone else keeps hers.  The seats
+    are those ``check_feasible`` returns, and so is the result."""
+    moved = list(seats)
     for i, j in takes.items():
-        assignment[i] = matching.assignment[j]
-    return Matching(assignment)
+        moved[i] = seats[j]
+    return tuple(moved)
 
 
 @dataclass(frozen=True)
 class Violation:
-    """A blocking triple: ``victim`` prefers ``school`` to her assignment,
+    """A blocking triple: ``victim`` prefers ``school`` to her seat,
     ``occupant`` is assigned there, and the victim has higher priority."""
 
     victim: int
@@ -257,6 +243,15 @@ def _check_ids(kind: str, ids, valid: range) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _integer(name: str, value) -> int:
+    """``operator.index(value)``; ``InputError`` naming ``name`` unless
+    ``value`` is an integer that ``operator.index`` accepts, not a bool: the
+    rule for a count or seed the caller sets."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise InputError(f"{name} must be an integer")
+    return index(value)
+
+
 def _id_value(value):
     """``operator.index(value)``, or ``value`` itself where that fails: how
     ``Problem`` compares the ids of a row it refuses."""
@@ -293,14 +288,19 @@ def _ranks(problem: Problem, seats) -> list[int]:
     return [table[s] for table, s in zip(problem._pref_rank, seats)]
 
 
-def check_feasible(problem: Problem, matching: Matching) -> tuple[int, ...]:
+def check_feasible(problem: Problem, matching) -> tuple[int, ...]:
     """The matching's seats as a tuple of ints, the values ``_check_ids``
-    returns; ``InputError`` unless the matching is well-formed and respects
-    quotas.  Callers compute on these seats, not on the assignment, however
-    its seats are spelled (a list, a numpy array, numpy integers)."""
-    if len(matching.assignment) != problem.n_students:
+    returns; ``InputError`` unless the matching is a sequence of school ids,
+    one per student, that respects quotas.  It is read once, so any
+    iterable is taken; callers compute on these seats, however the matching
+    spells them (a list, a numpy array, numpy integers)."""
+    try:
+        seats = tuple(matching)  # the matching itself when it is a tuple
+    except TypeError:
+        raise InputError("matching must be a sequence of school ids") from None
+    if len(seats) != problem.n_students:
         raise InputError("matching length does not match student count")
-    seats = _check_ids("school", matching.assignment, range(NULL_SCHOOL, problem.n_schools))
+    seats = _check_ids("school", seats, range(NULL_SCHOOL, problem.n_schools))
     counts = [0] * (problem.n_schools + 1)  # the null school counts at slot -1
     for s in seats:
         counts[s] += 1
@@ -310,22 +310,22 @@ def check_feasible(problem: Problem, matching: Matching) -> tuple[int, ...]:
     return seats
 
 
-def envied(problem: Problem, assignment) -> list[list[int]]:
+def envied(problem: Problem, seats) -> list[list[int]]:
     """Per school, the students who strictly prefer it to their own seat, in id order.
 
     Walks each student's preference prefix above her seat, so it costs
-    O(sum of ranks), not O(n^2).  The assignment holds the seats that
+    O(sum of ranks), not O(n^2).  ``seats`` are those that
     ``check_feasible`` returns.
     """
     out: list[list[int]] = [[] for _ in range(problem.n_schools)]
     for i, (plist, ranks) in enumerate(zip(problem.prefs, problem._pref_rank)):
         # A null or unlisted seat ranks below every listed school.
-        for school in plist[: ranks[assignment[i]] - 1]:
+        for school in plist[: ranks[seats[i]] - 1]:
             out[school].append(i)
     return out
 
 
-def _seated(problem: Problem, matching: Matching):
+def _seated(problem: Problem, matching):
     """The seats that one ``check_feasible`` returns, and their rosters and
     ``envied`` lists.
 
@@ -337,7 +337,8 @@ def _seated(problem: Problem, matching: Matching):
 
 
 def _rosters(problem: Problem, seats) -> list[list[int]]:
-    """``Matching.rosters`` of the seats that ``check_feasible`` returns."""
+    """Per school, its students in ascending id order, read off the seats
+    that ``check_feasible`` returns: the one roster builder."""
     out = [[] for _ in range(problem.n_schools)]
     for i, s in enumerate(seats):
         if s != NULL_SCHOOL:
@@ -366,7 +367,7 @@ def _wasteful(problem: Problem, rosters, envious) -> bool:
     )
 
 
-def violations(problem: Problem, matching: Matching) -> list[Violation]:
+def violations(problem: Problem, matching) -> list[Violation]:
     """All blocking triples of the matching, duplicate-free.
 
     Empty exactly when the matching is stable.  Triples are ordered by
@@ -375,18 +376,18 @@ def violations(problem: Problem, matching: Matching) -> list[Violation]:
     return _blocking(problem, *_seated(problem, matching)[1:])
 
 
-def respects_priorities_of(problem: Problem, matching: Matching, protected) -> bool:
+def respects_priorities_of(problem: Problem, matching, protected) -> bool:
     """True iff no blocking triple has its victim in ``protected``."""
     protected = _id_set(problem, protected, "protected")
     return all(v.victim not in protected for v in violations(problem, matching))
 
 
-def is_nonwasteful(problem: Problem, matching: Matching) -> bool:
-    """True iff no student prefers a school with a free seat to her assignment."""
+def is_nonwasteful(problem: Problem, matching) -> bool:
+    """True iff no student prefers a school with a free seat to her own."""
     return not _wasteful(problem, *_seated(problem, matching)[1:])
 
 
-def pareto_compare(problem: Problem, a: Matching, b: Matching) -> str:
+def pareto_compare(problem: Problem, a, b) -> str:
     """Compare two matchings by student welfare.
 
     Returns ``A_DOMINATES`` / ``B_DOMINATES`` when one matching makes every
@@ -526,10 +527,24 @@ def _decode(raw: bytes, path) -> str:
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict; ``ValueError``
+    naming the first key that repeats, which would otherwise drop a value
+    unread."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return data
+
+
 def _parse_json(text: str, path):
     try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # bad syntax, too deep
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:  # bad syntax, a repeated key, too deep
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -562,34 +577,34 @@ def load_problem(path) -> Problem:
     return kept[1]
 
 
-def matching_from_dict(problem: Problem, data: dict) -> Matching:
+def matching_from_dict(problem: Problem, data: dict) -> tuple[int, ...]:
     try:
         raw = data["assignment"]
     except (KeyError, TypeError):
         raise InputError("malformed matching file: missing 'assignment'") from None
     if not isinstance(raw, dict):
         raise InputError("malformed matching file: 'assignment' must be keyed by student name")
-    assignment = [NULL_SCHOOL] * problem.n_students
+    seats = [NULL_SCHOOL] * problem.n_students
     for sname, cname in raw.items():
-        assignment[problem.student_id(sname)] = problem.school_id(cname)
-    return Matching(assignment)
+        seats[problem.student_id(sname)] = problem.school_id(cname)
+    return tuple(seats)
 
 
-def matching_to_dict(problem: Problem, matching: Matching) -> dict:
+def matching_to_dict(problem: Problem, matching) -> dict:
     # Students at the null school are omitted; absence means unassigned.
     return {
         "assignment": {
             problem.students[i]: problem.schools[s]
-            for i, s in enumerate(matching.assignment)
+            for i, s in enumerate(matching)
             if s != NULL_SCHOOL
         }
     }
 
 
-def load_matching(problem: Problem, path) -> Matching:
+def load_matching(problem: Problem, path) -> tuple[int, ...]:
     return matching_from_dict(problem, _parse_json(_decode(_read_bytes(path), path), path))
 
 
-def dump_matching(problem: Problem, matching: Matching) -> str:
+def dump_matching(problem: Problem, matching) -> str:
     """Byte-stable JSON text for a matching (sorted keys, trailing newline)."""
     return json.dumps(matching_to_dict(problem, matching), sort_keys=True, indent=2) + "\n"

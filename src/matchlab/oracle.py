@@ -14,12 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from matchlab import envy, jbc, sjbc_plus
-from matchlab.model import (
-    NULL_SCHOOL,
-    InputError,
-    Matching,
-    Problem,
-)
+from matchlab.model import NULL_SCHOOL, InputError, Problem, _integer
 
 BUDGET = 10_000_000  # partial assignments ``enumerate_matchings`` explores by default
 
@@ -42,49 +37,49 @@ def priority_scan(problem: Problem, school: int, student: int) -> int:
     return problem.priorities[school].index(student)
 
 
-def _violations_walk(problem: Problem, matching: Matching):
+def _violations_walk(problem: Problem, matching):
     """Yield (victim, occupant, school) triples by exhaustive scan, one at a time."""
     for victim in range(problem.n_students):
         for occupant in range(problem.n_students):
             if occupant == victim:
                 continue
-            school = matching.assignment[occupant]
+            school = matching[occupant]
             if school == NULL_SCHOOL:
                 continue
-            if prefers(problem, victim, school, matching.assignment[victim]) and (
+            if prefers(problem, victim, school, matching[victim]) and (
                 priority_scan(problem, school, victim)
                 < priority_scan(problem, school, occupant)
             ):
                 yield victim, occupant, school
 
 
-def violations_scan(problem: Problem, matching: Matching) -> list[tuple[int, int, int]]:
+def violations_scan(problem: Problem, matching) -> list[tuple[int, int, int]]:
     """(victim, occupant, school) triples by exhaustive scan."""
     return list(_violations_walk(problem, matching))
 
 
-def stable_scan(problem: Problem, matching: Matching) -> bool:
+def stable_scan(problem: Problem, matching) -> bool:
     """No violation at all; the scan stops at the first one it finds."""
     return next(_violations_walk(problem, matching), None) is None
 
 
-def respects_scan(problem: Problem, matching: Matching, protected) -> bool:
+def respects_scan(problem: Problem, matching, protected) -> bool:
     protected = set(protected)
     return all(v not in protected for v, _, _ in _violations_walk(problem, matching))
 
 
-def dominates_weakly(problem: Problem, a: Matching, b: Matching) -> bool:
+def dominates_weakly(problem: Problem, a, b) -> bool:
     return all(
-        rank_scan(problem, i, a.assignment[i]) <= rank_scan(problem, i, b.assignment[i])
+        rank_scan(problem, i, a[i]) <= rank_scan(problem, i, b[i])
         for i in range(problem.n_students)
     )
 
 
-def dominates_strictly(problem: Problem, a: Matching, b: Matching) -> bool:
+def dominates_strictly(problem: Problem, a, b) -> bool:
     strict = False
     for i in range(problem.n_students):
-        ra = rank_scan(problem, i, a.assignment[i])
-        rb = rank_scan(problem, i, b.assignment[i])
+        ra = rank_scan(problem, i, a[i])
+        rb = rank_scan(problem, i, b[i])
         if ra > rb:
             return False
         if ra < rb:
@@ -92,7 +87,7 @@ def dominates_strictly(problem: Problem, a: Matching, b: Matching) -> bool:
     return strict
 
 
-def pareto_frontier(problem: Problem, matchings) -> list[Matching]:
+def pareto_frontier(problem: Problem, matchings) -> list[tuple[int, ...]]:
     """Maximal elements under Pareto domination.
 
     A dominator always has a strictly smaller total rank, and domination is
@@ -100,39 +95,41 @@ def pareto_frontier(problem: Problem, matchings) -> list[Matching]:
     frontier built so far is exhaustive.
     """
     def total(m):
-        return sum(rank_scan(problem, i, m.assignment[i]) for i in range(problem.n_students))
+        return sum(rank_scan(problem, i, m[i]) for i in range(problem.n_students))
 
-    frontier: list[Matching] = []
+    frontier = []
     for m in sorted(matchings, key=total):
         if not any(dominates_strictly(problem, f, m) for f in frontier):
             frontier.append(m)
     return frontier
 
 
-def beneficiaries_scan(problem: Problem, da_matching: Matching, matching: Matching):
+def beneficiaries_scan(problem: Problem, da_matching, matching):
     return frozenset(
         i
         for i in range(problem.n_students)
-        if prefers(problem, i, matching.assignment[i], da_matching.assignment[i])
+        if prefers(problem, i, matching[i], da_matching[i])
     )
 
 
 def enumerate_matchings(problem: Problem, budget: int = BUDGET):
-    """Yield every feasible, non-wasteful matching exactly once.
+    """An iterator over every feasible, non-wasteful matching, each once.
 
     Students take listed schools with spare capacity or the null school; a
     leaf survives only if nobody prefers a school that ended up with a free
     seat.  When all preference lists are complete and seats exactly cover
     students, null-school branches can never be non-wasteful and are pruned.
-    Raises ``InputError`` once more than ``budget`` partial assignments have
-    been explored.
+    ``budget`` follows ``GenConfig``'s integer rule, checked once, when
+    called; the walk raises ``InputError`` once more than ``budget`` partial
+    assignments have been explored.
     """
+    budget = _integer("budget", budget)
     n, m = problem.n_students, problem.n_schools
     complete_fill = sum(problem.quotas) == n and all(
         len(p) == m for p in problem.prefs
     )
     free = list(problem.quotas)
-    assignment = [NULL_SCHOOL] * n
+    seats = [NULL_SCHOOL] * n
     explored = 0
 
     def nonwasteful_leaf() -> bool:
@@ -140,7 +137,7 @@ def enumerate_matchings(problem: Problem, budget: int = BUDGET):
         if not open_schools:
             return True
         for i in range(n):
-            own = rank_scan(problem, i, assignment[i])
+            own = rank_scan(problem, i, seats[i])
             for s in open_schools:
                 if rank_scan(problem, i, s) < own:
                     return False
@@ -153,19 +150,19 @@ def enumerate_matchings(problem: Problem, budget: int = BUDGET):
             raise InputError(f"enumeration budget of {budget} exceeded")
         if i == n:
             if nonwasteful_leaf():
-                yield Matching(assignment)
+                yield tuple(seats)
             return
         for s in problem.prefs[i]:
             if free[s] > 0:
                 free[s] -= 1
-                assignment[i] = s
+                seats[i] = s
                 yield from walk(i + 1)
-                assignment[i] = NULL_SCHOOL
+                seats[i] = NULL_SCHOOL
                 free[s] += 1
         if not complete_fill:
             yield from walk(i + 1)
 
-    yield from walk(0)
+    return walk(0)
 
 
 def _decompose_scan(problem, da_matching, matching):
@@ -175,7 +172,7 @@ def _decompose_scan(problem, da_matching, matching):
     entrants: dict[int, int] = {}
     leavers: dict[int, int] = {}
     for i in range(problem.n_students):
-        old, new = da_matching.assignment[i], matching.assignment[i]
+        old, new = da_matching[i], matching[i]
         if old == new:
             continue
         if old == NULL_SCHOOL or new == NULL_SCHOOL:
@@ -197,7 +194,7 @@ def _strongly_justifiable_scan(problem, da_matching, matching, improvable) -> bo
     for i, school in entries:
         for h in improvable:
             if (
-                prefers(problem, h, school, da_matching.assignment[h])
+                prefers(problem, h, school, da_matching[h])
                 and priority_scan(problem, school, h) < priority_scan(problem, school, i)
             ):
                 return False
@@ -207,13 +204,13 @@ def _strongly_justifiable_scan(problem, da_matching, matching, improvable) -> bo
 @dataclass(frozen=True)
 class OracleReport:
     problem: Problem
-    matchings: tuple[Matching, ...]  # every feasible, non-wasteful matching
-    da: Matching
-    dominating: tuple[Matching, ...]
+    matchings: tuple[tuple[int, ...], ...]  # every feasible, non-wasteful matching
+    da: tuple[int, ...]
+    dominating: tuple[tuple[int, ...], ...]
     unimprovable: frozenset[int]
-    justifiable_family: tuple[Matching, ...]
-    strongly_justifiable_family: tuple[Matching, ...]
-    justifiable_and_efficient: tuple[Matching, ...]
+    justifiable_family: tuple[tuple[int, ...], ...]
+    strongly_justifiable_family: tuple[tuple[int, ...], ...]
+    justifiable_and_efficient: tuple[tuple[int, ...], ...]
     claims: dict[str, bool]
 
     @property
@@ -221,7 +218,7 @@ class OracleReport:
         return all(self.claims.values())
 
     @cached_property
-    def pareto_family(self) -> tuple[Matching, ...]:
+    def pareto_family(self) -> tuple[tuple[int, ...], ...]:
         """The efficient matchings, found on the first read: the costliest
         family, which no claim needs."""
         return tuple(pareto_frontier(self.problem, self.matchings))
@@ -233,18 +230,19 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
     The claims dict records, per named statement, whether the fast-path
     result matched this module's definition-level result on the instance.
     """
-    da_matching, digraph = envy.da_context(problem)
+    digraph = envy.da_context(problem)
+    da_matching = digraph.seats
     everything = list(enumerate_matchings(problem, budget))
     dominating = [m for m in everything if dominates_strictly(problem, m, da_matching)]
 
     unimprovable = frozenset(
         i
         for i in range(problem.n_students)
-        if all(m.assignment[i] == da_matching.assignment[i] for m in dominating)
+        if all(m[i] == da_matching[i] for m in dominating)
     )
     improvable = frozenset(range(problem.n_students)) - unimprovable
 
-    def justifiable(m: Matching) -> bool:
+    def justifiable(m) -> bool:
         benef = beneficiaries_scan(problem, da_matching, m)
         return all(
             victim in unimprovable or victim in benef
@@ -266,18 +264,15 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
     claims = {}
 
     stable = [m for m in everything if stable_scan(problem, m)]
-    claims["da_student_optimal_stable"] = any(
-        m.assignment == da_matching.assignment for m in stable
-    ) and all(dominates_weakly(problem, da_matching, m) for m in stable)
+    claims["da_student_optimal_stable"] = da_matching in stable and all(
+        dominates_weakly(problem, da_matching, m) for m in stable
+    )
 
     claims["improvable_set_matches_cycle_membership"] = digraph.improvable == improvable
 
-    fast_family = {
-        m.assignment for m in jbc.strongly_justifiable_family(problem)
-    }
-    claims["strongly_justifiable_family_is_jbc_cycle_subsets"] = fast_family == {
-        m.assignment for m in sj_family
-    }
+    claims["strongly_justifiable_family_is_jbc_cycle_subsets"] = set(
+        jbc.strongly_justifiable_family(problem)
+    ) == set(sj_family)
 
     label_equiv = True
     for m in dominating:
@@ -295,9 +290,7 @@ def oracle_report(problem: Problem, budget: int = BUDGET) -> OracleReport:
 
     plus = sjbc_plus.run_sjbc_plus(problem)
     plus_benef = beneficiaries_scan(problem, da_matching, plus)
-    claims["sjbc_plus_outcome_justifiable"] = (
-        plus.assignment == da_matching.assignment or justifiable(plus)
-    )
+    claims["sjbc_plus_outcome_justifiable"] = plus == da_matching or justifiable(plus)
     claims["sjbc_plus_undominated_without_more_beneficiaries"] = all(
         plus_benef < beneficiaries_scan(problem, da_matching, m)
         for m in justifiable_family

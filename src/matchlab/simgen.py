@@ -23,14 +23,13 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import index
 
 import numpy as np
 from scipy.special import ndtri
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import InputError, Problem, _check_ids
+from matchlab.model import InputError, Problem, _check_ids, _integer
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -47,10 +46,7 @@ class GenConfig:
 
     def __post_init__(self):
         for name in ("n", "replications", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(value, "__index__"):
-                raise InputError(f"{name} must be an integer")
-            object.__setattr__(self, name, index(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         for name in ("rho", "consent_fraction"):
             value = getattr(self, name)
             if name == "rho" and value is None:
@@ -153,7 +149,7 @@ def evaluate_instance(problem: Problem, consent) -> dict[str, dict[str, float]]:
     leaves some student worse off than DA, or a wasteful one.
     """
     outcomes = {
-        "da": da_context(problem)[0],
+        "da": da_context(problem).seats,
         "eada_full": eada.run_eada(problem, range(problem.n_students))[0],
         "eada_half": eada.run_eada(problem, consent)[0],
         "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
@@ -187,7 +183,9 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
 
     The records and the aggregation follow replication order for any job
     count, so the statistics are identical however the work is scheduled.
+    ``jobs`` follows ``GenConfig``'s integer rule.
     """
+    jobs = _integer("jobs", jobs)
     if jobs < 1:
         raise InputError("jobs must be at least 1")
     tasks = [(config, rep) for rep in range(config.replications)]

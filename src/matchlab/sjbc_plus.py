@@ -64,7 +64,7 @@ from scipy.optimize import linear_sum_assignment
 
 from matchlab.envy import da_context
 from matchlab.jbc import cycle_takes, run_jbc
-from matchlab.model import NULL_SCHOOL, Matching, Problem, _instance_digest, _id_set, check_feasible, trade
+from matchlab.model import NULL_SCHOOL, Problem, _instance_digest, _id_set, check_feasible, trade
 
 _log = logging.getLogger(__name__)
 
@@ -134,7 +134,7 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     returns an equivalent state (same beneficiaries), which callers use as
     the stopping signal.
     """
-    _, digraph = da_context(problem)
+    digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
     index = {v: t for t, v in enumerate(nodes)}
     occupants: dict[int, list[int]] = {}  # per school, its improvable (so seated) occupants
@@ -170,9 +170,9 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
 
 def run_expansion(problem: Problem):
     """Expand from the JBC matching; returns the matching and its beneficiaries."""
-    da_matching, digraph = da_context(problem)
+    digraph = da_context(problem)
     if not digraph.improvable:
-        return da_matching, frozenset()
+        return digraph.seats, frozenset()
 
     _, graph = run_jbc(problem)
     takes = cycle_takes(graph.jbc_student, graph.cycles)  # JBC's trades; everyone else stays
@@ -186,7 +186,7 @@ def run_expansion(problem: Problem):
             break
         previous, state = state.beneficiaries, expansion_step(problem, state)
 
-    return trade(da_matching, state.permutation), state.beneficiaries
+    return trade(digraph.seats, state.permutation), state.beneficiaries
 
 
 def _find_cycle(nodes, adj):
@@ -213,19 +213,19 @@ def _find_cycle(nodes, adj):
     return None
 
 
-def run_refinement(problem: Problem, mu_star: Matching, b_star):
+def run_refinement(problem: Problem, mu_star, b_star) -> tuple[int, ...]:
     """Trade along admissible cycles at the current matching until none remain.
 
     Cycles run among the fixed beneficiary set only, so the beneficiaries of
     the result equal ``b_star``; every executed cycle strictly improves each
     of its members relative to her current seat.  An infeasible ``mu_star``
     or an id in ``b_star`` that is not a student raises ``InputError``.
-    The result holds the seats ``check_feasible`` returns, also when no
-    cycle trades.
+    The result is a tuple of plain ints, the seats ``check_feasible``
+    returns for ``mu_star`` when no cycle trades.
     """
-    current = Matching(check_feasible(problem, mu_star))
+    seats = check_feasible(problem, mu_star)
     b_star = _id_set(problem, b_star, "b_star")
-    _, digraph = da_context(problem)
+    digraph = da_context(problem)
     members = sorted(b_star)
     prefs, pref_rank = problem.prefs, problem._pref_rank
     # b_star is fixed, so each school's admitted enviers are too
@@ -233,7 +233,6 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
 
     max_rounds = len(members) * max(problem.n_schools - 1, 1) + 1
     for _ in range(max_rounds):
-        seats = current.assignment
         wanting = [[] for _ in allowed]  # per school, the members who envy it and are admitted there
         for i in members:  # only their envy: their preference prefixes above their seats
             for school in prefs[i][: pref_rank[i][seats[i]] - 1]:
@@ -246,14 +245,14 @@ def run_refinement(problem: Problem, mu_star: Matching, b_star):
                     adj[i].append(j)
         cycle = _find_cycle(members, adj)
         if cycle is None:
-            return current
+            return seats
         if _log.isEnabledFor(logging.INFO):
             names = " -> ".join(problem.students[i] for i in cycle + [cycle[0]])
             _log.info("refinement cycle: %s", names)
-        current = trade(current, dict(zip(cycle, cycle[1:] + cycle[:1])))
+        seats = trade(seats, dict(zip(cycle, cycle[1:] + cycle[:1])))
     raise RuntimeError(f"refinement exceeded its iteration bound, instance {_instance_digest(problem)}")
 
 
-def run_sjbc_plus(problem: Problem) -> Matching:
+def run_sjbc_plus(problem: Problem) -> tuple[int, ...]:
     """Full pipeline: deferred acceptance, JBC, expansion, refinement."""
     return run_refinement(problem, *run_expansion(problem))

@@ -7,7 +7,7 @@ from matchlab import oracle
 from matchlab.da import run_da
 from matchlab.envy import build_envy, decompose_as_packing
 from matchlab.fixtures import load_fixture
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, rank_of, trade
+from matchlab.model import NULL_SCHOOL, InputError, Problem, rank_of, trade
 from matchlab.simgen import GenConfig, gen_instance
 
 
@@ -36,25 +36,25 @@ def exe():
     return load_fixture("exe")
 
 
-def matching_by_name(problem, moves: dict) -> Matching:
+def matching_by_name(problem, moves: dict):
     """Build a matching from {student name: school name}; others unassigned."""
     assignment = [-1] * problem.n_students
     for sname, cname in moves.items():
         assignment[problem.student_id(sname)] = problem.school_id(cname)
-    return Matching(tuple(assignment))
+    return tuple(assignment)
 
 
 def names_of(problem, ids):
     return sorted(problem.students[i] for i in ids)
 
 
-def apply_packing(problem, da_matching, packing) -> Matching:
+def apply_packing(problem, da_matching, packing):
     """Trade along every cycle: each member takes her successor's seat.
 
     Covered students strictly improve; everyone else keeps her assignment.
     Raises ``InputError`` for overlapping cycles or non-edges.
     """
-    names, seats, takes = problem.students, da_matching.assignment, {}
+    names, seats, takes = problem.students, da_matching, {}
     for cycle in packing:
         if len(cycle) < 2 or not all(0 <= i < problem.n_students for i in cycle):
             raise InputError(f"not a cycle of two or more students: {cycle}")
@@ -235,11 +235,11 @@ def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theo
     dominating = [m for m in everything if oracle.dominates_strictly(problem, m, da_matching)]
     students = frozenset(range(problem.n_students))
 
-    def by_names(moves: dict[str, str]) -> Matching:
-        assignment = list(da_matching.assignment)
+    def by_names(moves: dict[str, str]):
+        assignment = list(da_matching)
         for sname, cname in moves.items():
             assignment[sid(sname)] = cid(cname)
-        return Matching(tuple(assignment))
+        return tuple(assignment)
 
     three_cycle = by_names({"i1": "s4", "i4": "s5", "i5": "s1"})
     two_cycle = by_names(
@@ -253,7 +253,7 @@ def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theo
     checks.append(
         (
             "w1_unique_respecting_improvement_is_three_cycle",
-            [m.assignment for m in found] == [three_cycle.assignment],
+            list(found) == [three_cycle],
             f"{len(found)} improvement(s) respect everyone outside {{i7}}",
         )
     )
@@ -263,13 +263,13 @@ def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theo
     found = [
         m
         for m in dominating
-        if oracle.rank_scan(problem, i5, m.assignment[i5]) <= bound
+        if oracle.rank_scan(problem, i5, m[i5]) <= bound
         and oracle.respects_scan(problem, m, students - w2)
     ]
     checks.append(
         (
             "w2_unique_improvement_serving_i5_is_three_cycle",
-            [m.assignment for m in found] == [three_cycle.assignment],
+            list(found) == [three_cycle],
             f"{len(found)} candidate(s) give i5 her consent-compatible gain",
         )
     )
@@ -278,7 +278,7 @@ def verify_theorem5_steps(problem: Problem, budget: int = oracle.BUDGET) -> Theo
     bound = oracle.rank_scan(problem, i1, s4)
     singles = []
     for m in dominating:
-        if oracle.rank_scan(problem, i1, m.assignment[i1]) > bound:
+        if oracle.rank_scan(problem, i1, m[i1]) > bound:
             continue
         packing = decompose_as_packing(problem, m)
         if packing is None or len(packing) != 1:

@@ -18,7 +18,7 @@ from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.envy import build_envy, canonical_packing, da_context, on_envy_cycle, packing_label
 from matchlab.jbc import run_jbc
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _seated, violations
+from matchlab.model import NULL_SCHOOL, InputError, Problem, _seated, violations
 from matchlab.simgen import GenConfig, gen_instance
 from matchlab.sjbc_plus import run_sjbc_plus
 
@@ -259,7 +259,7 @@ def reference_is_justifiable(problem, matching):
     """``is_justifiable`` as first composed: ``beneficiaries``, then
     ``violations`` tagged by victim class, ``is_strongly_justifiable`` and
     ``is_pareto_efficient``, each with its own feasibility check."""
-    digraph = da_context(problem)[1]
+    digraph = da_context(problem)
     benef = beneficiaries(problem, matching)
     tagged = []
     justifiable = True
@@ -289,7 +289,7 @@ def test_is_justifiable_matches_reference():
     for problem in mixed_markets(4300, 60):
         consent = frozenset(i for i in range(problem.n_students) if rng.random() < 0.5)
         outcomes = (
-            da_context(problem)[0],
+            da_context(problem).seats,
             run_jbc(problem)[0],
             run_sjbc_plus(problem),
             run_eada(problem, consent)[0],
@@ -317,17 +317,17 @@ def test_is_justifiable_errors_match_reference():
     rng = random.Random(4301)
     checked = 0
     for problem in mixed_markets(4301, 30):
-        n, da = problem.n_students, da_context(problem)[0]
+        n, da = problem.n_students, da_context(problem).seats
         crowd = problem.quotas[0] + 1
-        over = Matching((0,) * crowd + (NULL_SCHOOL,) * (n - crowd))
-        nobody = Matching((NULL_SCHOOL,) * n)
-        short = Matching(da.assignment[:-1])
+        over = (0,) * crowd + (NULL_SCHOOL,) * (n - crowd)
+        nobody = (NULL_SCHOOL,) * n
+        short = da[:-1]
         for matching in (over, nobody, short, serial_dictatorship(rng, problem)):
             expected = verdict_or_error(reference_is_justifiable, problem, matching)
             assert verdict_or_error(is_justifiable, problem, matching) == expected
         if n >= crowd:
             assert "over quota" in verdict_or_error(is_justifiable, problem, over)
-        if any(s != NULL_SCHOOL for s in da.assignment):
+        if any(s != NULL_SCHOOL for s in da):
             assert verdict_or_error(is_justifiable, problem, nobody).startswith(
                 "InputError: matching is worse than DA for "
             )

@@ -45,7 +45,7 @@ def test_solve_sjbc_plus_emits_expected_matching(capsys):
     matching = matching_from_dict(problem, json.loads(out))
     expected = {"i1": "s2", "i2": "s1", "i3": "s6", "i4": "s5", "i5": "s3", "i6": "s4", "i7": "s7"}
     assert json.loads(out)["assignment"] == expected
-    assert matching.assignment[problem.student_id("i1")] == problem.school_id("s2")
+    assert matching[problem.student_id("i1")] == problem.school_id("s2")
 
 
 def test_solve_missing_file_is_exit_2(capsys):
@@ -90,6 +90,35 @@ def test_undecodable_or_deep_file_is_exit_2(tmp_path, command, content):
     assert proc.returncode == 2
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# A repeated key would be resolved last-wins, dropping a value unread.
+TWO_BY_TWO = (
+    '{"students": ["a", "b"], "schools": [{"name": "x", "quota": 1}, {"name": "y", "quota": 1}], '
+    '"prefs": {"a": ["x", "y"], "b": ["y", "x"]}, "priorities": {"x": ["a", "b"], "y": ["b", "a"]}}'
+)
+
+
+@pytest.mark.parametrize(
+    "instance, matching, key",
+    [
+        (TWO_BY_TWO.replace('"b": ["y", "x"]}', '"b": ["y", "x"], "a": ["y"]}'), None, "a"),
+        (TWO_BY_TWO.replace('"quota": 1}', '"quota": 1, "quota": 2}', 1), None, "quota"),
+        (TWO_BY_TWO.replace('{"students"', '{"students": ["c"], "students"'), None, "students"),
+        (TWO_BY_TWO, '{"assignment": {"a": "x", "b": "y", "a": "y"}}', "a"),
+    ],
+    ids=["row", "school-entry", "top-level", "matching"],
+)
+def test_repeated_json_key_is_exit_2(tmp_path, capsys, instance, matching, key):
+    path = tmp_path / "instance.json"
+    path.write_text(instance, encoding="utf-8")
+    if matching is None:
+        args, bad = ("solve", "--mechanism", "da", str(path)), path
+    else:
+        bad = tmp_path / "matching.json"
+        bad.write_text(matching, encoding="utf-8")
+        args = ("analyze", str(path), str(bad))
+    assert run_cli(capsys, *args) == (2, "", f"error: invalid JSON in {bad}: duplicate key {key!r}\n")
 
 
 def test_solve_round_trips_through_analyze(tmp_path, capsys):

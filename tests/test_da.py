@@ -12,7 +12,6 @@ from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc
 from matchlab.model import (
     NULL_SCHOOL,
-    Matching,
     Problem,
     envied,
     is_nonwasteful,
@@ -34,7 +33,7 @@ from conftest import (
 
 
 def diagonal(problem):
-    return Matching(tuple(problem.school_id(f"s{k+1}") for k in range(problem.n_students)))
+    return tuple(problem.school_id(f"s{k+1}") for k in range(problem.n_students))
 
 
 def test_da_ex1_is_diagonal(ex1):
@@ -42,7 +41,7 @@ def test_da_ex1_is_diagonal(ex1):
     assert matching == diagonal(ex1)
     assert len(trace.rounds) == 13
     # The trace's last rosters hold the returned matching.
-    rosters = [tuple(i for i, t in enumerate(matching.assignment) if t == s) for s in range(ex1.n_schools)]
+    rosters = [tuple(i for i, t in enumerate(matching) if t == s) for s in range(ex1.n_schools)]
     assert held_by_round(trace, ex1.n_schools)[-1] == rosters
 
 
@@ -73,7 +72,7 @@ def test_da_trace_invariants(ex1):
     for s, kept in enumerate(rosters[-1]):
         for i in kept:
             final[i] = s
-    assert tuple(final) == matching.assignment
+    assert tuple(final) == matching
 
 
 def test_da_distinct_top_choices_single_round():
@@ -85,7 +84,7 @@ def test_da_distinct_top_choices_single_round():
         priorities=((0, 1, 2), (0, 1, 2), (0, 1, 2)),
     )
     matching, trace = run_da(problem)
-    assert matching.assignment == (0, 1, 2)
+    assert matching == (0, 1, 2)
     assert len(trace.rounds) == 1
     assert interrupters(problem, trace) == []
 
@@ -106,7 +105,7 @@ def test_da_stable_nonwasteful_on_random_instances():
             # Each student proposes down her list until DA seats her.
             assert trace.proposals == sum(
                 min(rank_of(problem, i, s), len(problem.prefs[i]))
-                for i, s in enumerate(matching.assignment)
+                for i, s in enumerate(matching)
             )
 
 
@@ -119,7 +118,7 @@ def test_da_exhausted_student_lands_at_null_school():
         priorities=((0, 1),),
     )
     matching, _ = run_da(problem)
-    assert matching.assignment == (0, -1)
+    assert matching == (0, -1)
 
 
 def test_interrupters_ex1(ex1):
@@ -181,7 +180,7 @@ def test_da_matches_oracle_student_optimal_stable():
                 for m in oracle.enumerate_matchings(problem)
                 if not oracle.violations_scan(problem, m)
             ]
-            assert any(m.assignment == matching.assignment for m in stable)
+            assert any(m == matching for m in stable)
             assert all(oracle.dominates_weakly(problem, matching, m) for m in stable)
 
 
@@ -194,7 +193,7 @@ def test_quota_two_school_holds_two():
         priorities=((0, 1, 2), (0, 1, 2)),
     )
     matching, _ = run_da(problem)
-    assert matching.assignment == (0, 0, 1)
+    assert matching == (0, 0, 1)
 
 
 def test_interrupter_counts_rejection_in_arrival_round():
@@ -209,7 +208,7 @@ def test_interrupter_counts_rejection_in_arrival_round():
         priorities=((2, 0, 1, 3), (3, 2, 0, 1)),
     )
     matching, trace = run_da(problem)
-    assert matching.assignment == (-1, -1, 0, 1)
+    assert matching == (-1, -1, 0, 1)
     assert interrupters(problem, trace) == interrupters_by_definition(problem, trace) == [(0, 0, 2)]
 
 
@@ -247,7 +246,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         expected = rejecting_by_replay(trace, digraph.improvable)
         assert set(run_jbc(problem)[1].succ) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
-        wanted = envied(problem, da.assignment)
+        wanted = envied(problem, da)
         got = {s for s, envious in enumerate(wanted) if subset.intersection(envious)}
         assert got == rejecting_by_replay(trace, subset)
         graphs += bool(expected)
@@ -312,7 +311,7 @@ def sequential_da(problem):
             held[school].remove(worst)
             seat[worst] = NULL_SCHOOL
             free.append(worst)
-    return Matching(tuple(seat))
+    return tuple(seat)
 
 
 def test_sequential_proposals_give_the_same_matching():

@@ -25,7 +25,7 @@ from matchlab.envy import (
 from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc, strongly_justifiable_family
 from matchlab.sjbc_plus import _find_cycle, expansion_step, run_expansion, run_refinement, run_sjbc_plus
-from matchlab.model import NULL_SCHOOL, InputError, Matching, Problem, _rosters, envied, is_nonwasteful, trade, violations
+from matchlab.model import NULL_SCHOOL, InputError, Problem, _rosters, envied, is_nonwasteful, trade, violations
 from matchlab.simgen import GenConfig, draw_instance_and_consent, evaluate_instance, gen_instance
 
 from conftest import apply_packing, large_markets, matching_by_name, mixed_markets, names_of, random_market
@@ -206,7 +206,7 @@ def test_label_members_become_victims_when_left_behind():
                 if cycle is None:
                     continue
                 matching = apply_packing(problem, da, canonical_packing([cycle]))
-                school = da.assignment[j]
+                school = da[j]
                 for h in lab:
                     if h in cycle:
                         continue
@@ -249,7 +249,7 @@ def test_improvable_matches_oracle_on_smalls():
             by_definition = frozenset(
                 i
                 for i in range(n)
-                if any(m.assignment[i] != da.assignment[i] for m in dominating)
+                if any(m[i] != da[i] for m in dominating)
             )
             assert g.improvable == by_definition
 
@@ -276,7 +276,7 @@ def random_feasible(rng, problem):
         if school != -1:
             free[school] -= 1
         assignment.append(school)
-    return Matching(tuple(assignment))
+    return tuple(assignment)
 
 
 def serial_dictatorship(rng, problem):
@@ -291,11 +291,11 @@ def serial_dictatorship(rng, problem):
                 free[school] -= 1
                 assignment[i] = school
                 break
-    return Matching(tuple(assignment))
+    return tuple(assignment)
 
 
 def envies(problem, matching, i, school):
-    return school != -1 and oracle.prefers(problem, i, school, matching.assignment[i])
+    return school != -1 and oracle.prefers(problem, i, school, matching[i])
 
 
 def pairwise_edges(problem, matching):
@@ -303,7 +303,7 @@ def pairwise_edges(problem, matching):
         i: tuple(
             j
             for j in range(problem.n_students)
-            if j != i and envies(problem, matching, i, matching.assignment[j])
+            if j != i and envies(problem, matching, i, matching[j])
         )
         for i in range(problem.n_students)
     }
@@ -331,7 +331,7 @@ def labels_by_definition(problem, da, edges, improvable):
     labels = {}
     for i, targets in edges.items():
         for j in targets:
-            school = da.assignment[j]
+            school = da[j]
             labels[(i, j)] = frozenset(
                 h
                 for h in improvable
@@ -359,7 +359,7 @@ def test_envy_scans_match_pairwise_definitions_many_to_one():
         for matching in (random_feasible(rng, problem), serial_dictatorship(rng, problem)):
             found = [(v.victim, v.occupant, v.school) for v in violations(problem, matching)]
             assert sorted(found) == sorted(oracle.violations_scan(problem, matching))
-            taken = [matching.assignment.count(s) for s in range(problem.n_schools)]
+            taken = [matching.count(s) for s in range(problem.n_schools)]
             wasteful = any(
                 taken[s] < problem.quotas[s] and envies(problem, matching, i, s)
                 for i in range(problem.n_students)
@@ -383,7 +383,7 @@ def improvable_labels(problem):
     edges = pairwise_edges(problem, da)
     improvable = on_cycle(edges)
     return {
-        (i, da.assignment[j]): label
+        (i, da[j]): label
         for (i, j), label in labels_by_definition(problem, da, edges, improvable).items()
         if i in improvable
     }
@@ -399,7 +399,7 @@ def refinement_by_definition(problem, label, mu_star, b_star):
     members = sorted(b_star)
     current = mu_star
     while True:
-        seats = current.assignment
+        seats = current
         adj = {
             i: [
                 j
@@ -431,9 +431,9 @@ def test_refinement_matches_the_label_definition():
         cases = [(start, members) for start in (mu_star, da) for members in (b_star, some)]
         if b_star:
             gone = rng.choice(sorted(b_star))
-            seats = list(mu_star.assignment)
+            seats = list(mu_star)
             seats[gone] = NULL_SCHOOL
-            cases.append((Matching(tuple(seats)), b_star))
+            cases.append((tuple(seats), b_star))
             unseated += 1
         for start, members in cases:
             expected = refinement_by_definition(problem, label, start, members)
@@ -519,8 +519,8 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
 
     monkeypatch.setattr("matchlab.model._last_problem", None)
     again = load_fixture("ex1")
-    assert da_context(again)[1] is not da_context(problem)[1]
-    assert da_context(again)[1] == da_context(problem)[1]
+    assert da_context(again) is not da_context(problem)
+    assert da_context(again) == da_context(problem)
     assert calls == {"run_da": 2, "build_envy": 2}
 
     monkeypatch.setattr("matchlab.model._last_problem", None)
@@ -562,7 +562,7 @@ def test_verdict_reads_rosters_and_envy_once(monkeypatch):
     # or on DA itself, builds one roster list, walks envy once and peels the
     # envy graph once for its Pareto verdict.  Neither searches for cycles.
     problem = load_fixture("ex1")
-    da = da_context(problem)[0]
+    da = da_context(problem).seats
     plus = run_sjbc_plus(problem)
     assert plus != da
     calls = {}

@@ -21,7 +21,7 @@ from conftest import matching_by_name, mixed_markets, names_of
 
 def cutoff_student(problem, da_matching, school):
     """The lowest-priority student assigned to ``school``."""
-    occupants = [i for i, s in enumerate(da_matching.assignment) if s == school]
+    occupants = [i for i, s in enumerate(da_matching) if s == school]
     if not occupants:
         raise InputError(f"school {problem.schools[school]} has no occupants")
     return max(occupants, key=lambda i: priority_rank_of(problem, school, i))
@@ -33,7 +33,7 @@ def below_cutoff_set(problem, da_matching, improvable, school):
     school rejected no improvable student during DA, which raises."""
     prio = problem._prio_rank[school]
     cutoff = prio[cutoff_student(problem, da_matching, school)]
-    envious = envied(problem, da_matching.assignment)[school]
+    envious = envied(problem, da_matching)[school]
     out = {i for i in envious if i in improvable and prio[i] > cutoff}
     if not out:
         raise InputError(f"school {problem.schools[school]} rejected no improvable student")
@@ -133,9 +133,9 @@ def test_run_jbc_exd(exd):
 def test_strongly_justifiable_family_ex1(ex1):
     da, _ = run_da(ex1)
     family = strongly_justifiable_family(ex1)
-    keys = {m.assignment for m in family}
+    keys = set(family)
     jbc_matching, _ = run_jbc(ex1)
-    assert keys == {da.assignment, jbc_matching.assignment}
+    assert keys == {da, jbc_matching}
 
 
 def test_strongly_justifiable_family_no_cycles():
@@ -147,7 +147,7 @@ def test_strongly_justifiable_family_no_cycles():
         priorities=((0, 1), (0, 1)),
     )
     da, _ = run_da(problem)
-    assert [m.assignment for m in strongly_justifiable_family(problem)] == [da.assignment]
+    assert list(strongly_justifiable_family(problem)) == [da]
 
 
 def test_strongly_justifiable_family_cardinality_seed7():
@@ -155,7 +155,7 @@ def test_strongly_justifiable_family_cardinality_seed7():
     family = strongly_justifiable_family(problem)
     _, graph = run_jbc(problem)
     assert len(family) == 2 ** len(graph.cycles)
-    assert len({m.assignment for m in family}) == len(family)
+    assert len(set(family)) == len(family)
 
 
 def test_jbc_outcome_properties_random():
@@ -217,7 +217,7 @@ def test_jbc_entrant_is_best_below_cutoff_student():
             below = below_cutoff_set(problem, da, digraph.improvable, s)
             best = min(below, key=lambda i: priority_rank_of(problem, s, i))
             assert graph.jbc_student[s] == best
-            assert graph.succ[s] == da.assignment[best]
+            assert graph.succ[s] == da[best]
             entered += 1
         on_cycles = {s for s in graph.succ if s in walk_from(graph.succ, graph.succ[s])}
         assert {s for cycle in graph.cycles for s in cycle} == on_cycles

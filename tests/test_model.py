@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import matchlab
-from matchlab import analysis, cli, eada, sjbc_plus
+from matchlab import analysis, cli, eada, oracle, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
-from matchlab.eada import run_eada
+from matchlab.eada import eada_orbit, run_eada
 from matchlab.envy import LabelledEnvyDigraph, da_context, packing_label
 from matchlab.fixtures import fixture_path
 from matchlab.model import (
@@ -20,11 +20,13 @@ from matchlab.model import (
     INCOMPARABLE,
     NULL_SCHOOL,
     InputError,
-    Matching,
     Problem,
     _instance_digest,
+    _rosters,
+    check_feasible,
     dump_matching,
     is_nonwasteful,
+    load_matching,
     load_problem,
     matching_from_dict,
     matching_to_dict,
@@ -35,11 +37,12 @@ from matchlab.model import (
     envied,
     rank_of,
     respects_priorities_of,
+    trade,
     violations,
 )
 from matchlab.da import run_da
-from matchlab.jbc import run_jbc
-from matchlab.simgen import GenConfig, gen_instance
+from matchlab.jbc import run_jbc, strongly_justifiable_family
+from matchlab.simgen import GenConfig, gen_instance, run_experiment
 from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 
 from conftest import matching_by_name, random_market
@@ -96,7 +99,7 @@ def test_violations_mu_j_exnoeff(exnoeff):
 
 
 def test_violations_rejects_infeasible(ex1):
-    overfull = Matching((0, 0, 0, 0, 0, 0, 0))
+    overfull = (0, 0, 0, 0, 0, 0, 0)
     with pytest.raises(InputError):
         violations(ex1, overfull)
 
@@ -133,10 +136,10 @@ def test_is_nonwasteful_matches_direct_scan():
     for _ in range(25):
         perm = list(range(5))
         rng.shuffle(perm)
-        m = Matching(tuple(perm))
+        m = tuple(perm)
         free = [q - sum(1 for s in perm if s == sc) for sc, q in enumerate(problem.quotas)]
         expected = not any(
-            free[s] > 0 and rank_of(problem, i, s) < rank_of(problem, i, m.assignment[i])
+            free[s] > 0 and rank_of(problem, i, s) < rank_of(problem, i, m[i])
             for i in range(5)
             for s in range(5)
         )
@@ -170,7 +173,7 @@ def test_pareto_compare_is_an_order_on_random_triples():
     for _ in range(12):
         perm = list(range(5))
         rng.shuffle(perm)
-        matchings.append(Matching(tuple(perm)))
+        matchings.append(tuple(perm))
     for a, b, c in itertools.product(matchings, repeat=3):
         ab, ba = pareto_compare(problem, a, b), pareto_compare(problem, b, a)
         flip = {A_DOMINATES: B_DOMINATES, B_DOMINATES: A_DOMINATES}
@@ -189,7 +192,7 @@ def test_violations_empty_iff_respects_everyone():
         problem = gen_instance(cfg, 0)
         perm = list(range(5))
         rng.shuffle(perm)
-        m = Matching(tuple(perm))
+        m = tuple(perm)
         assert (violations(problem, m) == []) == respects_priorities_of(
             problem, m, range(5)
         )
@@ -298,7 +301,7 @@ def test_matching_file_round_trip_and_stability(ex1):
     assert again == m
     # omitted students mean unassigned
     partial = matching_from_dict(ex1, {"assignment": {"i1": "s4"}})
-    assert partial.assignment[ex1.student_id("i2")] == NULL_SCHOOL
+    assert partial[ex1.student_id("i2")] == NULL_SCHOOL
 
 
 def instance_dict(**fields):
@@ -541,20 +544,21 @@ EXTRA_VALUES = {
     ("decompose_as_packing", "matching"): lambda p: [run_da(p)[0]],
 }
 
-# Every public function, priority_rank_of, the checked accessor that the
-# package root does not export, and the digraph's has_edge.
+# Every public function, priority_rank_of and check_feasible, the checked
+# accessors that the package root does not export, and the digraph's has_edge.
 ENTRIES = {
     name: getattr(matchlab, name)
     for name in matchlab.__all__
     if inspect.isfunction(getattr(matchlab, name))
 }
 ENTRIES["priority_rank_of"] = priority_rank_of
+ENTRIES["check_feasible"] = check_feasible
 
 
 def _has_edge(problem, i, j):
     """``LabelledEnvyDigraph.has_edge`` on the problem's DA digraph: a
     public method that takes ids."""
-    return da_context(problem)[1].has_edge(i, j)
+    return da_context(problem).has_edge(i, j)
 
 
 ENTRIES["LabelledEnvyDigraph.has_edge"] = _has_edge
@@ -624,7 +628,7 @@ def _with_id(slot, value, x):
     if slot == "cycles":
         return ((x,) + value[0][1:],) + value[1:]
     if slot == "matching":
-        return Matching(_put(value.assignment, 1, x))
+        return _put(value, 1, x)
     return x
 
 
@@ -635,14 +639,15 @@ def _ids_as(slot, value, spell):
     if slot == "cycles":
         return tuple(tuple(map(spell, c)) for c in value)
     if slot == "matching":
-        return Matching(tuple(map(spell, value.assignment)))
+        return tuple(map(spell, value))
     return spell(value)
 
 
 def _plain(result, name):
-    """``result``, asserting that a returned matching holds plain ints in a tuple."""
-    if isinstance(result, Matching):
-        assert type(result.assignment) is tuple and all(type(s) is int for s in result.assignment), name
+    """``result``, asserting that a returned matching, a tuple of seats,
+    holds plain ints."""
+    if isinstance(result, tuple) and all(hasattr(s, "__index__") for s in result):
+        assert type(result) is tuple and all(type(s) is int for s in result), name
     return result
 
 
@@ -658,9 +663,10 @@ def _answer(call, name, value):
 def test_entries_take_ids_by_one_rule(ex1, entry):
     # Every id slot of every entry refuses a float, None, a bool, a negative
     # id and one past the end with InputError, a collection slot refuses a
-    # non-collection, and each entry answers numpy integers and ids that
-    # only __index__ reads as plain ints.  A matching slot answers its
-    # assignment as a list or a numpy array as it answers the tuple.
+    # non-collection and a matching slot a non-sequence, and each entry
+    # answers numpy integers and ids that only __index__ reads as plain ints.
+    # A matching slot answers its seats passed straight as a list or a numpy
+    # array as it answers the tuple.
     past = {"student": ex1.n_students, "school": ex1.n_schools, "quota": 0, "replication": 2**64}
     if entry in PROBLEM_ROWS:
         kind, valid, build = PROBLEM_ROWS[entry]
@@ -703,6 +709,11 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
             with pytest.raises(InputError) as exc:
                 call(name, 5)
             assert str(exc.value) == f"{name} must be a collection of student ids"
+        if slot == "matching":
+            for bad in (5, None):
+                with pytest.raises(InputError) as exc:
+                    call(name, bad)
+                assert str(exc.value) == "matching must be a sequence of school ids", name
         # each valid argument is answered, and answered alike when spelled otherwise
         for value in (args[name], *EXTRA_VALUES.get((entry, name), lambda p: [])(ex1)):
             expected = _plain(call(name, value), name)
@@ -715,8 +726,8 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
             unseated = _with_id(slot, args[name], NULL_SCHOOL)
             outright = _plain(call(name, args[name]), name)  # the valid argument raises nothing
             for value, plain in ((args[name], outright), (unseated, _answer(call, name, unseated))):
-                for assignment in (list(value.assignment), np.array(value.assignment)):
-                    assert _answer(call, name, Matching(assignment)) == plain, name
+                for seats in (list(value), np.array(value)):
+                    assert _answer(call, name, seats) == plain, name
             numpy_unseated = _ids_as(slot, unseated, np.int64)
             index_unseated = _with_id(slot, args[name], IndexOnly(NULL_SCHOOL))
             for spelled in (numpy_unseated, index_unseated):
@@ -725,16 +736,16 @@ def test_entries_take_ids_by_one_rule(ex1, entry):
 
 @pytest.mark.parametrize("name", ["exnoeff", "explus", "exd", "exe"])
 def test_a_null_seat_that_only_index_reads_is_unseated(request, name):
-    # Such a seat once put its student on the last school's roster, in
-    # Matching.rosters too, so she
+    # Such a seat once put its student on the last school's roster, in the
+    # rosters read off check_feasible's seats too, so she
     # was named the occupant of blocking triples there; ex1, the market of
     # the test above, has no envier of its last school to show it.
     problem = request.getfixturevalue(name)
-    seats = run_sjbc_plus(problem).assignment
+    seats = run_sjbc_plus(problem)
     for k in range(problem.n_students):
-        plain, spelled = Matching(_put(seats, k, NULL_SCHOOL)), Matching(_put(seats, k, IndexOnly(NULL_SCHOOL)))
+        plain, spelled = _put(seats, k, NULL_SCHOOL), _put(seats, k, IndexOnly(NULL_SCHOOL))
         assert violations(problem, spelled) == violations(problem, plain)
-        assert spelled.rosters(problem) == plain.rosters(problem)
+        assert _rosters(problem, check_feasible(problem, spelled)) == _rosters(problem, check_feasible(problem, plain))
 
 
 def test_rows_are_kept_as_tuples(ex1):
@@ -772,14 +783,74 @@ def test_names_and_completed_ids_are_kept_checked():
 
 
 def test_matching_keeps_a_tuple(ex1):
-    # A list or numpy assignment is kept as a tuple: the matching equals and
-    # hashes like the one built from the tuple, and holds no mutable value.
+    # A list, numpy or iterator matching is read as a tuple: its checked
+    # seats equal and hash like the tuple's, and hold no mutable value.
     m = run_sjbc_plus(ex1)
-    for assignment in (list(m.assignment), np.array(m.assignment), iter(m.assignment)):
-        other = Matching(assignment)
-        assert type(other.assignment) is tuple
+    for seats in (list(m), np.array(m), iter(m)):
+        other = check_feasible(ex1, seats)
+        assert type(other) is tuple and all(type(s) is int for s in other)
         assert other == m and hash(other) == hash(m)
         assert dump_matching(ex1, other) == dump_matching(ex1, m)
+
+
+def test_entries_return_matchings_as_tuples_of_plain_ints(ex1, tmp_path):
+    # A matching is its seats: every public entry that returns one returns a
+    # tuple of plain ints, for a problem built from numpy or list rows and
+    # for a matching given as a list or a numpy array.
+    numpy = _rebuilt(ex1, prefs=[np.array(row) for row in ex1.prefs], priorities=list(np.array(ex1.priorities)))
+    listed = _rebuilt(ex1, prefs=list(map(list, ex1.prefs)), priorities=list(map(list, ex1.priorities)))
+    for problem in (numpy, listed):
+        plus = run_sjbc_plus(problem)
+        expanded, b_star = run_expansion(problem)
+        outcome, run = run_eada(problem, np.arange(problem.n_students))
+        assert run.iterations
+        path = tmp_path / "plus.json"
+        path.write_text(dump_matching(problem, plus), encoding="utf-8")
+        report = oracle.oracle_report(problem)
+        returned = {
+            "run_da": [run_da(problem)[0]],
+            "run_jbc": [run_jbc(problem)[0]],
+            "run_expansion": [expanded],
+            "run_refinement": [run_refinement(problem, seats, b_star) for seats in (list(expanded), np.array(expanded))]
+            + [run_refinement(problem, np.array(plus), b_star)],  # no cycle trades
+            "run_sjbc_plus": [plus],
+            "run_eada": [outcome],
+            "EadaIteration.matching": [it.matching for it in run.iterations],
+            "eada_orbit": list(eada_orbit(problem).values()),
+            "strongly_justifiable_family": strongly_justifiable_family(problem),
+            "trade": [trade(list(plus), {}), trade(list(plus), {0: 0})],
+            "matching_from_dict": [matching_from_dict(problem, json.loads(path.read_text(encoding="utf-8")))],
+            "load_matching": [load_matching(problem, path)],
+            "enumerate_matchings": list(oracle.enumerate_matchings(problem)),
+            "OracleReport": [report.da, *report.matchings, *report.dominating, *report.justifiable_family]
+            + [*report.strongly_justifiable_family, *report.justifiable_and_efficient, *report.pareto_family],
+        }
+        for entry, matchings in returned.items():
+            assert matchings, entry
+            for m in matchings:
+                assert type(m) is tuple and len(m) == problem.n_students, entry
+                assert all(type(s) is int for s in m), entry
+        assert returned["run_refinement"][2] == plus
+
+
+def test_jobs_and_budget_follow_the_integer_rule(ex1):
+    # GenConfig's rule: an integer that operator.index accepts, not a bool,
+    # is kept as its index value; anything else is refused by name.
+    cfg = GenConfig(n=4, model="iid", replications=2, seed=5)
+    for bad in (1.5, 2.0, "2", None, True):
+        with pytest.raises(InputError, match="^jobs must be an integer$"):
+            run_experiment(cfg, jobs=bad)
+        with pytest.raises(InputError, match="^budget must be an integer$"):
+            oracle.oracle_report(ex1, budget=bad)
+        with pytest.raises(InputError, match="^budget must be an integer$"):
+            oracle.enumerate_matchings(ex1, budget=bad)  # checked once, when called
+    assert run_experiment(cfg, jobs=np.int64(1)) == run_experiment(cfg, jobs=1)
+    with pytest.raises(InputError, match="^jobs must be at least 1$"):
+        run_experiment(cfg, jobs=np.int64(0))
+    numpy, plain = oracle.oracle_report(ex1, budget=np.int64(oracle.BUDGET)), oracle.oracle_report(ex1)
+    assert (numpy.matchings, numpy.claims) == (plain.matchings, plain.claims)
+    with pytest.raises(InputError, match="^enumeration budget of 50 exceeded$"):
+        list(oracle.enumerate_matchings(ex1, budget=np.int64(50)))
 
 
 def test_numpy_rows_give_plain_ints(ex1):
@@ -820,7 +891,7 @@ def test_cannot_happen_errors_name_their_instance(ex1, monkeypatch):
          ex1, lambda: reassignment_chain(ex1, jbc_matching, i7, s4), "chain failed to terminate"),
         # a DA outcome in which each student sits where the other wants to be,
         # with a digraph in which each desires the other's seat
-        (eada, "da_context", lambda problem: (Matching((1, 0)), crossed_digraph),
+        (eada, "da_context", lambda problem: crossed_digraph,
          crossed, lambda: run_eada(crossed, {0, 1}), "a layer fixed no student"),
     ]
     for module, name, broken, problem, run, message in sites:

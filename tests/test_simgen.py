@@ -1,12 +1,13 @@
 import hashlib
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from matchlab import analysis, eada, simgen, sjbc_plus
 from matchlab.envy import da_context
-from matchlab.model import NULL_SCHOOL, InputError, Matching, rank_of, violations
+from matchlab.model import NULL_SCHOOL, InputError, rank_of, violations
 from matchlab.simgen import (
     GenConfig,
     draw_instance_and_consent,
@@ -178,17 +179,18 @@ def test_sjbc_beneficiaries_dominate_jbc_per_instance():
 def reference_evaluate(problem, consent):
     """The simulation's metrics as first defined: bounds-checked ``rank_of``,
     ``violations`` and ``analysis.is_pareto_efficient`` on each outcome."""
-    da_matching, digraph = da_context(problem)
+    digraph = da_context(problem)
+    da_matching = digraph.seats
     outcomes = {
         "da": da_matching,
         "eada_full": eada.run_eada(problem, range(problem.n_students))[0],
         "eada_half": eada.run_eada(problem, consent)[0],
         "sjbc_plus": sjbc_plus.run_sjbc_plus(problem),
     }
-    da_ranks = [rank_of(problem, i, da_matching.assignment[i]) for i in range(problem.n_students)]
+    da_ranks = [rank_of(problem, i, da_matching[i]) for i in range(problem.n_students)]
     values = {}
     for name, matching in outcomes.items():
-        ranks = [rank_of(problem, i, matching.assignment[i]) for i in range(problem.n_students)]
+        ranks = [rank_of(problem, i, matching[i]) for i in range(problem.n_students)]
         gainers = {i for i in range(problem.n_students) if ranks[i] < da_ranks[i]}
         justifiable = all(
             v.victim not in digraph.improvable or v.victim in gainers
@@ -224,10 +226,10 @@ def test_evaluate_instance_rejects_infeasible_before_wasteful(monkeypatch, outco
     problem, consent = draw_instance_and_consent(GenConfig(n=8, model="iid", replications=1, seed=3), 0)
     # two students at a unit-quota school, the rest unassigned and every seat
     # elsewhere wasted
-    crowded = Matching((0, 0) + (NULL_SCHOOL,) * (problem.n_students - 2))
+    crowded = (0, 0) + (NULL_SCHOOL,) * (problem.n_students - 2)
     if outcome == "da":
-        digraph = da_context(problem)[1]
-        monkeypatch.setattr(simgen, "da_context", lambda p: (crowded, digraph))
+        digraph = da_context(problem)
+        monkeypatch.setattr(simgen, "da_context", lambda p: replace(digraph, seats=crowded))
     elif outcome == "eada":
         monkeypatch.setattr(eada, "run_eada", lambda p, c: (crowded, None))
     else:
@@ -239,10 +241,10 @@ def test_evaluate_instance_rejects_infeasible_before_wasteful(monkeypatch, outco
 @pytest.mark.parametrize("outcome", ["da", "eada", "sjbc_plus"])
 def test_evaluate_instance_rejects_wasteful_outcome(monkeypatch, outcome):
     problem, consent = draw_instance_and_consent(GenConfig(n=8, model="iid", replications=1, seed=3), 0)
-    nobody = Matching((NULL_SCHOOL,) * problem.n_students)  # complete lists: all seats wasted
+    nobody = (NULL_SCHOOL,) * problem.n_students  # complete lists: all seats wasted
     if outcome == "da":
-        digraph = da_context(problem)[1]
-        monkeypatch.setattr(simgen, "da_context", lambda p: (nobody, digraph))
+        digraph = da_context(problem)
+        monkeypatch.setattr(simgen, "da_context", lambda p: replace(digraph, seats=nobody))
     elif outcome == "eada":
         monkeypatch.setattr(eada, "run_eada", lambda p, c: (nobody, None))
     else:

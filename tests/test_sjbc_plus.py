@@ -13,7 +13,6 @@ from matchlab.jbc import run_jbc
 from matchlab.model import (
     A_DOMINATES,
     InputError,
-    Matching,
     Problem,
     matching_to_dict,
     pareto_compare,
@@ -77,7 +76,7 @@ def from_scratch_step(problem, state):
     every ``ahead`` item, the whole admissible adjacency and the cost matrix
     filled edge by edge.  Returns the next state, its adjacency and the
     matrix solved."""
-    _, digraph = da_context(problem)
+    digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
     allowed = []
     for leading, ahead in zip(digraph.contenders, digraph.ahead):
@@ -184,10 +183,10 @@ def test_run_refinement_rejects_malformed_input(ex1):
     # The seats pass check_feasible and the beneficiaries must be students,
     # checked once at entry: nothing comes back unchanged or as an IndexError.
     mu_star, b_star = run_expansion(ex1)
-    crowded = Matching((0,) * ex1.n_students)
+    crowded = (0,) * ex1.n_students
     cases = (
         (crowded, b_star, "over quota"),
-        (Matching(mu_star.assignment[:-1]), b_star, "matching length"),
+        (mu_star[:-1], b_star, "matching length"),
         (mu_star, b_star | {99}, "invalid student id 99"),
     )
     for seats, members, text in cases:
@@ -275,7 +274,7 @@ def admissible_edges(problem, da, improvable, matching, gainers):
     for i in gainers:
         edges[i] = []
         for j in gainers:
-            school = matching.assignment[j]
+            school = matching[j]
             if j == i or not envies(problem, matching, i, school):
                 continue
             if school not in enviers:
