@@ -7,10 +7,13 @@ to take that seat.  Students lying on directed cycles are exactly the ones
 that some Pareto improvement over the input matching can help.
 
 Envy comes from ``model.envied``, which walks each student's preference
-prefix above her own seat, so it costs O(sum of ranks), not O(n^2).  Cycles
-are searched on the student -> school graph (the pointing graph of top
-trading cycles), one edge per envy pair; with quotas above one an edge i -> j
-targets a seat, one per occupant, and ``edges`` spells those out on demand.
+prefix above her own seat, so it costs O(sum of ranks), not O(n^2).
+``on_envy_cycle`` searches for cycles on the student -> school graph (the
+pointing graph of top trading cycles), one edge per envy pair, reversed and
+fed to csgraph straight from the seats and the envy lists: student i is node
+i and points at node n + seats[i], school s is node n + s and points at its
+enviers.  With quotas above one an edge i -> j targets a seat, one per
+occupant, and ``edges`` spells those out on demand.
 
 A label depends only on the target's school, and every label is a prefix of
 one list per school: its *contenders*, the improvable students who envy it,
@@ -122,28 +125,21 @@ def successor_cycles(succ: dict[int, int]) -> tuple[tuple[int, ...], ...]:
     return canonical_packing(cycles)
 
 
-def cycle_members(n: int, edges) -> frozenset[int]:
-    """The nodes of ``range(n)`` on a directed cycle of the loop-free graph
-    ``edges`` (node -> iterable of targets): its strong components of two or
-    more."""
-    targets = [edges.get(v, ()) for v in range(n)]
-    indptr = np.zeros(n + 1, dtype=np.int32)
+def on_envy_cycle(seats, envious) -> frozenset[int]:
+    """The students on an envy cycle at ``seats``, where ``envious[s]``
+    lists who envies school s: the students in strong components of two or
+    more of the reversed student -> school graph.  Student i < n is node i
+    and points at node ``n + seats[i]``; school s is node ``n + s`` and
+    points at its enviers."""
+    n = len(seats)
+    targets = [(n + s,) if s != NULL_SCHOOL else () for s in seats] + envious
+    indptr = np.zeros(len(targets) + 1, dtype=np.int32)
     np.cumsum([len(t) for t in targets], out=indptr[1:])
     indices = np.fromiter((w for t in targets for w in t), dtype=np.int32, count=indptr[-1])
     # float64 weights and int32 indices are csgraph's own types: no conversion
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(targets),) * 2)
     _, component = connected_components(graph, directed=True, connection="strong")
-    return frozenset(np.flatnonzero(np.bincount(component)[component] >= 2).tolist())
-
-
-def on_envy_cycle(seats, envious) -> frozenset[int]:
-    """The students on an envy cycle at ``seats``; ``envious[s]`` lists who
-    envies school s.  On the reversed student -> school graph, school s is
-    node ``n + s`` and points at its enviers, a student at her seat."""
-    n = len(seats)
-    edges = {n + s: students for s, students in enumerate(envious)}
-    edges.update((i, (n + s,)) for i, s in enumerate(seats) if s != NULL_SCHOOL)
-    return frozenset(v for v in cycle_members(n + len(envious), edges) if v < n)
+    return frozenset(np.flatnonzero(np.bincount(component)[component[:n]] >= 2).tolist())
 
 
 def build_envy(problem: Problem) -> LabelledEnvyDigraph:

@@ -591,11 +591,12 @@ def matching_from_dict(problem: Problem, data: dict) -> tuple[int, ...]:
 
 
 def matching_to_dict(problem: Problem, matching) -> dict:
-    # Students at the null school are omitted; absence means unassigned.
+    # The seats check_feasible returns; students at the null school are
+    # omitted, and absence means unassigned.
     return {
         "assignment": {
             problem.students[i]: problem.schools[s]
-            for i, s in enumerate(matching)
+            for i, s in enumerate(check_feasible(problem, matching))
             if s != NULL_SCHOOL
         }
     }
@@ -606,5 +607,6 @@ def load_matching(problem: Problem, path) -> tuple[int, ...]:
 
 
 def dump_matching(problem: Problem, matching) -> str:
-    """Byte-stable JSON text for a matching (sorted keys, trailing newline)."""
+    """Byte-stable JSON text for a feasible matching (sorted keys, trailing
+    newline); ``InputError`` as ``check_feasible`` raises it otherwise."""
     return json.dumps(matching_to_dict(problem, matching), sort_keys=True, indent=2) + "\n"

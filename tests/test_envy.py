@@ -17,9 +17,9 @@ from matchlab.eada import run_eada
 from matchlab.envy import (
     build_envy,
     canonical_packing,
-    cycle_members,
     da_context,
     decompose_as_packing,
+    on_envy_cycle,
     packing_label,
 )
 from matchlab.fixtures import load_fixture
@@ -37,8 +37,12 @@ def label_names(problem, digraph, a, b):
 
 
 def test_scc_basic():
-    edges = {0: (1,), 1: (2,), 2: (0,), 3: (1,), 4: ()}
-    assert cycle_members(5, edges) == {0, 1, 2}
+    # Students 0, 1, 2 sit at schools 0, 1, 2 and envy around a 3-cycle;
+    # student 3 envies into it from school 3, which nobody envies, and
+    # student 4 is unseated and envies school 2.
+    seats = (0, 1, 2, 3, NULL_SCHOOL)
+    envious = [[2], [0, 3], [1, 4], []]
+    assert on_envy_cycle(seats, envious) == {0, 1, 2}
 
 
 def test_ex1_labels_and_improvable(ex1):
@@ -478,17 +482,31 @@ def test_packing_label_rejects_non_edges(ex1):
             packing_label(ex1, (cycle,))
 
 
-def test_cycle_members_match_reachability():
+def test_envy_cycles_match_reachability():
+    # Random seats and envy lists, with unseated students, several students
+    # per school and schools that nobody envies, against a plain search of
+    # the student -> student envy graph: i -> j when i envies j's school.
     rng = random.Random(2033)
+    unseated = shared = unenvied = cyclic = 0
     for _ in range(500):
-        n = rng.randint(0, 12)
-        density = rng.random() / 2
+        n, m = rng.randint(0, 12), rng.randint(1, 6)
+        seats = tuple(rng.randrange(NULL_SCHOOL, m) for _ in range(n))
+        density = rng.random()
+        envious = [
+            [i for i in range(n) if seats[i] != s and rng.random() < density] if rng.random() < 0.8 else []
+            for s in range(m)
+        ]
         edges = {
-            v: tuple(w for w in range(n) if w != v and rng.random() < density)
-            for v in range(n)
-            if rng.random() < 0.9
+            i: tuple(j for j in range(n) if seats[j] != NULL_SCHOOL and i in envious[seats[j]])
+            for i in range(n)
         }
-        assert cycle_members(n, edges) == on_cycle(edges)
+        members = on_envy_cycle(seats, envious)
+        assert members == on_cycle(edges)
+        unseated += NULL_SCHOOL in seats
+        shared += len({s for s in seats if s != NULL_SCHOOL}) < n - seats.count(NULL_SCHOOL)
+        unenvied += [] in envious
+        cyclic += bool(members)
+    assert min(unseated, shared, unenvied, cyclic) > 100
 
 
 def test_da_context_is_built_once_per_problem(monkeypatch):
@@ -546,12 +564,12 @@ def test_da_context_is_built_once_per_problem(monkeypatch):
     # EADA runs climb after deleting pairs.  It searches for envy cycles once,
     # for the context, and peels the envy graph once per outcome's Pareto
     # verdict, DA's included.
-    calls["run_da"] = calls["cycle_members"] = calls["peel"] = 0
-    monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
+    calls["run_da"] = calls["on_envy_cycle"] = calls["peel"] = 0
+    monkeypatch.setattr("matchlab.envy.on_envy_cycle", counted("on_envy_cycle", on_envy_cycle))
     monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
     sim, consent = draw_instance_and_consent(GenConfig(n=20, model="iid", replications=1, seed=7), 0)
     evaluate_instance(sim, consent)
-    loops, searches, peels = calls["run_da"], calls["cycle_members"], calls["peel"]
+    loops, searches, peels = calls["run_da"], calls["on_envy_cycle"], calls["peel"]
     climbs = sum(len(run_eada(sim, c)[1].iterations) for c in (range(sim.n_students), consent))
     assert climbs > 0 and loops == 1
     assert searches == 1 and peels == 4
@@ -576,9 +594,9 @@ def test_verdict_reads_rosters_and_envy_once(monkeypatch):
 
     monkeypatch.setattr("matchlab.model.envied", counted("envied", envied))
     monkeypatch.setattr("matchlab.model._rosters", counted("rosters", _rosters))
-    monkeypatch.setattr("matchlab.envy.cycle_members", counted("cycle_members", cycle_members))
+    monkeypatch.setattr("matchlab.envy.on_envy_cycle", counted("on_envy_cycle", on_envy_cycle))
     monkeypatch.setattr("matchlab.analysis._pareto_efficient", counted("peel", _pareto_efficient))
     for matching in (plus, da):
-        calls.update(envied=0, rosters=0, cycle_members=0, peel=0)
+        calls.update(envied=0, rosters=0, on_envy_cycle=0, peel=0)
         is_justifiable(problem, matching)
-        assert calls == {"envied": 1, "rosters": 1, "cycle_members": 0, "peel": 1}
+        assert calls == {"envied": 1, "rosters": 1, "on_envy_cycle": 0, "peel": 1}

@@ -304,6 +304,24 @@ def test_matching_file_round_trip_and_stability(ex1):
     assert partial[ex1.student_id("i2")] == NULL_SCHOOL
 
 
+def test_matching_files_are_written_only_for_feasible_matchings(ex1):
+    # A matching is judged before it is written: a short one, one over a
+    # quota and one naming no school are refused, not written or half written.
+    refused = {
+        (0,): "matching length does not match student count",
+        (0,) * 7: "school s1 over quota (7 > 1)",
+        (99,) * 7: "invalid school id 99",
+    }
+    for matching, text in refused.items():
+        for write in (dump_matching, matching_to_dict):
+            with pytest.raises(InputError) as exc:
+                write(ex1, matching)
+            assert str(exc.value) == text
+    # DA's seats as a numpy array are written as the tuple is
+    da = run_da(ex1)[0]
+    assert dump_matching(ex1, np.array(da)) == dump_matching(ex1, da)
+
+
 def instance_dict(**fields):
     data = {
         "students": ["a", "b"],
@@ -544,8 +562,9 @@ EXTRA_VALUES = {
     ("decompose_as_packing", "matching"): lambda p: [run_da(p)[0]],
 }
 
-# Every public function, priority_rank_of and check_feasible, the checked
-# accessors that the package root does not export, and the digraph's has_edge.
+# Every public function; priority_rank_of, check_feasible, matching_to_dict
+# and dump_matching, the checked entries that the package root does not
+# export; and the digraph's has_edge.
 ENTRIES = {
     name: getattr(matchlab, name)
     for name in matchlab.__all__
@@ -553,6 +572,8 @@ ENTRIES = {
 }
 ENTRIES["priority_rank_of"] = priority_rank_of
 ENTRIES["check_feasible"] = check_feasible
+ENTRIES["matching_to_dict"] = matching_to_dict
+ENTRIES["dump_matching"] = dump_matching
 
 
 def _has_edge(problem, i, j):
