@@ -29,8 +29,10 @@ SJBC+ applies that rule in both its phases (``sjbc_plus._reach``).
 
 A cycle packing, the vertex-disjoint student cycles of a seat exchange, is
 the tuple of its cycles as ``canonical_packing`` spells them.
-``decompose_as_packing`` recovers it from a matching and ``packing_label``
-reads its label.
+``decompose_as_packing`` recovers it from a matching by its movers, the
+students whose seat differs from DA's: sorted by (new seat, id) and by (old
+seat, id) they must give the same seats, and the k-th of the first order
+takes the seat of the k-th of the second.  ``packing_label`` reads its label.
 
 Every mechanism and verdict reads the digraph of the DA outcome through
 ``da_context``, which builds it once per problem.
@@ -181,14 +183,16 @@ def da_context(problem: Problem) -> LabelledEnvyDigraph:
 def packing_label(problem: Problem, packing) -> frozenset[int]:
     """Union of the labels of all traded edges of the DA envy digraph: per
     entered school, the contenders that outrank its lowest-priority entrant.
-    ``packing`` is any iterable of student cycles; a member that is not a
-    student id raises ``InputError``."""
-    cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing]
+    ``packing`` is any iterable of student cycles; a packing or cycle that is
+    not iterable, or a member that is not a student id, raises ``InputError``."""
+    try:
+        cycles = [_check_ids("student", cycle, range(problem.n_students)) for cycle in packing]
+    except TypeError:
+        raise InputError("packing is not an iterable of student cycles") from None
     digraph = da_context(problem)
     deepest: dict[int, int] = {}
     for cycle in cycles:
-        for pos, i in enumerate(cycle):
-            j = cycle[(pos + 1) % len(cycle)]
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
             if not digraph.has_edge(i, j):
                 raise InputError("packing uses an edge outside the digraph")
             school = digraph.seats[j]
@@ -204,29 +208,19 @@ def decompose_as_packing(problem: Problem, matching):
     matching does not arise from trading seats along envy edges: some mover
     fails to strictly improve, or the movers do not permute the occupied
     seats school by school.  DA's own packing ``()`` is falsy, so callers
-    test ``is None``.  Which occupant a mover
-    displaces is ambiguous for quotas above one; entrants and leavers are
-    paired in ascending id order, which never changes edge labels.
+    test ``is None``.  Which occupant a mover displaces is ambiguous for
+    quotas above one; the k-th arrival by (new seat, id) takes the seat of
+    the k-th departure by (old seat, id), so a school's entrants and leavers
+    pair in ascending id order, which never changes edge labels.
     """
     after, before = check_feasible(problem, matching), da_context(problem).seats
-    entrants: dict[int, list[int]] = {}
-    leavers: dict[int, list[int]] = {}
-    for i, (old, new) in enumerate(zip(before, after)):
-        if old == new:
-            continue
-        if old == NULL_SCHOOL or new == NULL_SCHOOL:
-            return None
-        if problem._pref_rank[i][new] >= problem._pref_rank[i][old]:
-            return None
-        entrants.setdefault(new, []).append(i)
-        leavers.setdefault(old, []).append(i)
-    if set(entrants) != set(leavers):
+    movers = [i for i, (old, new) in enumerate(zip(before, after)) if old != new]
+    # DA seats each student at a school she lists, so a mover to or from the
+    # null school either does not improve or leaves the seat sequences unequal
+    if any(problem._pref_rank[i][after[i]] >= problem._pref_rank[i][before[i]] for i in movers):
         return None
-    successor = {}
-    for school, arriving in entrants.items():
-        leaving = sorted(leavers[school])
-        if len(arriving) != len(leaving):
-            return None
-        for i, j in zip(sorted(arriving), leaving):
-            successor[i] = j
-    return successor_cycles(successor)
+    arrivals = sorted(movers, key=lambda i: (after[i], i))
+    departures = sorted(movers, key=lambda i: (before[i], i))
+    if [after[i] for i in arrivals] != [before[i] for i in departures]:
+        return None
+    return successor_cycles(dict(zip(arrivals, departures)))

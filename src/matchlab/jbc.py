@@ -1,12 +1,13 @@
 """The just-below-cutoffs improvement mechanism.
 
 Every school that rejected an improvable student during deferred acceptance
-gets one outgoing edge, pointing at the DA school of its just-below-cutoff
-student: the highest-priority improvable student who wants the school but is
-ranked below its weakest admitted occupant.  Trading simultaneously along
-all cycles of this out-degree-one graph improves its participants without
-putting any improvable student's priority at stake, and subsets of the
-cycles generate exactly the matchings with that property.
+has a just-below-cutoff student: the highest-priority improvable student who
+wants the school but is ranked below its weakest admitted occupant.  The
+school gets one outgoing edge, pointing at her DA school, so the graph is
+read off ``SchoolGraph.jbc_student`` and the DA seats.  Trading
+simultaneously along all cycles of this out-degree-one graph improves its
+participants without putting any improvable student's priority at stake,
+and subsets of the cycles generate exactly the matchings with that property.
 
 The graph reads the per-school contenders of the instance's DA envy
 digraph, ``envy.da_context``.  A student proposes down her list, so the
@@ -34,17 +35,16 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SchoolGraph:
     """Out-degree-one graph on the schools that rejected improvable students:
-    ``succ`` maps each such school, in id order, to its successor."""
+    ``jbc_student`` maps each such school, in id order, to its
+    just-below-cutoff student, and the school points at her DA seat."""
 
-    succ: dict[int, int]
     jbc_student: dict[int, int]
     cycles: tuple[tuple[int, ...], ...]
 
 
 def _school_graph(digraph: LabelledEnvyDigraph) -> SchoolGraph:
     entrant = {s: leading[0] for s, leading in enumerate(digraph.contenders) if leading}
-    succ = {s: digraph.seats[i] for s, i in entrant.items()}
-    return SchoolGraph(succ, entrant, successor_cycles(succ))
+    return SchoolGraph(entrant, successor_cycles({s: digraph.seats[i] for s, i in entrant.items()}))
 
 
 def cycle_takes(mover: dict[int, int], cycles) -> dict[int, int]:
@@ -64,9 +64,8 @@ def run_jbc(problem: Problem):
     graph = _school_graph(digraph)
     if _log.isEnabledFor(logging.INFO):
         schools = problem.schools
-        for s, t in graph.succ.items():
-            mover = problem.students[graph.jbc_student[s]]
-            _log.info("%s -> %s  (mover %s)", schools[s], schools[t], mover)
+        for s, i in graph.jbc_student.items():
+            _log.info("%s -> %s  (mover %s)", schools[s], schools[digraph.seats[i]], problem.students[i])
         for cycle in graph.cycles:
             _log.info("cycle: %s", " -> ".join(schools[s] for s in cycle))
     return trade(digraph.seats, cycle_takes(graph.jbc_student, graph.cycles)), graph

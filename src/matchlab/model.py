@@ -65,7 +65,8 @@ class Problem:
     NULL_SCHOOL reads it.  Each row is read once into a tuple, in its
     iteration order, so any iterable row is taken and a tuple row is kept
     as itself; a row that is not iterable raises ``InputError`` naming its
-    student or school.  The names are kept as tuples too.  The ids and
+    student or school.  The names are kept as tuples too; a name that is not
+    hashable, or a field with no length, raises ``InputError``.  The ids and
     quotas follow ``_check_ids``: a bool is refused, and an id of another
     integer type counts by its ``operator.index`` value.  The quotas, and
     each row that passes only when judged id by id, are kept as those
@@ -81,12 +82,15 @@ class Problem:
     completed_priorities: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        self.__dict__.update(students=tuple(self.students), schools=tuple(self.schools))
-        n, m = len(self.students), len(self.schools)
-        if len(set(self.students)) != n or len(set(self.schools)) != m:
-            raise InputError("duplicate student or school names")
-        if len(self.quotas) != m or len(self.prefs) != n or len(self.priorities) != m:
-            raise InputError("field lengths do not match student/school counts")
+        try:
+            self.__dict__.update(students=tuple(self.students), schools=tuple(self.schools))
+            n, m = len(self.students), len(self.schools)
+            if len(set(self.students)) != n or len(set(self.schools)) != m:
+                raise InputError("duplicate student or school names")
+            if len(self.quotas) != m or len(self.prefs) != n or len(self.priorities) != m:
+                raise InputError("field lengths do not match student/school counts")
+        except TypeError:
+            raise InputError("problem fields must be sequences and names hashable") from None
         for q in self.quotas:
             if isinstance(q, bool) or not hasattr(q, "__index__") or index(q) < 1:
                 raise InputError("quotas must be >= 1")

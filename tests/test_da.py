@@ -147,13 +147,13 @@ def test_rejecting_schools(ex1, exnoeff):
     _, trace = run_da(ex1)
     improvable = {ex1.student_id(f"i{k}") for k in range(1, 7)}
     rejecting = {ex1.school_id(f"s{k}") for k in range(1, 7)}
-    assert rejecting_by_replay(trace, improvable) == set(run_jbc(ex1)[1].succ) == rejecting
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(ex1)[1].jbc_student) == rejecting
 
     _, trace = run_da(exnoeff)
     improvable = {exnoeff.student_id(n) for n in ("i1", "i2", "i4", "i5", "i6")}
     # replaying the run: every school except s3 turns away an improvable student
     rejecting = {exnoeff.school_id(n) for n in ("s1", "s2", "s4", "s5", "s6")}
-    assert rejecting_by_replay(trace, improvable) == set(run_jbc(exnoeff)[1].succ) == rejecting
+    assert rejecting_by_replay(trace, improvable) == set(run_jbc(exnoeff)[1].jbc_student) == rejecting
 
 
 def test_rejecting_schools_empty_for_efficient_da():
@@ -165,7 +165,7 @@ def test_rejecting_schools_empty_for_efficient_da():
         priorities=((0, 1), (0, 1)),
     )
     _, trace = run_da(problem)
-    assert rejecting_by_replay(trace, set()) == set(run_jbc(problem)[1].succ) == set()
+    assert rejecting_by_replay(trace, set()) == set(run_jbc(problem)[1].jbc_student) == set()
 
 
 def test_da_matches_oracle_student_optimal_stable():
@@ -244,7 +244,7 @@ def test_rejecting_schools_equal_envied_schools_many_to_one():
         da, trace = run_da(problem)
         digraph = build_envy(problem)
         expected = rejecting_by_replay(trace, digraph.improvable)
-        assert set(run_jbc(problem)[1].succ) == expected
+        assert set(run_jbc(problem)[1].jbc_student) == expected
         subset = {i for i in range(problem.n_students) if rng.random() < 0.5}
         wanted = envied(problem, da)
         got = {s for s, envious in enumerate(wanted) if subset.intersection(envious)}

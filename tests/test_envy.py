@@ -160,6 +160,48 @@ def test_apply_then_decompose_round_trip():
                 continue
             matching = apply_packing(problem, da, packing)
             assert decompose_as_packing(problem, matching) == packing
+    # With quotas above one and truncated lists the pairing of entrants and
+    # leavers is a choice, so the recovered packing need not be P; it is
+    # canonical, trades back to the same matching and carries P's label.
+    shared = other = 0
+    for problem in mixed_markets(2035, 240):
+        da = run_da(problem)[0]
+        for _ in range(8):
+            packing = random_packing(da_context(problem), rng)
+            if packing is None:
+                continue
+            matching = apply_packing(problem, da, packing)
+            found = decompose_as_packing(problem, matching)
+            assert found == canonical_packing(found)
+            assert apply_packing(problem, da, found) == matching
+            assert packing_label(problem, found) == packing_label(problem, packing)
+            shared += any(problem.quotas[da[i]] > 1 for cycle in packing for i in cycle)
+            other += found != packing
+    assert shared > 150 and other > 0
+
+
+def test_decompose_refuses_exactly_what_the_scan_refuses():
+    # Random feasible matchings, and DA traded along a random packing as is,
+    # with two seats swapped and with one student unseated: movers to or from
+    # the null school, movers who do not improve and unequal school multisets
+    # all occur, against the oracle's plain scan.
+    rng = random.Random(3535)
+    kinds = dict.fromkeys(("null", "worse", "unequal", "none", "packing"), 0)
+    for problem in mixed_markets(3535, 240):
+        n, da = problem.n_students, run_da(problem)[0]
+        traded = apply_packing(problem, da, random_packing(da_context(problem), rng) or ())
+        i, j = rng.randrange(n), rng.randrange(n)
+        swapped, unseated = list(traded), list(traded)
+        swapped[i], swapped[j], unseated[i] = traded[j], traded[i], NULL_SCHOOL
+        for matching in (random_feasible(rng, problem), traded, tuple(swapped), tuple(unseated)):
+            found = decompose_as_packing(problem, matching)
+            assert (found is None) == (oracle._decompose_scan(problem, da, matching) is None)
+            movers = [k for k in range(n) if da[k] != matching[k]]
+            kinds["null"] += any(NULL_SCHOOL in (da[k], matching[k]) for k in movers)
+            kinds["worse"] += any(not oracle.prefers(problem, k, matching[k], da[k]) for k in movers)
+            kinds["unequal"] += sorted(da[k] for k in movers) != sorted(matching[k] for k in movers)
+            kinds["none" if found is None else "packing"] += 1
+    assert min(kinds.values()) > 100, kinds
 
 
 def random_packing(digraph, rng):
@@ -480,6 +522,10 @@ def test_packing_label_rejects_non_edges(ex1):
     for cycle in ((S("i4"), S("i1")), (S("i1"), 99), (99, S("i1")), (S("i1"), -1)):
         with pytest.raises(InputError):
             packing_label(ex1, (cycle,))
+    # a packing or a cycle that is not iterable
+    for packing in (5, [5], [None]):
+        with pytest.raises(InputError, match="^packing is not an iterable of student cycles$"):
+            packing_label(ex1, packing)
 
 
 def test_envy_cycles_match_reachability():

@@ -801,6 +801,15 @@ def test_names_and_completed_ids_are_kept_checked():
             Problem(("a", "b"), ("x", "y"), completed_priorities=bad, **rows)
     with pytest.raises(InputError, match="^completed_priorities must be a collection of school ids$"):
         Problem(("a", "b"), ("x", "y"), completed_priorities=1, **rows)
+    # a field with no length or an unhashable name
+    for fields in (
+        {"students": 5, "schools": ("x",), "quotas": (1,), "prefs": ((0,),), "priorities": ((0,),)},
+        {"students": ("a",), "schools": ("x",), "quotas": 5, "prefs": ((0,),), "priorities": ((0,),)},
+        {"students": ("a",), "schools": ("x",), "quotas": (1,), "prefs": None, "priorities": ((0,),)},
+        {"students": (["a"],), "schools": ("x",), "quotas": (1,), "prefs": ((0,),), "priorities": ((0,),)},
+    ):
+        with pytest.raises(InputError, match="^problem fields must be sequences and names hashable$"):
+            Problem(**fields)
 
 
 def test_matching_keeps_a_tuple(ex1):
