@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -137,7 +138,7 @@ def on_envy_cycle(seats, envious) -> frozenset[int]:
     targets = [(n + s,) if s != NULL_SCHOOL else () for s in seats] + envious
     indptr = np.zeros(len(targets) + 1, dtype=np.int32)
     np.cumsum([len(t) for t in targets], out=indptr[1:])
-    indices = np.fromiter((w for t in targets for w in t), dtype=np.int32, count=indptr[-1])
+    indices = np.fromiter(chain.from_iterable(targets), dtype=np.int32, count=indptr[-1])
     # float64 weights and int32 indices are csgraph's own types: no conversion
     graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(targets),) * 2)
     _, component = connected_components(graph, directed=True, connection="strong")

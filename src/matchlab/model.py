@@ -9,7 +9,11 @@ sequence of school ids, one per student, with ``NULL_SCHOOL`` for the
 unassigned.  Every operation that takes one judges it with
 ``check_feasible``, and every operation that returns one returns a tuple of
 plain ints.  The operations are pure functions, apart from
-``load_problem``, which keeps the last problem it built.
+``load_problem``, which keeps the last problem it built.  It scans an
+instance file as ``json`` would but maps each preference and priority row to
+ids as soon as it is scanned, so the file's name strings are never all alive
+at once; a file it cannot read that way is parsed whole, and
+``problem_from_dict`` of that parse words the fault.
 
 Rank convention (lower is better): a listed school ranks at its 1-based
 position, the null school ranks one past the end of the list, and unlisted
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,12 +71,15 @@ class Problem:
     iteration order, so any iterable row is taken and a tuple row is kept
     as itself; a row that is not iterable raises ``InputError`` naming its
     student or school.  The names are kept as tuples too; a name that is not
-    hashable, or a field with no length, raises ``InputError``.  The ids and
-    quotas follow ``_check_ids``: a bool is refused, and an id of another
-    integer type counts by its ``operator.index`` value.  The quotas, and
-    each row that passes only when judged id by id, are kept as those
-    values.  A row whose sum is no ``int`` (one numpy id makes it numpy) is
-    judged id by id too.
+    hashable, a field with no length, or a string, bytes or mapping given as
+    a field (which iteration would misread) raises ``InputError``.  The ids
+    and quotas follow ``_check_ids``: a bool is refused, and an id of
+    another integer type counts by its ``operator.index`` value.  The
+    quotas, and each row that passes only when judged id by id, are kept as
+    those values.  A row whose sum is no ``int`` (one numpy id makes it
+    numpy) is judged id by id too.  A row of ``int`` subclasses (an
+    ``IntEnum``) sums to an ``int``, so it passes the fast check and is kept
+    as the caller's objects; they compare and index as their values.
     """
 
     students: tuple[str, ...]
@@ -82,6 +90,9 @@ class Problem:
     completed_priorities: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        fields = (self.students, self.schools, self.quotas, self.prefs, self.priorities)
+        if any(isinstance(field, (str, bytes, Mapping)) for field in fields):
+            raise InputError("problem fields must not be strings, bytes or mappings")
         try:
             self.__dict__.update(students=tuple(self.students), schools=tuple(self.schools))
             n, m = len(self.students), len(self.schools)
@@ -415,9 +426,8 @@ def pareto_compare(problem: Problem, a, b) -> str:
 # File formats
 
 
-def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> tuple[int, ...]:
-    """Ids of the names listed under ``name`` in the ``field`` mapping ``raw``."""
-    row = raw.get(name, [])
+def _row_ids(row, name: str, ids: dict, kind: str, field: str) -> tuple[int, ...]:
+    """Ids of the names in ``row``, the ``field`` row of ``name``."""
     if not isinstance(row, list):
         raise InputError(f"malformed instance file: {field} of {name} must be a list")
     try:
@@ -426,17 +436,21 @@ def _row_ids(raw: dict, name: str, ids: dict, kind: str, field: str) -> tuple[in
         raise InputError(f"unknown {kind} {exc} in {field} of {name}") from None
 
 
-def problem_from_dict(data: dict) -> Problem:
-    try:
-        student_names = data["students"]
-        school_entries = data["schools"]
-        prefs_raw = data["prefs"]
-        prio_raw = data["priorities"]
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed instance file: missing {exc}") from None
+def _streamed_row(row, *args) -> tuple[int, ...]:
+    """A row that ``_streamed`` mapped while it scanned it, as it is; a row
+    it kept as names, through ``_row_ids``.  JSON yields no tuple, so a
+    tuple is always a mapped row."""
+    return row if type(row) is tuple else _row_ids(row, *args)
+
+
+def _header(student_names, school_entries, keyed: bool = True):
+    """The school names, the quotas and the id of each student and school
+    name of an instance file's parsed header; ``InputError`` unless its
+    fields are well formed, ``keyed`` saying whether the rows are keyed by
+    name."""
     if not isinstance(student_names, list) or not all(isinstance(v, str) for v in student_names):
         raise InputError("malformed instance file: students must be a list of names")
-    if not isinstance(prefs_raw, dict) or not isinstance(prio_raw, dict):
+    if not keyed:
         raise InputError("malformed instance file: prefs and priorities must be keyed by name")
     if not isinstance(school_entries, list) or not all(
         isinstance(e, dict) and isinstance(e.get("name"), str) and type(e.get("quota")) is int
@@ -447,13 +461,33 @@ def problem_from_dict(data: dict) -> Problem:
     quotas = [e["quota"] for e in school_entries]
     sid = {name: i for i, name in enumerate(student_names)}
     cid = {name: s for s, name in enumerate(school_names)}
+    return school_names, quotas, sid, cid
 
-    prefs = tuple(_row_ids(prefs_raw, name, cid, "school", "preferences") for name in student_names)
+
+def problem_from_dict(data: dict) -> Problem:
+    return _problem(data, _row_ids)
+
+
+def _problem(data: dict, row_ids) -> Problem:
+    """The problem of a parsed instance file, each of whose rows
+    ``row_ids(row, name, ids, kind, field)`` turns into ids: the loader's
+    one set of rules."""
+    try:
+        student_names = data["students"]
+        school_entries = data["schools"]
+        prefs_raw = data["prefs"]
+        prio_raw = data["priorities"]
+    except (KeyError, TypeError) as exc:
+        raise InputError(f"malformed instance file: missing {exc}") from None
+    keyed = isinstance(prefs_raw, dict) and isinstance(prio_raw, dict)
+    school_names, quotas, sid, cid = _header(student_names, school_entries, keyed)
+
+    prefs = tuple(row_ids(prefs_raw.get(name, []), name, cid, "school", "preferences") for name in student_names)
     priorities = []
     completed = set()
     try:
         for s, name in enumerate(school_names):
-            listed = _row_ids(prio_raw, name, sid, "student", "priorities")
+            listed = row_ids(prio_raw.get(name, []), name, sid, "student", "priorities")
             if len(listed) < len(student_names):
                 # Partial lists are completed by appending everyone missing, in
                 # declaration order; the instance records which schools this hit.
@@ -552,6 +586,74 @@ def _parse_json(text: str, path):
         raise InputError(f"invalid JSON in {path}: {exc}") from None
 
 
+# json's own scanner and whitespace, so a walk accepts what ``_parse_json`` does.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+_space = json.decoder.WHITESPACE.match
+_ROW_MAPS = {"prefs": ("school", "preferences"), "priorities": ("student", "priorities")}
+
+
+def _after(text: str, at: int, char: str) -> int:
+    """The index past ``char`` at ``text[at]`` and the whitespace after it;
+    ``ValueError`` if another character, or none, is there."""
+    if text[at : at + 1] != char:
+        raise ValueError(f"expecting {char!r} at {at}")
+    return _space(text, at + 1).end()
+
+
+def _members(text: str, at: int, take) -> int:
+    """Walk the JSON object at ``text[at]`` as ``json`` scans one:
+    ``take(key, start)`` scans each member's value from ``start`` and
+    returns where it ends.  Returns where the object ends; ``ValueError``
+    wherever ``json`` would refuse the object, a repeated key included."""
+    at, seen = _after(text, at, "{"), set()
+    if text[at : at + 1] == "}":
+        return at + 1
+    while True:
+        if text[at : at + 1] != '"':
+            raise ValueError(f"expecting a key at {at}")
+        key, at = json.decoder.scanstring(text, at + 1)
+        if key in seen:
+            raise ValueError(f"duplicate key {key!r}")
+        seen.add(key)
+        at = _space(text, take(key, _after(text, _space(text, at).end(), ":"))).end()
+        if text[at : at + 1] == "}":
+            return at + 1
+        at = _after(text, at, ",")
+
+
+def _streamed(text: str) -> Problem:
+    """The problem of the instance file ``text``, scanned as ``_parse_json``
+    scans it, but each ``prefs`` and ``priorities`` row becomes ids as soon
+    as it is scanned, so no more than one row of name strings is alive.  A
+    row map that comes before ``students`` or ``schools`` is kept as names
+    and mapped once the walk is done.  ``ValueError`` (an ``InputError``
+    among them) or ``RecursionError`` on any fault, which
+    ``problem_from_dict`` of the full parse words."""
+    fields = {}
+
+    def take(key, at):
+        if key not in _ROW_MAPS:
+            fields[key], at = _DECODER.raw_decode(text, at)
+            return at
+        kind, field = _ROW_MAPS[key]
+        ids = None
+        if "students" in fields and "schools" in fields:
+            sid, cid = _header(fields["students"], fields["schools"])[2:]
+            ids = sid if kind == "student" else cid
+        rows = fields[key] = {}
+
+        def put(name, at):
+            row, at = _DECODER.raw_decode(text, at)
+            rows[name] = row if ids is None else _row_ids(row, name, ids, kind, field)
+            return at
+
+        return _members(text, at, put)
+
+    if _space(text, _members(text, _space(text, 0).end(), take)).end() != len(text):
+        raise ValueError("extra data")
+    return _problem(fields, _streamed_row)
+
+
 # The last problem loaded, as (SHA-256 of its file's bytes, problem).
 _last_problem: tuple[bytes, Problem] | None = None
 
@@ -564,20 +666,29 @@ def load_problem(path) -> Problem:
     context kept on it, and nothing is decoded, parsed or built.  Copies of
     one instance whose bytes differ (LF and CRLF line ends, say) are loaded
     apart.  A failed load keeps nothing.
+
+    The text is walked by ``_streamed``: each row is mapped to ids as it is
+    scanned and its names dropped, so a load peaks at about 4-5 times the
+    file's bytes (``tracemalloc``, iid n = 200 and 500) where a whole parse
+    took 11.  On any fault the text is parsed whole and
+    ``problem_from_dict`` raises the error it always has, so every error
+    text and exit code is that of the full parse.
     """
     global _last_problem
     raw = _read_bytes(path)
     digest = hashlib.sha256(raw).digest()
     kept = _last_problem  # read once: another thread may replace it meanwhile
     if kept is None or kept[0] != digest:
-        # Free the old problem before the decode, the bytes before the parse
-        # and the text once it is parsed: held longer, each raises peak memory.
+        # Free the old problem before the decode and the bytes before the
+        # walk: held longer, each raises peak memory.
         _last_problem = kept = None
         text = _decode(raw, path)
         del raw
-        data = _parse_json(text, path)
-        del text
-        kept = _last_problem = (digest, problem_from_dict(data))
+        try:
+            problem = _streamed(text)
+        except (ValueError, RecursionError):  # the full parse words the fault
+            problem = problem_from_dict(_parse_json(text, path))
+        kept = _last_problem = (digest, problem)
     return kept[1]
 
 

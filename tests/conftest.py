@@ -3,11 +3,11 @@ from dataclasses import dataclass
 
 import pytest
 
-from matchlab import oracle
+from matchlab import model, oracle
 from matchlab.da import run_da
 from matchlab.envy import build_envy, decompose_as_packing
 from matchlab.fixtures import load_fixture
-from matchlab.model import NULL_SCHOOL, InputError, Problem, rank_of, trade
+from matchlab.model import NULL_SCHOOL, InputError, Problem, load_problem, problem_from_dict, rank_of, trade
 from matchlab.simgen import GenConfig, gen_instance
 
 
@@ -34,6 +34,25 @@ def exd():
 @pytest.fixture(scope="session")
 def exe():
     return load_fixture("exe")
+
+
+def assert_loads_as_parsed(path):
+    """``load_problem`` gives what ``problem_from_dict`` of the full parse
+    gives: an equal problem with equal rank tables, or an ``InputError``
+    with the same text."""
+
+    def outcome(load):
+        model._last_problem = None  # each load builds its own problem
+        try:
+            problem = load(path)
+        except InputError as exc:
+            return str(exc)
+        return problem, problem._pref_rank, problem._prio_rank, problem.completed_priorities
+
+    def parsed(path):
+        return problem_from_dict(model._parse_json(model._decode(model._read_bytes(path), path), path))
+
+    assert outcome(load_problem) == outcome(parsed)
 
 
 def matching_by_name(problem, moves: dict):

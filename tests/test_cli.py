@@ -18,10 +18,10 @@ from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.jbc import run_jbc
 from matchlab.model import (
+    Problem,
     load_matching,
     load_problem,
     matching_from_dict,
-    problem_from_dict,
     problem_to_dict,
 )
 from matchlab.sjbc_plus import run_sjbc_plus
@@ -575,14 +575,16 @@ def test_fixture_analyze_is_byte_stable(tmp_path, capsys, fixture):
 
 def test_solve_then_analyze_builds_the_problem_once(tmp_path, capsys, monkeypatch):
     # analyze reuses the problem that solve built from the same instance
-    # bytes, and answers as it does from a problem of its own.
+    # bytes, and answers as it does from a problem of its own.  Builds are
+    # counted where every load makes one, in Problem.__post_init__.
     builds = []
+    build = Problem.__post_init__
 
-    def counted(data):
-        builds.append(data["students"])
-        return problem_from_dict(data)
+    def counted(problem):
+        builds.append(problem.students)
+        build(problem)
 
-    monkeypatch.setattr("matchlab.model.problem_from_dict", counted)
+    monkeypatch.setattr(Problem, "__post_init__", counted)
     monkeypatch.setattr("matchlab.model._last_problem", None)
     assert_solve_golden(tmp_path, capsys, "ex1", "sjbc+")
     assert_analyze_golden(tmp_path, capsys, "ex1")

@@ -14,6 +14,8 @@ import pytest
 from matchlab.cli import main
 from matchlab.fixtures import fixture_path
 
+from conftest import assert_loads_as_parsed
+
 pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
@@ -132,6 +134,34 @@ def test_mutated_instance_bytes_exit_0_or_2(raw):
         assert main(["analyze", str(instance), str(matching)]) in (0, 2)
         for command in INSPECTORS:
             assert main([*command, str(instance)]) in (0, 2), command
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=mutated_instances(), reverse=st.booleans(), indent=st.sampled_from([None, 2]))
+def test_mutated_instances_load_as_the_full_parse(data, reverse, indent):
+    # The streamed load and the full parse agree on the problem or the error
+    # text, with the top-level keys in either order.
+    if reverse:
+        data = dict(reversed(data.items()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(data, indent=indent), encoding="utf-8")
+        assert_loads_as_parsed(path)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(raw=mutated_bytes())
+def test_mutated_instance_bytes_load_as_the_full_parse(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_bytes(raw)
+        assert_loads_as_parsed(path)
 
 
 def _solved(name, mechanism):

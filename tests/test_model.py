@@ -3,12 +3,13 @@ import inspect
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import matchlab
-from matchlab import analysis, cli, eada, oracle, sjbc_plus
+from matchlab import analysis, cli, eada, model, oracle, sjbc_plus
 from matchlab.analysis import beneficiaries, is_justifiable, reassignment_chain
 from matchlab.eada import eada_orbit, run_eada
 from matchlab.envy import LabelledEnvyDigraph, da_context, packing_label
@@ -45,7 +46,7 @@ from matchlab.jbc import run_jbc, strongly_justifiable_family
 from matchlab.simgen import GenConfig, gen_instance, run_experiment
 from matchlab.sjbc_plus import run_expansion, run_refinement, run_sjbc_plus
 
-from conftest import matching_by_name, random_market
+from conftest import assert_loads_as_parsed, matching_by_name, random_market
 
 JBC_EX1 = {"i1": "s4", "i2": "s2", "i3": "s3", "i4": "s5", "i5": "s1", "i6": "s6", "i7": "s7"}
 MU_J_EXNOEFF = {"i1": "s4", "i2": "s1", "i3": "s3", "i4": "s2", "i5": "s5", "i6": "s6"}
@@ -281,6 +282,114 @@ def test_kept_problem_is_keyed_by_the_file_bytes(tmp_path, monkeypatch):
         problem._pref_rank[0][0] = 1
     with pytest.raises(TypeError):
         problem._prio_rank[0][0] = 1
+
+
+FIXTURE_NAMES = ("ex1", "exd", "exe", "exnoeff", "explus")
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_streamed_load_matches_the_full_parse_in_any_key_order(tmp_path, name):
+    # Rows are mapped as they are scanned, or after the walk when their map
+    # comes before students or schools; either way the problem is the one
+    # the full parse gives, compact, indented and with CRLF line ends.
+    data = json.loads(fixture_path(name).read_bytes())
+    path = tmp_path / "inst.json"
+    for order in itertools.permutations(data):
+        ordered = {key: data[key] for key in order}
+        text = json.dumps(ordered, indent=2)
+        for raw in (json.dumps(ordered, separators=(",", ":")), text, text.replace("\n", "\r\n")):
+            path.write_bytes(raw.encode())
+            assert_loads_as_parsed(path)
+
+
+TWO = (
+    '{"students": ["a", "b"], "schools": [{"name": "x", "quota": 1}, {"name": "y", "quota": 1}], '
+    '"prefs": {"a": ["x", "y"], "b": ["y"]}, "priorities": {"x": ["a", "b"], "y": ["b"]}}'
+)
+EDGE_TEXTS = {
+    "plain": TWO,
+    "no-space": TWO.replace(", ", ",").replace(": ", ":"),
+    "tab-cr-space": TWO.replace(", ", ",\t\r\n ").replace(": ", " :\t"),
+    "form-feed": TWO.replace(", ", ",\f"),
+    "nbsp": TWO.replace(", ", ",\u00a0"),
+    "bom": "\ufeff" + TWO,
+    "trailing-space": TWO + " \n\t",
+    "extra-data": TWO + " {}",
+    "trailing-comma": TWO[:-1] + ",}",
+    "row-trailing-comma": TWO.replace('"y": ["b"]}', '"y": ["b"],}'),
+    "repeated-top-key": TWO[:-1] + ', "students": ["a", "b"]}',
+    "escaped-repeat": TWO[:-1] + ', "pr\\u0065fs": {}}',
+    "repeated-row": TWO.replace('"b": ["y"]}', '"b": ["y"], "a": ["x"]}'),
+    "escaped-row-key": TWO.replace('"b": ["y"]}', '"\\u0062": ["y"]}'),
+    "half-quoted-key": '{x": 0, ' + TWO[1:],
+    "extra-keys": TWO[:-1] + ', "note": [NaN, {"k": -Infinity}], "z": null}',
+    # a row map ahead of students or schools is mapped after the walk
+    "rows-first": '{"priorities": {"y": ["b"]}, "prefs": {"a": ["x"]}, ' + TWO[1:].split(', "prefs"')[0] + "}",
+    "priorities-first": '{"priorities": {"y": ["b"]}, ' + TWO[1:].split(', "priorities"')[0] + "}",
+    "rows-first-unknown": '{"prefs": {"a": ["w"]}, "priorities": {}, ' + TWO[1:].split(', "prefs"')[0] + "}",
+    "unknown-name": TWO.replace('["b"]}}', '["c"]}}'),
+    "stray-row-key": TWO.replace('"b": ["y"]}', '"b": ["y"], "c": []}'),
+    "row-not-a-list": TWO.replace('"b": ["y"]}', '"b": "y"}'),
+    "rows-as-list": TWO.replace('"priorities": {"x": ["a", "b"], "y": ["b"]}', '"priorities": [["a", "b"]]'),
+    "missing-key": TWO.replace('"prefs"', '"pref"'),
+    "bad-header": TWO.replace('"quota": 1}]', '"quota": "1"}]'),
+    "not-permutation": TWO.replace('"x": ["a", "b"]', '"x": ["a", "a"]'),
+    "deep-row": TWO.replace('["b"]}}', "[" * 5000 + "]" * 5000 + "}}"),
+    "empty-object": "{}",
+    "empty-rows": '{"prefs": {}, "priorities": {}, "students": [], "schools": []}',
+    "array": "[]",
+    "empty": "",
+    "cut": TWO[:150],
+}
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS.values(), ids=EDGE_TEXTS.keys())
+def test_edge_texts_load_as_the_full_parse(tmp_path, text):
+    path = tmp_path / "inst.json"
+    path.write_bytes(text.encode())
+    assert_loads_as_parsed(path)
+
+
+def _markets():
+    yield from ((name, fixture_path(name).read_bytes()) for name in FIXTURE_NAMES)
+    ex1 = json.loads(EX1_RAW)
+    yield "ex1-rows-first", json.dumps(dict(reversed(ex1.items()))).encode()
+    for config in (
+        GenConfig(n=30, model="iid", replications=1, seed=5),
+        GenConfig(n=30, model="correlated", rho=0.5, replications=1, seed=5),
+    ):
+        for r in range(3):
+            yield f"{config.model}-{r}", json.dumps(problem_to_dict(gen_instance(config, r))).encode()
+
+
+def test_well_formed_files_never_take_the_full_parse(tmp_path, monkeypatch):
+    # The full parse only words a fault: a well-formed file is walked, and a
+    # walk that failed on one would show here, not as a slower load.
+    def refused(text, path):
+        raise AssertionError(f"full parse of {path}")
+
+    monkeypatch.setattr("matchlab.model._parse_json", refused)
+    for name, raw in _markets():
+        monkeypatch.setattr("matchlab.model._last_problem", None)
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(raw)
+        assert load_problem(path) == problem_from_dict(json.loads(raw))
+
+
+def test_a_load_peaks_below_six_times_the_file(tmp_path, monkeypatch):
+    # The walk drops each row's names once it is mapped; a whole parse holds
+    # every name of the file at once and peaks at about 11.5 times its bytes.
+    path = tmp_path / "iid200.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(problem_to_dict(gen_instance(GenConfig(n=200, model="iid", replications=1, seed=4242), 0)), fh)
+    monkeypatch.setattr("matchlab.model._last_problem", None)
+    tracemalloc.start()
+    try:
+        load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * path.stat().st_size
 
 
 def test_partial_priorities_are_completed(ex1, exd):
@@ -810,6 +919,20 @@ def test_names_and_completed_ids_are_kept_checked():
     ):
         with pytest.raises(InputError, match="^problem fields must be sequences and names hashable$"):
             Problem(**fields)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [{"students": "ab"}, {"students": {"a": 1, "b": 2}}, {"students": b"ab"}, {"quotas": {2: 1}}],
+    ids=["str", "mapping", "bytes", "quota-mapping"],
+)
+def test_strings_bytes_and_mappings_are_refused_as_fields(field):
+    # Read by iteration, each built a problem without a word: students
+    # ("a", "b") from a string or a mapping, (97, 98) from bytes, and quota 2
+    # from {2: 1}.
+    fields = {"students": ("a", "b"), "schools": ("x",), "quotas": (1,), "prefs": ((0,), (0,)), "priorities": ((0, 1),)}
+    with pytest.raises(InputError, match="^problem fields must not be strings, bytes or mappings$"):
+        Problem(**{**fields, **field})
 
 
 def test_matching_keeps_a_tuple(ex1):
