@@ -23,6 +23,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtri
@@ -66,7 +67,9 @@ class GenConfig:
 
     @property
     def consent_size(self) -> int:
-        return int(self.n * self.consent_fraction)
+        """The floor of n times the fraction as its float prints (0.58 is
+        0.58, not the binary 0.57999…), so float error drops no consenter."""
+        return math.floor(self.n * Fraction(repr(float(self.consent_fraction))))
 
 
 @dataclass(frozen=True)
@@ -87,10 +90,11 @@ def _standard_normal(rng: np.random.Generator, shape):
     return ndtri(u)
 
 
-def _permutation_rows(rng: np.random.Generator, n: int) -> list[list[int]]:
-    """n permutations of ``range(n)``, drawn in one call: the same rows, and
-    the same stream after them, as n ``rng.permutation(n)`` calls."""
-    return rng.permuted(np.tile(np.arange(n), (n, 1)), axis=1).tolist()
+def _permutation_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """An n × n integer array whose rows are permutations of ``range(n)``,
+    drawn in one call: the same rows, and the same stream after them, as n
+    ``rng.permutation(n)`` calls."""
+    return rng.permuted(np.tile(np.arange(n), (n, 1)), axis=1)
 
 
 def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
@@ -99,16 +103,20 @@ def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
         quality = _standard_normal(rng, n)
         noise = _standard_normal(rng, (n, n))
         utility = config.rho * quality + math.sqrt(1.0 - config.rho**2) * noise
-        prefs = np.argsort(-utility, axis=1, kind="stable").tolist()
+        prefs = np.argsort(-utility, axis=1, kind="stable")
     else:
         prefs = _permutation_rows(rng, n)
     priorities = _permutation_rows(rng, n)
+    # Rows index one array of the ids, so every row holds the same n int
+    # objects; ``tolist()`` on an integer array would make a fresh int per
+    # entry above 256, CPython's shared small ints.
+    ids = np.array(range(n), dtype=object)
     return Problem(
         students=tuple(f"i{k + 1}" for k in range(n)),
         schools=tuple(f"s{k + 1}" for k in range(n)),
         quotas=(1,) * n,
-        prefs=tuple(map(tuple, prefs)),
-        priorities=tuple(map(tuple, priorities)),
+        prefs=tuple(map(tuple, ids[prefs].tolist())),
+        priorities=tuple(map(tuple, ids[priorities].tolist())),
     )
 
 

@@ -30,7 +30,8 @@ is scipy's ``linear_sum_assignment`` tie-break.  It decides the trade plan,
 the refinement's start and so the final matching, so outputs are
 byte-stable for a given scipy.  The CLI goldens in ``tests/test_cli.py``
 and the bench's reference digests are what catch a scipy release that
-breaks the ties differently.  The nodes are listed by id, and ids follow
+breaks the ties differently, and a test that pins the solver's permutation
+on the fixtures' expansion matrices names the move.  The nodes are listed by id, and ids follow
 the instance file, so outputs also depend on the order of students and
 schools in the file: the same market listed in another order can give
 another outcome, with the same guarantees.

@@ -67,6 +67,30 @@ def test_consent_draw_deterministic():
     assert len(c1) == 5
 
 
+# The (n, percent) pairs with n <= 200 whose float product n * (percent / 100)
+# falls just short of the integer it stands for, and their consent sizes.
+FLOAT_SHORT_CONSENT = {
+    (50, 58): 29, (90, 70): 63, (100, 29): 29, (100, 57): 57, (100, 58): 58, (150, 82): 123,
+    (170, 70): 119, (180, 35): 63, (180, 70): 126, (200, 29): 58, (200, 57): 114, (200, 58): 116,
+}
+
+
+def test_consent_size_is_the_floor_of_the_printed_fraction():
+    for n in range(1, 201):
+        for percent in range(101):
+            fraction = percent / 100
+            size = GenConfig(n=n, model="iid", replications=1, seed=0, consent_fraction=fraction).consent_size
+            assert size == n * percent // 100, (n, percent)
+            if (n, percent) in FLOAT_SHORT_CONSENT:
+                assert size == FLOAT_SHORT_CONSENT[n, percent] == int(n * fraction) + 1
+            else:  # 0.5 and every product float gets right keep their size
+                assert size == int(n * fraction), (n, percent)
+    for fraction, size in ((0, 0), (1, 50), (1e-05, 0), (np.float64(0.58), 29)):
+        assert GenConfig(n=50, model="iid", replications=1, seed=0, consent_fraction=fraction).consent_size == size
+    cfg = GenConfig(n=50, model="correlated", rho=0.5, replications=1, seed=7, consent_fraction=0.58)
+    assert len(draw_instance_and_consent(cfg, 0)[1]) == 29
+
+
 # SHA-256 of the prefs, priorities and sorted consent of replications 0 and 1
 # (seed 2026, rho 0.5 when correlated), captured before the draws were vectorised.
 DRAW_DIGESTS = {
@@ -88,6 +112,16 @@ def test_instance_draws_are_pinned(model, n):
         problem, consent = draw_instance_and_consent(cfg, rep)
         digest.update(repr((problem.prefs, problem.priorities, sorted(consent))).encode())
     assert digest.hexdigest() == DRAW_DIGESTS[model, n]
+
+
+@pytest.mark.parametrize("model", ["iid", "correlated"])
+def test_drawn_rows_share_one_int_per_id(model):
+    # Above 256 CPython makes a fresh int for each conversion, so n distinct
+    # objects across all rows means every row holds the same n ints.
+    n = 300
+    cfg = GenConfig(n=n, model=model, rho=0.5 if model == "correlated" else None, replications=1, seed=17)
+    problem = gen_instance(cfg, 0)
+    assert len({id(x) for row in problem.prefs + problem.priorities for x in row}) == n
 
 
 def test_correlated_rho_one_aligns_everyone():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from matchlab.analysis import beneficiaries, is_justifiable, is_pareto_efficient
 from matchlab.da import run_da
 from matchlab.eada import run_eada
 from matchlab.envy import build_envy, da_context, decompose_as_packing
+from matchlab.fixtures import load_fixture
 from matchlab.jbc import run_jbc
 from matchlab.model import (
     A_DOMINATES,
@@ -133,6 +135,61 @@ def test_expansion_steps_match_the_from_scratch_step(monkeypatch):
             assert cost.dtype == expected_cost.dtype and np.array_equal(cost, expected_cost)
         total += len(steps)
     assert total > 300
+
+
+# Per fixture, each expansion step's cost matrix (rows left to right, "x" for
+# the big cost) and the columns linear_sum_assignment returned for it.  Both
+# explus matrices have two optimal permutations, so theirs is scipy's
+# tie-break: a scipy release that breaks ties differently fails here, beside
+# the goldens it moves.  The other matrices have one optimum each.
+PINNED_ASSIGNMENTS = {
+    "ex1": [
+        ("x0000x 01xxxx xx1xx0 xxxx0x 0x0xxx xxx0x1", [1, 0, 5, 4, 2, 3]),
+        ("x00000 0xxxxx xxxxx0 xxxx0x 0x00x0 xxx0xx", [1, 0, 5, 4, 2, 3]),
+    ],
+    "exd": [
+        ("10xx0 xxx0x 00xx0 x0xxx xx00x", [4, 3, 0, 1, 2]),
+        ("x0xx0 xxx0x 00xx0 x0xxx xx00x", [4, 3, 0, 1, 2]),
+    ],
+    "exe": [
+        ("xx00x 0xxx0 x0xxx xxx1x 000x1", [2, 4, 1, 3, 0]),
+        ("xx00x 0xxx0 x0xxx xx01x 000xx", [3, 4, 1, 2, 0]),
+        ("xx00x 0xxx0 x0xxx xx0xx 000xx", [3, 4, 1, 2, 0]),
+    ],
+    "exnoeff": [("xx00x 0xxx0 x0xxx xxx1x x00x1", [2, 0, 1, 3, 4])],
+    "explus": [
+        ("1x00 xx00 x0xx 00x1", [2, 3, 1, 0]),
+        ("x000 0x00 x0xx 00xx", [2, 3, 1, 0]),
+    ],
+}
+
+
+def test_assignment_tie_break_is_pinned_on_the_fixtures(monkeypatch):
+    solved, solve = [], sjbc_plus.linear_sum_assignment
+
+    def recorded_solve(cost):
+        rows, cols = solve(cost)
+        solved.append((cost.copy(), rows.tolist(), cols.tolist()))
+        return rows, cols
+
+    monkeypatch.setattr(sjbc_plus, "linear_sum_assignment", recorded_solve)
+    tied = []
+    for name, pinned in PINNED_ASSIGNMENTS.items():
+        solved.clear()
+        run_expansion(load_fixture(name))
+        k = len(solved[0][0])
+        symbols = {0: "0", 1: "1", k + 2: "x"}
+        matrices = [" ".join("".join(symbols[c] for c in row.tolist()) for row in cost) for cost, _, _ in solved]
+        assert matrices == [matrix for matrix, _ in pinned], f"{name}: the expansion moved"
+        assert [cols for _, _, cols in solved] == [cols for _, cols in pinned], f"{name}: the tie-break moved"
+        for step, (cost, rows, cols) in enumerate(solved):
+            totals = {p: cost[range(k), p].sum() for p in itertools.permutations(range(k))}
+            best = min(totals.values())
+            optima = [list(p) for p, total in totals.items() if total == best]
+            assert rows == list(range(k)) and cols in optima
+            if len(optima) > 1:
+                tied.append((name, step, len(optima)))
+    assert tied == [("explus", 0, 2), ("explus", 1, 2)]
 
 
 def test_run_expansion_goldens(ex1, exnoeff):
