@@ -189,10 +189,10 @@ def _cmd_envy(args) -> int:
 
 def _cmd_oracle(args) -> int:
     problem = load_problem(args.instance)
+    report = oracle.oracle_report(problem, budget=args.budget)  # before any line: a refusal prints none
     if problem.completed_priorities:
         names = sorted(problem.schools[s] for s in problem.completed_priorities)
         print(f"note: priority lists completed by appending unlisted students: {names}")
-    report = oracle.oracle_report(problem, budget=args.budget)
     print(f"matchings dominating DA: {len(report.dominating)}")
     print(f"unimprovable students: {sorted(problem.students[i] for i in report.unimprovable)}")
     print(f"justifiable family size: {len(report.justifiable_family)}")
@@ -234,6 +234,9 @@ def _cmd_simulate(args) -> int:
         for mech, metric, mean, stderr in stats.rows:
             writer.writerow([mech, metric, f"{mean:.6f}", f"{stderr:.6f}"])
 
+    # every output opens before any row is written, so one that cannot fails the command first
+    for path in filter(None, (args.out, args.per_instance)):
+        open(path, "w", encoding="utf-8").close()
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             write_rows(fh)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from matchlab.envy import da_context, successor_cycles
 from matchlab.jbc import cycle_takes
-from matchlab.model import NULL_SCHOOL, InputError, Problem, _instance_digest, _id_set, trade
+from matchlab.model import InputError, Problem, _instance_digest, _id_set, trade
 
 ORBIT_LIMIT = 20  # ``eada_orbit`` enumerates 2**n consent sets
 
@@ -94,7 +94,7 @@ def run_eada(problem: Problem, consent) -> tuple[tuple[int, ...], EadaRun]:
     seat = digraph.seats
     top = top_desirers(seat)
     while live:
-        fixed = [i for i in live if seat[i] == NULL_SCHOOL or seat[i] not in top]
+        fixed = [i for i in live if seat[i] not in top]  # the unassigned too: top is keyed by school ids
         if not fixed:
             raise RuntimeError(f"EADA peel: a layer fixed no student, instance {_instance_digest(problem)}")
         live.difference_update(fixed)

@@ -25,16 +25,19 @@ trade plan.  Minimising loops over perfect matchings of the loop-augmented
 graph is the formulation that is always feasible, and it is solved here as a
 0/1-cost assignment problem.
 
-Many permutations often share the fewest loops, and which one a step takes
-is scipy's ``linear_sum_assignment`` tie-break.  It decides the trade plan,
-the refinement's start and so the final matching, so outputs are
-byte-stable for a given scipy.  The CLI goldens in ``tests/test_cli.py``
-and the bench's reference digests are what catch a scipy release that
-breaks the ties differently, and a test that pins the solver's permutation
-on the fixtures' expansion matrices names the move.  The nodes are listed by id, and ids follow
-the instance file, so outputs also depend on the order of students and
-schools in the file: the same market listed in another order can give
-another outcome, with the same guarantees.
+``expansion_step`` makes the one solve, a single ``linear_sum_assignment``
+call per step, and the module-level name ``sjbc_plus.linear_sum_assignment``
+is the seam through which tests record or steer it.  Many permutations
+often share the fewest loops, and which one a step takes is scipy's
+tie-break.  It decides the trade plan, the refinement's start and so the
+final matching, so outputs are byte-stable for a given scipy.  The CLI
+goldens in ``tests/test_cli.py`` and the bench's reference digests are what
+catch a scipy release that breaks the ties differently, and a test that
+pins the solver's permutation on the fixtures' expansion matrices names the
+move.  The nodes are listed by id, and ids follow the instance file, so
+outputs also depend on the order of students and schools in the file: the
+same market listed in another order can give another outcome, with the
+same guarantees.
 
 The refinement pass then fixes leftover inefficiency among the final
 beneficiaries: it repeatedly executes cycles of envy edges at the *current*
@@ -112,21 +115,6 @@ def _reach(leading, covered, reach=0) -> int:
     return reach
 
 
-def _min_loop_permutation(nodes: list[int], cost: np.ndarray):
-    """Fewest-self-loop permutation of ``nodes`` under the assignment
-    ``cost``: 0 on an admissible edge, 1 on the loop of a node that may
-    stay, and ``len(nodes) + 2`` everywhere else.
-
-    Always feasible as long as the caller guarantees some loop-free cover
-    for the nodes that may not stay (here: the previous iteration's
-    permutation stays admissible); None when there is none.
-    """
-    rows, cols = linear_sum_assignment(cost)
-    if int(cost[rows, cols].sum()) >= len(nodes) + 2:
-        return None
-    return {nodes[r]: nodes[c] for r, c in zip(rows.tolist(), cols.tolist())}
-
-
 def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     """One iteration: re-optimise the permutation under the current set.
 
@@ -157,10 +145,11 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
         for i in leading[old + 1 : reach + 1]:  # the newly admitted enviers
             for j in targets:
                 cost[index[i], index[j]] = 0
-    perm = _min_loop_permutation(nodes, cost)
-    if perm is None:
+    rows, cols = linear_sum_assignment(cost)
+    if int(cost[rows, cols].sum()) >= big:  # cannot happen: the previous plan stays admissible
         message = "no feasible trade permutation; beneficiary set corrupted"
         raise RuntimeError(f"{message}, instance {_instance_digest(problem)}")
+    perm = {nodes[r]: nodes[c] for r, c in zip(rows.tolist(), cols.tolist())}
     grown = frozenset(i for i in nodes if perm[i] != i)
     if grown == covered:
         perm = dict(state.permutation)  # no growth: keep the previous plan

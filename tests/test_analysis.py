@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -228,6 +229,57 @@ def test_reassignment_chain_on_eada_full_outcome(ex1):
         f"note: chain for {ex1.students[claimant]} at {ex1.schools[school]} "
         f"is {'vacuous' if result.vacuous else 'non-vacuous'}"
     )
+
+
+def chain_by_scan(problem, matching, claimant, school):
+    """``reassignment_chain``'s (vacuous, transcript) by its docstring's
+    rules, with plain scans over the seats for rosters, ranks and
+    priorities."""
+    seat, transcript = list(matching), [(claimant, school)]
+
+    def roster(s):
+        return [i for i, t in enumerate(seat) if t == s]
+
+    mover, target = claimant, school
+    for _ in range(problem.n_students * problem.n_schools + 1):
+        seat[mover] = target
+        if len(roster(target)) <= problem.quotas[target]:
+            return False, transcript
+        displaced = max(roster(target), key=lambda i: oracle.priority_scan(problem, target, i))
+        seat[displaced] = NULL_SCHOOL
+        if (displaced, target) == (claimant, school):
+            return True, transcript
+        open_to = [
+            s
+            for s in range(problem.n_schools)
+            if len(roster(s)) < problem.quotas[s]
+            or any(
+                oracle.priority_scan(problem, s, displaced) < oracle.priority_scan(problem, s, o)
+                for o in roster(s)
+            )
+        ]
+        best = min(open_to, key=lambda s: (oracle.rank_scan(problem, displaced, s), s), default=None)
+        if best is None or not oracle.prefers(problem, displaced, best, NULL_SCHOOL):
+            return False, transcript
+        mover, target = displaced, best
+        transcript.append((mover, target))
+    pytest.fail("the reference chain did not end")
+
+
+def test_reassignment_chain_matches_its_rules_on_mixed_markets():
+    # Quotas 1-3, truncated lists and unequal sides: every priority claim
+    # against SJBC+'s outcome and the full-consent EADA outcome.
+    vacuous = Counter()
+    for problem in mixed_markets(7, 400):
+        everyone = range(problem.n_students)
+        for matching in (run_sjbc_plus(problem), run_eada(problem, everyone)[0]):
+            for claimant, school in sorted({(v, s) for v, _, s in oracle.violations_scan(problem, matching)}):
+                result = reassignment_chain(problem, matching, claimant, school)
+                expected = chain_by_scan(problem, matching, claimant, school)
+                assert (result.vacuous, list(result.transcript)) == expected, problem
+                vacuous[result.vacuous] += 1
+    assert vacuous[True] and vacuous[False]
+    print(f"reassignment chains: {vacuous[True]} vacuous, {vacuous[False]} not")
 
 
 def test_verdict_consistency_random():

@@ -303,8 +303,9 @@ def test_oracle_cli(capsys):
 
 
 def test_oracle_budget_refusal(capsys):
-    code, _, err = run_cli(capsys, "oracle", EX1, "--budget", "10")
-    assert code == 2
+    # ex1's priority lists are completed, and that note waits for the report
+    code, out, err = run_cli(capsys, "oracle", EX1, "--budget", "10")
+    assert (code, out) == (2, "")
     assert "budget" in err
 
 
@@ -409,6 +410,18 @@ def test_simulate_non_positive_jobs_is_exit_2(tmp_path, capsys, jobs):
     assert not agg.exists() and not per.exists()
     code, out, err = run_cli(capsys, "simulate", *args)
     assert (code, out, err) == (2, "", "error: jobs must be at least 1\n")
+
+
+def test_simulate_unwritable_output_writes_no_row(tmp_path, capsys):
+    # Every output is opened before a row is written, so a path that cannot
+    # be opened leaves neither the aggregate on stdout nor one in --out.
+    args = ("--n", "4", "--model", "iid", "--reps", "2", "--seed", "1")
+    missing = str(tmp_path / "missing" / "per.csv")
+    code, out, err = run_cli(capsys, "simulate", *args, "--per-instance", missing)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    agg = tmp_path / "stats.csv"
+    code, out, err = run_cli(capsys, "simulate", *args, "--out", str(agg), "--per-instance", missing)
+    assert (code, out, agg.read_text()) == (2, "", "") and err.startswith("error: ")
 
 
 def test_help_lists_subcommands(capsys):

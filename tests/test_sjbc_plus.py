@@ -389,13 +389,17 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
     # equally optimal problem that scipy ties differently, so three seeded
     # shuffles per market try other trade plans.  SJBC+'s guarantees must
     # hold for each of them, not only for scipy's pick.
-    rng, solve, calls = random.Random(), sjbc_plus._min_loop_permutation, []
+    rng, solve, calls = random.Random(), sjbc_plus.linear_sum_assignment, []
 
-    def shuffled(nodes, cost):
-        calls.append(len(nodes))
-        order = list(range(len(nodes)))
+    def shuffled(cost):
+        calls.append(len(cost))
+        order = list(range(len(cost)))
         rng.shuffle(order)
-        return solve([nodes[t] for t in order], cost[np.ix_(order, order)])
+        rows, cols = solve(cost[np.ix_(order, order)])
+        order = np.array(order)
+        perm = np.empty_like(cols)
+        perm[order[rows]] = order[cols]  # the answer in the nodes' own order
+        return np.arange(len(cost)), perm
 
     large = large_markets() + mixed_markets(1818, 40)
     small = [
@@ -405,7 +409,7 @@ def test_guarantees_hold_under_every_tie_break(monkeypatch):
         for rep in range(150)
     ]
     picks = [run_sjbc_plus(problem) for problem in large + small]
-    monkeypatch.setattr(sjbc_plus, "_min_loop_permutation", shuffled)
+    monkeypatch.setattr(sjbc_plus, "linear_sum_assignment", shuffled)
 
     changed = 0
     for problem, pick in zip(large, picks):
