@@ -12,6 +12,7 @@ import contextlib
 import csv
 import functools
 import logging
+import os
 import sys
 
 from matchlab import analysis, eada, jbc, oracle, simgen, sjbc_plus
@@ -227,24 +228,20 @@ def _cmd_simulate(args) -> int:
         consent_fraction=args.consent_frac,
     )
     stats = simgen.run_experiment(config, jobs=args.jobs)
-
-    def write_rows(fh):
-        writer = csv.writer(fh)
+    with contextlib.ExitStack() as stack:
+        # every output opens once, before any row, so one that cannot fails the command first
+        out, per_instance = (
+            stack.enter_context(open(path, "w", newline="", encoding="utf-8")) if path else None
+            for path in (args.out, args.per_instance)
+        )
+        if out and per_instance and os.path.sameopenfile(out.fileno(), per_instance.fileno()):
+            raise InputError("--out and --per-instance name the same file")
+        writer = csv.writer(out or sys.stdout)
         writer.writerow(["mechanism", "metric", "mean", "stderr"])
         for mech, metric, mean, stderr in stats.rows:
             writer.writerow([mech, metric, f"{mean:.6f}", f"{stderr:.6f}"])
-
-    # every output opens before any row is written, so one that cannot fails the command first
-    for path in filter(None, (args.out, args.per_instance)):
-        open(path, "w", encoding="utf-8").close()
-    if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            write_rows(fh)
-    else:
-        write_rows(sys.stdout)
-    if args.per_instance:
-        with open(args.per_instance, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
+        if per_instance:
+            writer = csv.writer(per_instance)
             writer.writerow(["replication", "mechanism", "metric", "value"])
             for rep, table in enumerate(stats.records):
                 for mech in simgen.MECHANISMS:

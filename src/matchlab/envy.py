@@ -10,10 +10,12 @@ Envy comes from ``model.envied``, which walks each student's preference
 prefix above her own seat, so it costs O(sum of ranks), not O(n^2).
 ``on_envy_cycle`` searches for cycles on the student -> school graph (the
 pointing graph of top trading cycles), one edge per envy pair, reversed and
-fed to csgraph straight from the seats and the envy lists: student i is node
-i and points at node n + seats[i], school s is node n + s and points at its
-enviers.  With quotas above one an edge i -> j targets a seat, one per
-occupant, and ``edges`` spells those out on demand.
+read straight from the seats and the envy lists: student i is node i and
+points at node n + seats[i], school s is node n + s and points at its
+enviers.  The search is Tarjan's strong-component walk (SIAM J. Comput.
+1972), in linear time and without recursion, so this module needs neither
+numpy nor scipy.  With quotas above one an edge i -> j targets a seat, one
+per occupant, and ``edges`` spells those out on demand.
 
 A label depends only on the target's school, and every label is a prefix of
 one list per school: its *contenders*, the improvable students who envy it,
@@ -42,11 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from matchlab.da import run_da
 from matchlab.model import (
@@ -133,16 +130,45 @@ def on_envy_cycle(seats, envious) -> frozenset[int]:
     lists who envies school s: the students in strong components of two or
     more of the reversed student -> school graph.  Student i < n is node i
     and points at node ``n + seats[i]``; school s is node ``n + s`` and
-    points at its enviers."""
+    points at its enviers.
+
+    Tarjan's search walks from each student not yet reached, keeping its
+    path as a list of (node, unread edges, place on the node stack) in place
+    of recursion, and pops each component off the end of the node stack
+    when its root finishes.  It takes time linear in the nodes and edges.
+    """
     n = len(seats)
     targets = [(n + s,) if s != NULL_SCHOOL else () for s in seats] + envious
-    indptr = np.zeros(len(targets) + 1, dtype=np.int32)
-    np.cumsum([len(t) for t in targets], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(targets), dtype=np.int32, count=indptr[-1])
-    # float64 weights and int32 indices are csgraph's own types: no conversion
-    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(targets),) * 2)
-    _, component = connected_components(graph, directed=True, connection="strong")
-    return frozenset(np.flatnonzero(np.bincount(component)[component[:n]] >= 2).tolist())
+    order, low = [0] * len(targets), [0] * len(targets)  # 1-based discovery order; 0: not reached
+    stack, members, count = [], [], 0
+    for root in range(n):  # a component with a student is reached from her
+        if order[root]:
+            continue
+        count = order[root] = low[root] = count + 1
+        walk = [(root, iter(targets[root]), len(stack))]
+        stack.append(root)
+        while walk:
+            v, unread, place = walk[-1]
+            for w in unread:
+                if not order[w]:
+                    count = order[w] = low[w] = count + 1
+                    walk.append((w, iter(targets[w]), len(stack)))
+                    stack.append(w)
+                    break
+                if order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                walk.pop()
+                if low[v] < order[v]:  # not a root: hand its low to its parent
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    continue
+                for w in stack[place:]:  # v's component: the stack from v up
+                    order[w] = len(order)  # done: no low exceeds it, so it lowers none
+                if len(stack) - place > 1:
+                    members += [w for w in stack[place:] if w < n]
+                del stack[place:]
+    return frozenset(members)
 
 
 def build_envy(problem: Problem) -> LabelledEnvyDigraph:

@@ -15,22 +15,29 @@ consent sample (`Generator.choice` without replacement).
 A replication's record is its metric table, ``{mechanism: {metric:
 value}}``; ``AggregateStats.records`` holds the tables in replication order,
 so a table's position is its replication index.
+
+Importing this module loads neither numpy, scipy nor ``multiprocessing``:
+the functions that draw and aggregate import numpy and scipy, and
+``run_experiment`` with jobs > 1 starts its workers through the
+module-level function ``ProcessPoolExecutor``, which imports
+``concurrent.futures``' process pool on its first call and is the seam
+tests patch to run the pool in process.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
-from scipy.special import ndtri
+from typing import TYPE_CHECKING
 
 from matchlab import analysis, eada, sjbc_plus
 from matchlab.envy import da_context
 from matchlab.model import InputError, Problem, _check_ids, _integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MECHANISMS = ("da", "eada_full", "eada_half", "sjbc_plus")
 METRICS = ("avg_rank", "beneficiaries", "pe_rate", "justifiable_rate")
@@ -79,14 +86,26 @@ class AggregateStats:
     rows: tuple[tuple[str, str, float, float], ...]  # mechanism, metric, mean, stderr
 
 
+def ProcessPoolExecutor(max_workers):
+    """``concurrent.futures``' process pool, imported on the first call, so
+    ``multiprocessing`` loads only when ``run_experiment`` runs jobs > 1."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
+
+
 def _stream(seed: int, replication: int) -> np.random.Generator:
+    import numpy as np
+
     (replication,) = _check_ids("replication", (replication,), range(2**64))
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, replication], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _standard_normal(rng: np.random.Generator, shape):
-    u = (rng.integers(0, 1 << 53, size=shape, dtype=np.int64) + 0.5) * 2.0**-53
+    from scipy.special import ndtri
+
+    u = (rng.integers(0, 1 << 53, size=shape, dtype="int64") + 0.5) * 2.0**-53
     return ndtri(u)
 
 
@@ -94,10 +113,14 @@ def _permutation_rows(rng: np.random.Generator, n: int) -> np.ndarray:
     """An n × n integer array whose rows are permutations of ``range(n)``,
     drawn in one call: the same rows, and the same stream after them, as n
     ``rng.permutation(n)`` calls."""
+    import numpy as np
+
     return rng.permuted(np.tile(np.arange(n), (n, 1)), axis=1)
 
 
 def _draw_problem(rng: np.random.Generator, config: GenConfig) -> Problem:
+    import numpy as np
+
     n = config.n
     if config.model == "correlated":
         quality = _standard_normal(rng, n)
@@ -193,6 +216,8 @@ def run_experiment(config: GenConfig, jobs: int = 1) -> AggregateStats:
     count, so the statistics are identical however the work is scheduled.
     ``jobs`` follows ``GenConfig``'s integer rule.
     """
+    import numpy as np
+
     jobs = _integer("jobs", jobs)
     if jobs < 1:
         raise InputError("jobs must be at least 1")

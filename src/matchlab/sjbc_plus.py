@@ -26,8 +26,10 @@ graph is the formulation that is always feasible, and it is solved here as a
 0/1-cost assignment problem.
 
 ``expansion_step`` makes the one solve, a single ``linear_sum_assignment``
-call per step, and the module-level name ``sjbc_plus.linear_sum_assignment``
-is the seam through which tests record or steer it.  Many permutations
+call per step.  The module-level function ``sjbc_plus.linear_sum_assignment``
+hands the matrix to scipy's solver, which it imports on the first solve, so
+a command that runs no expansion never loads ``scipy.optimize``; it is the
+seam through which tests record or steer the solve.  Many permutations
 often share the fewest loops, and which one a step takes is scipy's
 tie-break.  It decides the trade plan, the refinement's start and so the
 final matching, so outputs are byte-stable for a given scipy.  The CLI
@@ -62,15 +64,23 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
+from typing import TYPE_CHECKING
 
 from matchlab.envy import da_context
 from matchlab.jbc import cycle_takes, run_jbc
 from matchlab.model import NULL_SCHOOL, Problem, _instance_digest, _id_set, check_feasible, trade
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _log = logging.getLogger(__name__)
+
+
+def linear_sum_assignment(cost):
+    """scipy's ``linear_sum_assignment(cost)``, imported on the first call."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 @dataclass(frozen=True)
@@ -98,8 +108,7 @@ class ExpansionState:
         nodes = sorted(self.permutation)
         if self.cost is None:
             return dict.fromkeys(nodes, ())
-        ids = np.array(nodes)
-        return {i: tuple(ids[row == 0].tolist()) for i, row in zip(nodes, self.cost)}
+        return {i: tuple(nodes[t] for t in (row == 0).nonzero()[0].tolist()) for i, row in zip(nodes, self.cost)}
 
 
 def _reach(leading, covered, reach=0) -> int:
@@ -123,6 +132,8 @@ def expansion_step(problem: Problem, state: ExpansionState) -> ExpansionState:
     returns an equivalent state (same beneficiaries), which callers use as
     the stopping signal.
     """
+    import numpy as np
+
     digraph = da_context(problem)
     nodes = sorted(digraph.improvable)
     index = {v: t for t, v in enumerate(nodes)}

@@ -424,6 +424,27 @@ def test_simulate_unwritable_output_writes_no_row(tmp_path, capsys):
     assert (code, out, agg.read_text()) == (2, "", "") and err.startswith("error: ")
 
 
+
+def test_simulate_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    # The aggregate would be written and then overwritten by the
+    # per-instance table; the same file under another name (a symlink or
+    # a hard link) is refused too, and no row is written anywhere.
+    args = ("--n", "4", "--model", "iid", "--reps", "2", "--seed", "1")
+    path = tmp_path / "both.csv"
+    path.write_text("old\n")
+    (tmp_path / "link.csv").symlink_to(path)
+    os.link(path, tmp_path / "hard.csv")
+    for other in (path, tmp_path / "link.csv", tmp_path / "hard.csv"):
+        path.write_text("old\n")
+        code, out, err = run_cli(capsys, "simulate", *args, "--out", str(path), "--per-instance", str(other))
+        assert (code, out, path.read_text()) == (2, "", "")
+        assert err == "error: --out and --per-instance name the same file\n"
+    # two files still get one table each
+    per = tmp_path / "per.csv"
+    assert run_cli(capsys, "simulate", *args, "--out", str(path), "--per-instance", str(per))[0] == 0
+    assert path.read_bytes().startswith(b"mechanism,metric,mean,stderr\r\n")
+    assert per.read_bytes().startswith(b"replication,mechanism,metric,value\r\n")
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -785,3 +806,49 @@ def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
     assert simgen._usable_cpus() == 6
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert simgen._usable_cpus() == 1
+
+
+# Runs one command in this interpreter and prints its exit code and the
+# numpy, scipy and multiprocessing modules it loaded.
+LOADED_BY = """
+import contextlib, io, json, sys
+from matchlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+roots = ("numpy", "scipy", "multiprocessing")
+print(json.dumps([code, sorted(m for m in sys.modules if m.partition(".")[0] in roots)]))
+"""
+
+
+def test_commands_load_only_the_libraries_they_run(tmp_path):
+    # A fresh process per command, so start-up cannot regress unseen: DA,
+    # JBC, EADA, the envy digraph and the verdicts need neither numpy nor
+    # scipy, SJBC+ needs scipy's assignment solver but no csgraph, and a
+    # serial simulation starts no process pool.
+    matching = tmp_path / "da.json"
+    assert main(["solve", "--mechanism", "da", EX1, "--out", str(matching)]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(matchlab.__file__).parents[1])}
+
+    def loaded(*args):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_BY, *args], capture_output=True, text=True, env=env, check=True
+        )
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, args
+        return set(modules)
+
+    for args in (
+        ("solve", "--mechanism", "da", EX1),
+        ("solve", "--mechanism", "jbc", EX1),
+        ("solve", "--mechanism", "eada", EX1, "--consent", "all"),
+        ("trace", EX1),
+        ("envy", EX1),
+        ("analyze", EX1, str(matching)),
+        ("eada-orbit", EX1),
+    ):
+        assert loaded(*args) == set(), args
+    sjbc = loaded("solve", "--mechanism", "sjbc+", EX1)
+    assert "scipy.optimize" in sjbc and "scipy.sparse.csgraph" not in sjbc
+    simulate = ("simulate", "--n", "6", "--model", "correlated", "--rho", "0.5", "--reps", "2", "--seed", "1")
+    serial = loaded(*simulate, "--jobs", "1", "--out", str(tmp_path / "stats.csv"))
+    assert "numpy" in serial and not any(m.startswith("multiprocessing") for m in serial)

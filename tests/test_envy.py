@@ -1,7 +1,12 @@
+import gc
 import inspect
 import random
+import time
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import matchlab
 from matchlab import oracle
@@ -553,6 +558,76 @@ def test_envy_cycles_match_reachability():
         unenvied += [] in envious
         cyclic += bool(members)
     assert min(unseated, shared, unenvied, cyclic) > 100
+
+
+def on_envy_cycle_by_csgraph(seats, envious):
+    """The reference: the students in strong components of two or more of
+    the same student -> school graph, as ``scipy.sparse.csgraph`` finds
+    them."""
+    n = len(seats)
+    targets = [(n + s,) if s != NULL_SCHOOL else () for s in seats] + list(envious)
+    indptr = np.cumsum([0] + [len(t) for t in targets])
+    indices = np.array([w for t in targets for w in t], dtype=np.int64)
+    graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(len(targets),) * 2)
+    _, component = connected_components(graph, directed=True, connection="strong")
+    return frozenset(np.flatnonzero(np.bincount(component)[component[:n]] >= 2).tolist())
+
+
+def test_envy_cycles_match_csgraph_on_da_digraphs():
+    for problem in mixed_markets(2024, 120) + large_markets():
+        seats = run_da(problem)[0]
+        envious = envied(problem, seats)
+        assert on_envy_cycle(seats, envious) == on_envy_cycle_by_csgraph(seats, envious)
+
+
+def test_envy_cycles_match_csgraph_on_random_structures():
+    # Unseated students, several students per school, schools that nobody
+    # envies and empty markets, at densities from none to all.
+    rng = random.Random(4040)
+    empty = unseated = shared = unenvied = cyclic = 0
+    for _ in range(6000):
+        n, m = rng.randint(0, 30), rng.randint(1, 10)
+        seats = tuple(rng.randrange(NULL_SCHOOL, m) for _ in range(n))
+        density = rng.random() ** 2
+        envious = [
+            [i for i in range(n) if seats[i] != s and rng.random() < density] if rng.random() < 0.8 else []
+            for s in range(m)
+        ]
+        for students in envious:  # in no particular order
+            rng.shuffle(students)
+        members = on_envy_cycle(seats, envious)
+        assert members == on_envy_cycle_by_csgraph(seats, envious)
+        empty += n == 0
+        unseated += NULL_SCHOOL in seats
+        shared += len({s for s in seats if s != NULL_SCHOOL}) < n - seats.count(NULL_SCHOOL)
+        unenvied += [] in envious
+        cyclic += bool(members)
+    assert min(empty, unseated, shared, unenvied, cyclic) > 100
+
+
+def test_envy_cycle_search_is_iterative_and_linear():
+    # Student k sits at school k and school k is envied by student k + 1,
+    # so the walk from student 0 runs through every node: a chain, or with
+    # school n - 1 envied by student 0 one cycle.  A recursive search
+    # would raise RecursionError; a quadratic one would take ~16 times as
+    # long on four times the nodes.  The collector is off while timing: its
+    # passes scale with the whole test process's heap, not with the search.
+    def timed(n, closed):
+        envious = [[k + 1] for k in range(n - 1)] + [[0] if closed else []]
+        best = float("inf")
+        gc.disable()
+        try:
+            for _ in range(3):
+                start = time.perf_counter()
+                members = on_envy_cycle(tuple(range(n)), envious)
+                best = min(best, time.perf_counter() - start)
+        finally:
+            gc.enable()
+        assert members == (frozenset(range(n)) if closed else frozenset())
+        return best
+
+    for closed in (False, True):
+        assert timed(10_000, closed) < 8 * timed(2_500, closed)  # 20,000 nodes against 5,000
 
 
 def test_da_context_is_built_once_per_problem(monkeypatch):
